@@ -16,21 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from darkfloquet import bessel_j0, localization
+from darkfloquet import bessel_j0, min_p1_floor
 from darkfloquet.harness import ExperimentConfig, run_min_pop_sweep
-
-
-def odd_floor(n, ratio):
-    """F_n, the averaged model's lower bound on min P1 for odd n."""
-    w1sq, _ = localization(n, 1.0, bessel_j0(ratio))
-    return max(0.0, 2.0 * w1sq - 1.0) ** 2
 
 
 def main():
     out_dir = Path(__file__).parent / "output"
     grid = np.linspace(0.0, 5.0, 101)
     for n in (2, 3, 4, 5):
-        config = ExperimentConfig(experiment="min-pop-sweep", n=n,
+        config = ExperimentConfig(experiment="sweep-min-pop", n=n,
                                   ratio_grid=grid, svg=True, timestamp=False,
                                   out=out_dir / f"min_pop_n{n}.csv")
         path = run_min_pop_sweep(config)
@@ -38,7 +32,8 @@ def main():
                 if line and not line.startswith("#")]
         vals = np.array(rows[1:], dtype=float)
         if n % 2:
-            mask = np.array([odd_floor(n, r) > 0.05 for r in vals[:, 0]])
+            mask = np.array([min_p1_floor(n, 1.0, bessel_j0(r)) > 0.05
+                             for r in vals[:, 0]])
             start = vals[mask, 0].min()
             where = f"the band F_n > 0.05, ratios [{start:.2f}, 5]"
         else:

@@ -10,28 +10,28 @@ __version__ = "0.1.0"
 
 from .effective import (DarkState, EffectiveModel, PropertyReport, bessel_j0,
                         dark_state_closed_form, effective_model, localization,
-                        min_p1_oracle, verify_properties, J0_FIRST_ZERO)
-from .errors import (ConfigError, ConvergenceError, NumericalQualityError,
-                     StepSizeError, UnitarityError)
+                        min_p1_floor, min_p1_oracle, verify_properties,
+                        J0_FIRST_ZERO)
+from .errors import (ConfigError, NumericalQualityError, StepSizeError,
+                     UnitarityError)
 from .evolve import PropagationSettings, Trajectory, monodromy, propagate
 from .floquet import (DarkModeResult, FloquetMode, FloquetSpectrum, SweepResult,
                       dark_mode, floquet_spectrum, fold_quasi_energy,
                       quasi_energy_sweep)
-from .linalg import (EigenDecomposition, hermitian_eigen, matmul,
-                     tridiag_det_sequence, unitary_eigen)
+from .linalg import (EigenDecomposition, hermitian_eigen, tridiag_det_sequence,
+                     unitary_eigen)
 from .model import DrivenSystem, canonical_system, hamiltonian_at
 
 __all__ = [
     "__version__",
     "DrivenSystem", "canonical_system", "hamiltonian_at",
-    "EigenDecomposition", "matmul", "hermitian_eigen", "unitary_eigen",
+    "EigenDecomposition", "hermitian_eigen", "unitary_eigen",
     "tridiag_det_sequence",
     "PropagationSettings", "Trajectory", "propagate", "monodromy",
     "FloquetMode", "FloquetSpectrum", "DarkModeResult", "SweepResult",
     "floquet_spectrum", "dark_mode", "quasi_energy_sweep", "fold_quasi_energy",
     "EffectiveModel", "DarkState", "PropertyReport", "bessel_j0",
     "J0_FIRST_ZERO", "effective_model", "dark_state_closed_form",
-    "localization", "min_p1_oracle", "verify_properties",
+    "localization", "min_p1_floor", "min_p1_oracle", "verify_properties",
     "ConfigError", "NumericalQualityError", "StepSizeError", "UnitarityError",
-    "ConvergenceError",
 ]

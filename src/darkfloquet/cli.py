@@ -72,14 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXPERIMENT_BY_COMMAND = {
-    "dynamics": "dynamics",
-    "sweep-min-pop": "min-pop-sweep",
-    "floquet-sweep": "floquet-sweep",
-    "effective-compare": "effective-compare",
-    "properties": "properties",
-}
-
 _DEFAULT_OUT = {
     "dynamics": "dynamics.csv",
     "sweep-min-pop": "min_pop.csv",
@@ -91,7 +83,7 @@ _DEFAULT_OUT = {
 
 def _config_from_args(args) -> ExperimentConfig:
     kwargs = dict(
-        experiment=_EXPERIMENT_BY_COMMAND[args.command],
+        experiment=args.command,
         n=args.n, v=args.v, omega=args.omega,
         amplitude=args.amplitude,
         steps_per_period=args.steps_per_period,

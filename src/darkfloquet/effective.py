@@ -28,6 +28,7 @@ __all__ = [
     "effective_model",
     "dark_state_closed_form",
     "localization",
+    "min_p1_floor",
     "min_p1_oracle",
     "verify_properties",
     "PropertyReport",
@@ -162,6 +163,20 @@ def localization(n: int, v: float, v_eff: float) -> tuple[float, bool]:
     r = (v / v_eff) ** 2
     w1sq = r / (r + (n - 1) / 2.0)
     return w1sq, r > (n - 1) / 2.0
+
+
+def min_p1_floor(n: int, v: float, v_eff: float) -> float:
+    """Lower bound F_n on the long-time site-1 population of an odd chain
+    started in (1, 0, ..., 0).
+
+    Chiral symmetry gives the +/-lambda modes equal weight on site 1, so
+    with |w_1|^2 the zero mode's weight there (``localization``) the site-1
+    amplitude never drops below 2|w_1|^2 - 1:
+    F_n = max(0, 2|w_1|^2 - 1)^2. At n = 3 and |v_eff| <= |v| this is
+    ``min_p1_oracle``.
+    """
+    w1sq, _ = localization(n, v, v_eff)
+    return max(0.0, 2.0 * w1sq - 1.0) ** 2
 
 
 def min_p1_oracle(v: float, v_eff: float) -> float:
@@ -310,6 +325,8 @@ def verify_properties(n_range=range(2, 12), trials: int = 100,
         raise ConfigError(f"trials must be >= 1, got {trials}")
     checks: list[PropertyCheck] = []
     for n in n_range:
+        if n < 2:
+            raise ConfigError(f"matrix sizes must be >= 2, got n={n}")
         for trial in range(trials):
             rng = np.random.default_rng([rng_seed, n, trial])
             v_eff = 0.0

@@ -15,7 +15,3 @@ class StepSizeError(NumericalQualityError):
 
 class UnitarityError(NumericalQualityError):
     """A matrix that should be unitary failed its tolerance."""
-
-
-class ConvergenceError(NumericalQualityError):
-    """An iterative solver hit its iteration cap. Indicates a bug."""

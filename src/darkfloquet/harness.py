@@ -18,7 +18,7 @@ from .effective import (bessel_j0, effective_model, min_p1_oracle,
                         verify_properties)
 from .errors import ConfigError
 from .evolve import PropagationSettings, propagate, propagator_samples
-from .floquet import quasi_energy_sweep
+from .floquet import _match_branches, quasi_energy_sweep
 from .linalg import hermitian_eigen, unitary_eigen
 from .model import canonical_system
 
@@ -32,7 +32,7 @@ __all__ = [
     "min_p1_measured",
 ]
 
-EXPERIMENTS = ("dynamics", "min-pop-sweep", "floquet-sweep",
+EXPERIMENTS = ("dynamics", "sweep-min-pop", "floquet-sweep",
                "effective-compare", "properties")
 
 
@@ -266,8 +266,8 @@ def run_effective_compare(config: ExperimentConfig) -> Path:
                                   config.omega)
         dec = hermitian_eigen(effective_model(system).matrix)
         # overlap pairing: monodromy eigenvectors against static eigenvectors
-        overlap = np.abs(sweep.eigenvectors[i].conj().T @ dec.eigenvectors)
-        pairing = _greedy_pairs(overlap)
+        pairing = _match_branches(sweep.eigenvectors[i], dec.eigenvectors,
+                                  sweep.quasi_energies[i], dec.eigenvalues)
         for k in range(config.n):
             lam = float(dec.eigenvalues[pairing[k]])
             eps = float(sweep.quasi_energies[i, k])
@@ -285,20 +285,6 @@ def run_effective_compare(config: ExperimentConfig) -> Path:
                    [f"|eps-lam| {k+1}" for k in range(config.n)],
                    f"effective-model deviation, n={config.n}")
     return config.out
-
-
-def _greedy_pairs(overlap: np.ndarray) -> np.ndarray:
-    n = overlap.shape[0]
-    pairs = np.full(n, -1)
-    used = np.zeros(n, dtype=bool)
-    for _ in range(n):
-        masked = overlap.copy()
-        masked[pairs != -1, :] = -1.0
-        masked[:, used] = -1.0
-        k, j = np.unravel_index(np.argmax(masked), masked.shape)
-        pairs[k] = j
-        used[j] = True
-    return pairs
 
 
 def run_properties(config: ExperimentConfig, matrix_perturbation=None) -> int:

@@ -1,10 +1,9 @@
-"""Small dense linear algebra: complex Jacobi eigensolver, unitary
-eigendecomposition via the normal-matrix split, and tridiagonal
+"""Small dense linear algebra: Hermitian eigendecomposition on LAPACK,
+unitary eigendecomposition via the normal-matrix split, and tridiagonal
 determinant recursions.
 
 Everything here targets matrices of dimension a few tens at most; the
-emphasis is on orthonormal eigenvectors and deterministic ordering, not
-speed.
+emphasis is on orthonormal eigenvectors and deterministic ordering.
 """
 
 from __future__ import annotations
@@ -13,19 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
-
 __all__ = [
     "EigenDecomposition",
-    "matmul",
     "hermitian_eigen",
     "unitary_eigen",
     "tridiag_det_sequence",
     "is_hermitian",
     "is_unitary",
 ]
-
-_JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -34,14 +28,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column k pairs with eigenvalues[k]
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
@@ -53,69 +39,21 @@ def is_unitary(m: np.ndarray, tol: float = 1e-8) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(n))) <= tol)
 
 
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def hermitian_eigen(m: np.ndarray, hermiticity_tol: float = 1e-10) -> EigenDecomposition:
-    """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a complex Hermitian matrix with LAPACK (``np.linalg.eigh``).
 
-    Eigenvalues come out real, sorted ascending; eigenvectors are the
-    orthonormal columns of the accumulated rotation product.
+    Eigenvalues come out real, sorted ascending; eigenvectors are
+    orthonormal columns, put in a deterministic order inside degenerate
+    groups.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not is_hermitian(m, hermiticity_tol):
         raise ValueError("matrix is not Hermitian within tolerance")
-    n = m.shape[0]
     a = 0.5 * (m + m.conj().T)  # symmetrize away representation noise
-    v = np.eye(n, dtype=complex)
-    fro = np.linalg.norm(a)
-    if fro == 0.0:
-        return EigenDecomposition(np.zeros(n), v)
-    stop = 1e-12 * fro
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _off_norm(a) <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                h = a[p, q]
-                if abs(h) <= 1e-300:
-                    continue
-                # rotation G: G[p,p]=G[q,q]=c, G[p,q]=s*phase,
-                # G[q,p]=-s*conj(phase); A <- G^dag A G zeroes a_pq when
-                # t = s/c solves t^2 - 2*tau*t - 1 = 0 (small root).
-                phase = h / abs(h)
-                tau = (a[p, p].real - a[q, q].real) / (2.0 * abs(h))
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = -np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * ap - s * np.conj(phase) * aq
-                a[:, q] = s * phase * ap + c * aq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * phase * rq
-                a[q, :] = s * np.conj(phase) * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-    else:
-        raise ConvergenceError("Jacobi eigensolver did not converge in "
-                               f"{_JACOBI_MAX_SWEEPS} sweeps")
-    eigvals = np.diag(a).real.copy()
-    order = np.argsort(eigvals, kind="stable")
-    eigvals = eigvals[order]
-    vecs = v[:, order]
-    vecs = _order_degenerate(eigvals, vecs, 1e-8 * max(1.0, fro))
+    eigvals, vecs = np.linalg.eigh(a)
+    vecs = _order_degenerate(eigvals, vecs, 1e-8 * max(1.0, np.linalg.norm(a)))
     return EigenDecomposition(eigvals, vecs)
 
 
@@ -188,7 +126,7 @@ def tridiag_det_sequence(v_eff: float, v: float, n_max: int) -> np.ndarray:
 
     The matrix has zero diagonal, first bond v_eff, remaining bonds v; the
     determinants obey D_1 = 0, D_2 = -v_eff**2, D_N = -v**2 * D_{N-2}.
-    Each value is cross-checked against a dense LU determinant.
+    Each value is cross-checked against a dense LAPACK determinant.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -198,11 +136,11 @@ def tridiag_det_sequence(v_eff: float, v: float, n_max: int) -> np.ndarray:
     for k in range(2, n_max):
         d[k] = -v**2 * d[k - 2]
     for size in range(1, n_max + 1):
-        dense = _dense_det(_effective_matrix(size, v_eff, v))
+        dense = np.linalg.det(_effective_matrix(size, v_eff, v))
         scale = max(1.0, abs(d[size - 1]), abs(dense))
         if abs(dense - d[size - 1]) > 1e-9 * scale:
             raise ArithmeticError(
-                f"determinant recursion disagrees with dense LU at N={size}: "
+                f"determinant recursion disagrees with dense determinant at N={size}: "
                 f"{d[size - 1]} vs {dense}")
     return d
 
@@ -213,19 +151,3 @@ def _effective_matrix(n: int, v_eff: float, v: float) -> np.ndarray:
         bonds[0] = v_eff
     return np.diag(bonds, 1) + np.diag(bonds, -1)
 
-
-def _dense_det(m: np.ndarray) -> float:
-    """Determinant by LU with partial pivoting (Doolittle)."""
-    a = np.array(m, dtype=float)
-    n = a.shape[0]
-    det = 1.0
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0.0:
-            return 0.0
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            det = -det
-        det *= a[k, k]
-        a[k + 1:, k:] -= np.outer(a[k + 1:, k] / a[k, k], a[k, k:])
-    return det

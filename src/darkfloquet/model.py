@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .linalg import _effective_matrix
 
 __all__ = ["DrivenSystem", "canonical_system", "hamiltonian_at"]
 
@@ -37,6 +38,9 @@ class DrivenSystem:
     drive_signs: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.v, self.amplitude, self.omega])):
+            raise ConfigError("v, amplitude and omega must be finite, got "
+                              f"{self.v}, {self.amplitude}, {self.omega}")
         if self.n < 2:
             raise ConfigError(f"need at least 2 levels, got n={self.n}")
         if self.omega <= 0:
@@ -77,10 +81,6 @@ def hamiltonian_at(system: DrivenSystem, t: float) -> np.ndarray:
     Off-diagonal entries are all ``v``; diagonal entry j is
     ``drive_signs[j] * (A/2) * sin(omega * t)``.
     """
-    n = system.n
-    h = np.zeros((n, n))
-    off = np.full(n - 1, system.v)
-    h += np.diag(off, 1) + np.diag(off, -1)
     drive = 0.5 * system.amplitude * np.sin(system.omega * t)
-    h += np.diag(drive * np.asarray(system.drive_signs, dtype=float))
-    return h
+    return (_effective_matrix(system.n, system.v, system.v)
+            + np.diag(drive * np.asarray(system.drive_signs, dtype=float)))

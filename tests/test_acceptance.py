@@ -9,7 +9,7 @@ import pytest
 
 from darkfloquet import (PropagationSettings, bessel_j0, canonical_system,
                          dark_state_closed_form, effective_model,
-                         floquet_spectrum, hermitian_eigen, localization,
+                         floquet_spectrum, hermitian_eigen, min_p1_floor,
                          monodromy, propagate, quasi_energy_sweep,
                          tridiag_det_sequence, verify_properties)
 from darkfloquet.harness import min_p1_measured
@@ -77,23 +77,13 @@ def test_criterion_3_three_level_tunneling_minima():
              "; ".join(f"ratio {r}: min P1 = {m:.4f}" for r, m, _ in checks))
 
 
-def _odd_floor(n, ratio):
-    """F_n: lower bound on the long-time site-1 population of an odd chain.
-
-    In the averaged model chiral symmetry gives the +/-lambda modes equal
-    weight on site 1, so with |w_1|^2 the zero mode's weight there the
-    site-1 amplitude never drops below 2|w_1|^2 - 1.
-    """
-    w1sq, _ = localization(n, 1.0, bessel_j0(ratio))
-    return max(0.0, 2.0 * w1sq - 1.0) ** 2
-
-
 def test_criterion_4_wide_versus_isolated_suppression(min_p1_sweeps):
     failures, bands = [], []
     inside = FULL_GRID >= 0.2
     for n in (3, 5):
         vals = min_p1_sweeps[n]
-        floor = np.array([_odd_floor(n, r) for r in FULL_GRID])
+        floor = np.array([min_p1_floor(n, 1.0, bessel_j0(r))
+                          for r in FULL_GRID])
         band = floor > 0.05
         start = FULL_GRID[band].min()
         k = int(np.argmin(vals[band]))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from darkfloquet import (ConfigError, J0_FIRST_ZERO, PropagationSettings,
                          bessel_j0, canonical_system, dark_state_closed_form,
                          effective_model, hermitian_eigen, localization,
-                         min_p1_oracle, verify_properties)
+                         min_p1_floor, min_p1_oracle, verify_properties)
 from darkfloquet.linalg import _effective_matrix
 
 from oracles import expm_scaling_squaring, j0_first_zero_oracle, j0_series_oracle
@@ -157,6 +157,22 @@ class TestMinP1Oracle:
         mins = min(abs((expm_scaling_squaring(-1j * h * t) @ c0)[0]) ** 2
                    for t in ts[:: 40])
         assert mins == pytest.approx(min_p1_oracle(v, v_eff), abs=1e-4)
+
+
+class TestMinP1Floor:
+    def test_matches_three_level_oracle(self):
+        for ratio in np.linspace(0.0, 5.0, 51):
+            v_eff = bessel_j0(ratio)
+            assert abs(min_p1_floor(3, 1.0, v_eff)
+                       - min_p1_oracle(1.0, v_eff)) <= 1e-12
+
+    def test_five_level_limits(self):
+        assert min_p1_floor(5, 1.0, 0.0) == 1.0
+        assert min_p1_floor(5, 1.0, 1.0) == 0.0
+
+    def test_even_n_rejected(self):
+        with pytest.raises(ConfigError):
+            min_p1_floor(4, 1.0, 0.5)
 
 
 class TestVerifyProperties:

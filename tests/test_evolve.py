@@ -40,8 +40,6 @@ def test_settings_validation():
     with pytest.raises(ConfigError):
         PropagationSettings(steps_per_period=50)
     with pytest.raises(ConfigError):
-        PropagationSettings(method="euler")
-    with pytest.raises(ConfigError):
         propagate(canonical_system(3, 1, 0, 10), basis_state(3), 1.0, 0.5)
     with pytest.raises(ConfigError):
         propagate(canonical_system(3, 1, 0, 10), 2 * basis_state(3), 0.0, 1.0)

@@ -63,7 +63,7 @@ class TestDynamics:
 class TestMinPopSweep:
     def test_three_level_wide_suppression(self, tmp_path):
         grid = np.linspace(0.0, 5.0, 26)
-        config = ExperimentConfig(experiment="min-pop-sweep", n=3,
+        config = ExperimentConfig(experiment="sweep-min-pop", n=3,
                                   ratio_grid=grid, out=tmp_path / "m.csv",
                                   timestamp=False)
         run_min_pop_sweep(config)
@@ -78,7 +78,7 @@ class TestMinPopSweep:
         root = j0_first_zero_oracle()
         grid = np.sort(np.concatenate([np.linspace(0.5, 5, 19),
                                        np.linspace(root - 0.05, root + 0.05, 51)]))
-        config = ExperimentConfig(experiment="min-pop-sweep", n=2,
+        config = ExperimentConfig(experiment="sweep-min-pop", n=2,
                                   ratio_grid=grid, out=tmp_path / "m.csv",
                                   timestamp=False)
         run_min_pop_sweep(config)
@@ -95,7 +95,7 @@ class TestMinPopSweep:
     def test_four_level_isolated_window(self, tmp_path):
         root = j0_first_zero_oracle()
         grid = np.linspace(1.5, 3.5, 41)
-        config = ExperimentConfig(experiment="min-pop-sweep", n=4,
+        config = ExperimentConfig(experiment="sweep-min-pop", n=4,
                                   ratio_grid=grid, out=tmp_path / "m.csv",
                                   timestamp=False)
         run_min_pop_sweep(config)
@@ -189,12 +189,12 @@ class TestConfigValidation:
 
     def test_unsorted_grid(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(experiment="min-pop-sweep",
+            ExperimentConfig(experiment="sweep-min-pop",
                              ratio_grid=np.array([1.0, 0.5]))
 
     def test_short_horizon(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(experiment="min-pop-sweep", horizon_periods=5)
+            ExperimentConfig(experiment="sweep-min-pop", horizon_periods=5)
 
 
 class TestDeterminism:
@@ -202,7 +202,7 @@ class TestDeterminism:
         grid = np.linspace(0.0, 2.0, 6)
         paths = []
         for name in ("a.csv", "b.csv"):
-            config = ExperimentConfig(experiment="min-pop-sweep", n=3,
+            config = ExperimentConfig(experiment="sweep-min-pop", n=3,
                                       ratio_grid=grid, out=tmp_path / name,
                                       timestamp=False)
             run_min_pop_sweep(config)
@@ -237,6 +237,24 @@ class TestCli:
     def test_invalid_config_exit_code(self, capsys):
         assert main(["dynamics", "--n", "1"]) == 2
         assert main(["sweep-min-pop", "--ratio-grid", "bogus"]) == 2
+        for flag in ("--amplitude", "--v", "--omega"):
+            for value in ("nan", "inf"):
+                assert main(["dynamics", flag, value]) == 2
+        assert main(["properties", "--n-list", "0,3"]) == 2
+
+    def test_numerical_blowup_exit_code(self, tmp_path, capsys):
+        # RK4 overflows to NaN at this step size; the guards must trip on it
+        coarse = ["--omega", "1", "--steps-per-period", "100",
+                  "--out", str(tmp_path / "out.csv")]
+        with np.errstate(all="ignore"):
+            assert main(["effective-compare", "--ratio-grid", "20000:20001:2",
+                         *coarse]) == 3
+            assert main(["dynamics", "--amplitude", "20000", "--periods", "1",
+                         *coarse]) == 3
+        err = capsys.readouterr().err
+        assert err.count("numerical-quality failure") == 2
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_properties_exit_code(self, tmp_path):
         out = tmp_path / "props.json"

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkfloquet import (bessel_j0, hermitian_eigen, matmul,
-                         tridiag_det_sequence, unitary_eigen)
+from darkfloquet import (bessel_j0, hermitian_eigen, tridiag_det_sequence,
+                         unitary_eigen)
 from darkfloquet.linalg import _effective_matrix
 
 from oracles import expm_scaling_squaring, j0_series_oracle
@@ -13,25 +13,6 @@ from oracles import expm_scaling_squaring, j0_series_oracle
 def random_hermitian(rng, n):
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return x + x.conj().T
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9.0).reshape(3, 3) + 1j
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_permutation_composition(self):
-        p1 = np.eye(3)[[1, 2, 0]]
-        p2 = np.eye(3)[[2, 0, 1]]
-        assert np.array_equal(matmul(p1, p2), np.eye(3))
-
-    def test_pauli_x_squares_to_identity(self):
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert np.array_equal(matmul(sx, sx), np.eye(2))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(3), np.eye(4))
 
 
 class TestHermitianEigen:
