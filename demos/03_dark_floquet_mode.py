@@ -20,12 +20,13 @@ def main():
         for ratio in (0.8, 2.0, 3.5):
             spec = floquet_spectrum(canonical_system(n, v, ratio * omega, omega))
             found = dark_mode(spec)
-            if found.mode is None:
+            if found.index is None:
                 print(f"  A/omega = {ratio}: no dark mode")
                 continue
-            pops = found.mode.avg_populations
+            pops = spec.avg_populations[found.index]
             even = pops[1::2].max()
-            line = (f"  A/omega = {ratio}: eps = {found.mode.quasi_energy:+.2e}, "
+            eps = spec.quasi_energies[found.index]
+            line = (f"  A/omega = {ratio}: eps = {eps:+.2e}, "
                     f"<P1> = {pops[0]:.3f}, max even-site <P> = {even:.4f}")
             if n % 2 == 1:
                 w1sq, above = localization(n, v, v * bessel_j0(ratio))

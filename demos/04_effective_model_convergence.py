@@ -18,8 +18,7 @@ def main():
         worst = 0.0
         for ratio in ratios:
             system = canonical_system(3, 1.0, ratio * omega, omega)
-            eps = np.sort([m.quasi_energy
-                           for m in floquet_spectrum(system).modes])
+            eps = floquet_spectrum(system).quasi_energies
             lam = hermitian_eigen(effective_model(system).matrix).eigenvalues
             worst = max(worst, float(np.max(np.abs(eps - lam))))
         print(f"omega = {omega:4.0f}: max |quasi-energy - averaged eigenvalue| "

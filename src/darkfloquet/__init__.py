@@ -15,9 +15,8 @@ from .effective import (DarkState, EffectiveModel, PropertyReport, bessel_j0,
 from .errors import (ConfigError, NumericalQualityError, StepSizeError,
                      UnitarityError)
 from .evolve import PropagationSettings, Trajectory, monodromy, propagate
-from .floquet import (DarkModeResult, FloquetMode, FloquetSpectrum, SweepResult,
-                      dark_mode, floquet_spectrum, fold_quasi_energy,
-                      quasi_energy_sweep)
+from .floquet import (DarkModeResult, FloquetSpectrum, SweepResult, dark_mode,
+                      floquet_spectrum, fold_quasi_energy, quasi_energy_sweep)
 from .linalg import (EigenDecomposition, hermitian_eigen, tridiag_det_sequence,
                      unitary_eigen)
 from .model import DrivenSystem, canonical_system, hamiltonian_at
@@ -28,7 +27,7 @@ __all__ = [
     "EigenDecomposition", "hermitian_eigen", "unitary_eigen",
     "tridiag_det_sequence",
     "PropagationSettings", "Trajectory", "propagate", "monodromy",
-    "FloquetMode", "FloquetSpectrum", "DarkModeResult", "SweepResult",
+    "FloquetSpectrum", "DarkModeResult", "SweepResult",
     "floquet_spectrum", "dark_mode", "quasi_energy_sweep", "fold_quasi_energy",
     "EffectiveModel", "DarkState", "PropertyReport", "bessel_j0",
     "J0_FIRST_ZERO", "effective_model", "dark_state_closed_form",

@@ -40,7 +40,7 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ratio-grid", type=str, default=None, metavar="LO:HI:COUNT",
                         help="grid of A/omega values (default 0:5:201 for sweeps)")
     parser.add_argument("--periods", type=int, default=None,
-                        help="time horizon in driving periods")
+                        help="horizon in driving periods (dynamics, sweep-min-pop)")
     parser.add_argument("--steps-per-period", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=str, default=None, help="output CSV path")
@@ -95,10 +95,7 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.ratio_grid is not None:
         kwargs["ratio_grid"] = _parse_ratio_grid(args.ratio_grid)
     if args.periods is not None:
-        if args.command == "dynamics":
-            kwargs["dynamics_periods"] = args.periods
-        else:
-            kwargs["horizon_periods"] = args.periods
+        kwargs["periods"] = args.periods
     if args.command == "properties":
         kwargs["property_trials"] = args.trials
         try:

@@ -51,7 +51,8 @@ class Trajectory:
 
     @property
     def norm_drift(self) -> float:
-        norms = np.linalg.norm(self.states, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
+            norms = np.linalg.norm(self.states, axis=1)
         return float(np.max(np.abs(norms - 1.0)))
 
 
@@ -80,14 +81,16 @@ def _rk4_run(system: DrivenSystem, y0: np.ndarray, t0: float, n_steps: int,
     y = np.asarray(y0, dtype=complex).copy()
     stack = np.empty((n_steps + 1,) + y.shape, dtype=complex)
     stack[0] = y
-    for k in range(n_steps):
-        s0, sh, s1 = sin_full[k], sin_half[k], sin_full[k + 1]
-        k1 = rhs(s0, y)
-        k2 = rhs(sh, y + (0.5 * h) * k1)
-        k3 = rhs(sh, y + (0.5 * h) * k2)
-        k4 = rhs(s1, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        stack[k + 1] = y
+    # inf/NaN from a too coarse step is left to the callers' guards to report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            s0, sh, s1 = sin_full[k], sin_half[k], sin_full[k + 1]
+            k1 = rhs(s0, y)
+            k2 = rhs(sh, y + (0.5 * h) * k1)
+            k3 = rhs(sh, y + (0.5 * h) * k2)
+            k4 = rhs(s1, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            stack[k + 1] = y
     return ts, stack
 
 

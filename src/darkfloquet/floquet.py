@@ -14,7 +14,6 @@ from .linalg import unitary_eigen
 from .model import DrivenSystem, canonical_system
 
 __all__ = [
-    "FloquetMode",
     "FloquetSpectrum",
     "DarkModeResult",
     "fold_quasi_energy",
@@ -26,34 +25,35 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FloquetMode:
-    """One Floquet mode: quasi-energy in the first Brillouin zone, the t=0
-    eigenvector of the monodromy matrix, and period-averaged populations."""
-
-    quasi_energy: float
-    eigenvector: np.ndarray
-    avg_populations: np.ndarray
-
-
-@dataclass(frozen=True)
 class FloquetSpectrum:
-    modes: tuple[FloquetMode, ...]
+    """Floquet modes of one driven system, sorted by quasi-energy.
+
+    Mode k has quasi-energy quasi_energies[k] in the first Brillouin zone,
+    eigenvalue multipliers[k] of the monodromy matrix U(T), t=0 vector
+    eigenvectors[:, k] and period-averaged populations avg_populations[k];
+    site1[s, k] = <1|U(t_s)|mode k> on the one-period integrator grid.
+    """
+
+    quasi_energies: np.ndarray      # (n,)
+    multipliers: np.ndarray         # (n,)
+    eigenvectors: np.ndarray        # (n, n), column k = mode k
+    avg_populations: np.ndarray     # (n, n), row k = mode k
+    site1: np.ndarray               # (steps+1, n)
     system: DrivenSystem
     settings: PropagationSettings
 
 
 @dataclass(frozen=True)
 class DarkModeResult:
-    mode: FloquetMode | None
+    index: int | None
     ambiguous: bool = False
 
 
-def fold_quasi_energy(eps: float, omega: float) -> float:
-    """Fold a quasi-energy into the first Brillouin zone (-omega/2, omega/2]."""
-    r = eps % omega
-    if r > 0.5 * omega:
-        r -= omega
-    return r
+def fold_quasi_energy(eps: float | np.ndarray,
+                      omega: float) -> float | np.ndarray:
+    """Fold quasi-energies into the first Brillouin zone (-omega/2, omega/2]."""
+    r = np.mod(eps, omega)
+    return r - omega * (r > 0.5 * omega)
 
 
 def floquet_spectrum(system: DrivenSystem,
@@ -67,21 +67,21 @@ def floquet_spectrum(system: DrivenSystem,
     """
     _, us = propagator_samples(system, settings)
     dec = unitary_eigen(us[-1])
-    t_period = system.period
-    modes = []
-    for k in range(system.n):
-        eps = fold_quasi_energy(-np.angle(dec.eigenvalues[k]) / t_period,
-                                system.omega)
-        vec = dec.eigenvectors[:, k]
-        pops = _period_averaged_populations(us, vec)
-        modes.append(FloquetMode(quasi_energy=float(eps), eigenvector=vec,
-                                 avg_populations=pops))
-    modes.sort(key=lambda m: m.quasi_energy)
-    return FloquetSpectrum(modes=tuple(modes), system=system, settings=settings)
+    eps = fold_quasi_energy(-np.angle(dec.eigenvalues) / system.period,
+                            system.omega)
+    order = np.argsort(eps, kind="stable")
+    vecs = dec.eigenvectors[:, order]
+    pops = np.stack([_period_averaged_populations(us, vecs[:, k])
+                     for k in range(system.n)])
+    return FloquetSpectrum(quasi_energies=eps[order],
+                           multipliers=dec.eigenvalues[order],
+                           eigenvectors=vecs, avg_populations=pops,
+                           site1=us[:, 0, :] @ vecs, system=system,
+                           settings=settings)
 
 
 def _period_averaged_populations(us: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    traj = us @ vec  # (steps+1, n)
+    traj = us @ vec  # (steps+1, n); one mode at a time keeps memory O(steps n)
     p = np.abs(traj) ** 2
     # trapezoid on the uniform grid
     avg = (0.5 * (p[0] + p[-1]) + p[1:-1].sum(axis=0)) / (p.shape[0] - 1)
@@ -93,23 +93,21 @@ def dark_mode(spectrum: FloquetSpectrum, eps_tol: float | None = None,
     """Find the dark Floquet mode: zero quasi-energy and negligible
     period-averaged population on every even site.
 
-    Returns an empty result if no mode qualifies, and an ambiguous empty
-    result if more than one does (even-n degeneracy points).
+    Returns the mode's index into the spectrum's arrays; the index is None
+    if no mode qualifies, and also if more than one does (even-n degeneracy
+    points), which is then flagged ambiguous.
     """
     omega = spectrum.system.omega
     if eps_tol is None:
         eps_tol = 1e-4 * omega
     if eps_tol <= 0 or pop_tol <= 0:
         raise ConfigError("tolerances must be positive")
-    even_sites = np.arange(1, spectrum.system.n, 2)  # sites 2, 4, ... (1-based)
-    matches = [m for m in spectrum.modes
-               if abs(m.quasi_energy) <= eps_tol
-               and np.all(m.avg_populations[even_sites] <= pop_tol)]
+    even_sites = spectrum.avg_populations[:, 1::2]  # sites 2, 4, ... (1-based)
+    matches = np.flatnonzero((np.abs(spectrum.quasi_energies) <= eps_tol)
+                             & np.all(even_sites <= pop_tol, axis=1))
     if len(matches) == 1:
-        return DarkModeResult(mode=matches[0])
-    if len(matches) > 1:
-        return DarkModeResult(mode=None, ambiguous=True)
-    return DarkModeResult(mode=None)
+        return DarkModeResult(index=int(matches[0]))
+    return DarkModeResult(index=None, ambiguous=len(matches) > 1)
 
 
 @dataclass(frozen=True)
@@ -142,21 +140,15 @@ def quasi_energy_sweep(n: int, v: float, omega: float, ratios,
     eps = np.empty((len(ratios), n))
     pops = np.empty((len(ratios), n, n))
     vecs = np.empty((len(ratios), n, n), dtype=complex)
-    prev = None
     template = canonical_system(n, v, 0.0, omega)
     for i, r in enumerate(ratios):
-        system = canonical_system(n, v, r * omega, omega)
-        spec = floquet_spectrum(system, settings)
-        e = np.array([m.quasi_energy for m in spec.modes])
-        p = np.stack([m.avg_populations for m in spec.modes])
-        w = np.stack([m.eigenvector for m in spec.modes], axis=1)
-        if prev is not None:
-            perm = _match_branches(prev, w, eps[i - 1], e)
+        spec = floquet_spectrum(canonical_system(n, v, r * omega, omega),
+                                settings)
+        e, p, w = spec.quasi_energies, spec.avg_populations, spec.eigenvectors
+        if i:
+            perm = _match_branches(vecs[i - 1], w, eps[i - 1], e)
             e, p, w = e[perm], p[perm], w[:, perm]
-        eps[i] = e
-        pops[i] = p
-        vecs[i] = w
-        prev = w
+        eps[i], pops[i], vecs[i] = e, p, w
     return SweepResult(ratios=ratios, quasi_energies=eps, avg_populations=pops,
                        eigenvectors=vecs, system_template=template,
                        settings=settings)

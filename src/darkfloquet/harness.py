@@ -17,9 +17,9 @@ from . import __version__
 from .effective import (bessel_j0, effective_model, min_p1_oracle,
                         verify_properties)
 from .errors import ConfigError
-from .evolve import PropagationSettings, propagate, propagator_samples
-from .floquet import _match_branches, quasi_energy_sweep
-from .linalg import hermitian_eigen, unitary_eigen
+from .evolve import PropagationSettings, propagate
+from .floquet import _match_branches, floquet_spectrum, quasi_energy_sweep
+from .linalg import hermitian_eigen
 from .model import canonical_system
 
 __all__ = [
@@ -34,6 +34,8 @@ __all__ = [
 
 EXPERIMENTS = ("dynamics", "sweep-min-pop", "floquet-sweep",
                "effective-compare", "properties")
+# default horizon in driving periods of the experiments that take one
+DEFAULT_PERIODS = {"dynamics": 20, "sweep-min-pop": 400}
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,7 @@ class ExperimentConfig:
     omega: float = 10.0
     amplitude: float | None = None
     ratio_grid: np.ndarray | None = None
-    horizon_periods: int = 400
-    dynamics_periods: int = 20
+    periods: int | None = None  # None: the experiment's DEFAULT_PERIODS
     steps_per_period: int = 2000
     seed: int = 0
     out: Path = field(default_factory=lambda: Path("out.csv"))
@@ -57,8 +58,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.horizon_periods < 10:
-            raise ConfigError("horizon_periods must be >= 10")
+        if self.periods is None:
+            object.__setattr__(self, "periods",
+                               DEFAULT_PERIODS.get(self.experiment))
+        if self.experiment == "sweep-min-pop" and self.periods < 10:
+            raise ConfigError(f"periods must be >= 10, got {self.periods}")
         if self.ratio_grid is not None:
             grid = np.asarray(self.ratio_grid, dtype=float)
             if grid.ndim != 1 or len(grid) == 0 or np.any(~np.isfinite(grid)):
@@ -79,10 +83,12 @@ class ExperimentConfig:
 
 
 def _provenance(config: ExperimentConfig, extra: dict | None = None) -> list[str]:
+    periods = (f" periods={config.periods}"
+               if config.experiment in DEFAULT_PERIODS else "")
     lines = [f"# darkfloquet {__version__} experiment={config.experiment}",
              f"# n={config.n} v={config.v} omega={config.omega}"
-             f" steps_per_period={config.steps_per_period}"
-             f" horizon_periods={config.horizon_periods} seed={config.seed}"]
+             f" steps_per_period={config.steps_per_period}{periods}"
+             f" seed={config.seed}"]
     if config.amplitude is not None:
         lines.append(f"# amplitude={config.amplitude}")
     if config.ratio_grid is not None:
@@ -154,46 +160,35 @@ def _svg_path(csv_path: Path) -> Path:
     return Path(csv_path).with_suffix(".svg")
 
 
-def _initial_state(n: int) -> np.ndarray:
-    c0 = np.zeros(n, dtype=complex)
-    c0[0] = 1.0
-    return c0
-
-
 def min_p1_measured(system, periods: int,
                     settings: PropagationSettings = PropagationSettings()) -> float:
     """Sampled minimum of P_1(t) over the given number of driving periods,
     starting from (1, 0, ..., 0).
 
-    Uses the periodicity of H: the state at t = kT + s is U(s) U(T)^k e_1,
-    with U(s) stored on the one-period integrator grid and U(T)^k applied
-    through the monodromy eigendecomposition. The sampled minimum equals the
-    one from direct long propagation at the same grid.
+    Uses the periodicity of H: in the Floquet basis the state at t = kT + s
+    has site-1 amplitude sum_m <1|U(s)|m> lambda_m^k <m|1>, with lambda_m
+    the monodromy eigenvalues. The sampled minimum equals the one from
+    direct long propagation at the same grid.
     """
-    _, us = propagator_samples(system, settings)
-    dec = unitary_eigen(us[-1])
-    b = dec.eigenvectors.conj().T @ _initial_state(system.n)
+    spec = floquet_spectrum(system, settings)
     ks = np.arange(periods)
-    phases = dec.eigenvalues[:, None] ** ks[None, :]
-    states_k = dec.eigenvectors @ (phases * b[:, None])  # (n, periods)
-    first_row = us[:, 0, :]                              # (steps+1, n)
-    p1 = np.abs(first_row @ states_k) ** 2
-    return float(p1.min())
+    amps = (spec.multipliers[:, None] ** ks[None, :]
+            * spec.eigenvectors[0].conj()[:, None])    # (n, periods)
+    return float((np.abs(spec.site1 @ amps) ** 2).min())
 
 
 def run_dynamics(config: ExperimentConfig) -> Path:
     """Trajectory CSV (t, P_1..P_n) from the initial state (1, 0, ..., 0)."""
     amplitude = config.amplitude if config.amplitude is not None else 0.0
     system = canonical_system(config.n, config.v, amplitude, config.omega)
-    horizon = config.dynamics_periods * system.period
-    traj = propagate(system, _initial_state(config.n), 0.0, horizon,
+    horizon = config.periods * system.period
+    traj = propagate(system, np.eye(config.n, dtype=complex)[0], 0.0, horizon,
                      config.settings)
     pops = traj.populations
     header = ["t"] + [f"P{j+1}" for j in range(config.n)]
     rows = ([float(t)] + [float(p) for p in pops[i]]
             for i, t in enumerate(traj.times))
-    comments = _provenance(config, {"dynamics_periods": config.dynamics_periods,
-                                    "norm_drift": f"{traj.norm_drift:.3e}"})
+    comments = _provenance(config, {"norm_drift": f"{traj.norm_drift:.3e}"})
     _write_csv(config.out, comments, header, rows)
     if config.svg:
         _write_svg(_svg_path(config.out), traj.times,
@@ -212,7 +207,7 @@ def run_min_pop_sweep(config: ExperimentConfig) -> Path:
     for r in ratios:
         system = canonical_system(config.n, config.v, r * config.omega,
                                   config.omega)
-        mins.append(min_p1_measured(system, config.horizon_periods,
+        mins.append(min_p1_measured(system, config.periods,
                                     config.settings))
         if config.n == 3:
             v_eff = config.v * bessel_j0(r)

@@ -157,9 +157,9 @@ def test_criterion_8_numerical_quality():
     defect = np.max(np.abs(u.conj().T @ u - np.eye(3)))
     spec = floquet_spectrum(system)
     floq = max(np.max(np.abs(
-        propagate(system, m.eigenvector, 0.0, system.period).final_state
-        - np.exp(-1j * m.quasi_energy * system.period) * m.eigenvector))
-        for m in spec.modes)
+        propagate(system, vec, 0.0, system.period).final_state
+        - np.exp(-1j * eps * system.period) * vec))
+        for eps, vec in zip(spec.quasi_energies, spec.eigenvectors.T))
     horizon = 5 * system.period
     ref = propagate(system, c0, 0.0, horizon,
                     PropagationSettings(steps_per_period=16000)).final_state

@@ -31,11 +31,12 @@ class TestBesselJ0:
     def test_even_function(self):
         assert bessel_j0(-3.7) == bessel_j0(3.7)
 
-    def test_asymptotic_branch_continuity(self):
-        # both branches must agree where they meet
-        from darkfloquet.effective import _j0_asymptotic, _j0_series
-        assert _j0_series(16.0) == pytest.approx(_j0_asymptotic(16.0),
-                                                 abs=1e-12)
+    def test_matches_scipy_over_supported_range(self):
+        special = pytest.importorskip("scipy.special")
+        xs = np.concatenate([np.linspace(0.0, 30.0, 3001),
+                             np.linspace(30.0, 1e4, 2001)])
+        dev = max(abs(bessel_j0(x) - special.j0(x)) for x in xs)
+        assert dev <= 1e-13
 
     def test_large_argument_magnitude(self):
         # |J0| <= sqrt(2/(pi x)) envelope at large x
@@ -45,6 +46,9 @@ class TestBesselJ0:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             bessel_j0(2e4)
+        for x in (1e4 + 1.0, np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                bessel_j0(x)
 
 
 class TestEffectiveModel:
@@ -229,7 +233,7 @@ def test_effective_spectrum_approaches_quasi_energies():
     devs = []
     for omega in (10.0, 20.0, 40.0):
         system = canonical_system(3, 1.0, ratio * omega, omega)
-        eps = np.sort([m.quasi_energy for m in floquet_spectrum(system).modes])
+        eps = floquet_spectrum(system).quasi_energies
         lam = hermitian_eigen(effective_model(system).matrix).eigenvalues
         devs.append(np.max(np.abs(eps - lam)))
     assert devs[1] <= devs[0] / 2 * 1.1

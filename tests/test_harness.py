@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import darkfloquet
 from darkfloquet import ConfigError, bessel_j0, canonical_system
 from darkfloquet.cli import main
 from darkfloquet.harness import (ExperimentConfig, min_p1_measured,
@@ -35,7 +40,7 @@ def read_csv(path):
 class TestDynamics:
     def test_undriven_curve_reaches_zero(self, tmp_path):
         config = ExperimentConfig(experiment="dynamics", n=3, amplitude=0.0,
-                                  dynamics_periods=20,
+                                  periods=20,
                                   out=tmp_path / "dyn.csv", timestamp=False)
         run_dynamics(config)
         comments, header, data = read_csv(config.out)
@@ -45,7 +50,7 @@ class TestDynamics:
 
     def test_suppressed_curve_near_bessel_zero(self, tmp_path):
         config = ExperimentConfig(experiment="dynamics", n=3, amplitude=24.0,
-                                  dynamics_periods=20,
+                                  periods=20,
                                   out=tmp_path / "dyn.csv", timestamp=False)
         run_dynamics(config)
         _, _, data = read_csv(config.out)
@@ -194,7 +199,26 @@ class TestConfigValidation:
 
     def test_short_horizon(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(experiment="sweep-min-pop", horizon_periods=5)
+            ExperimentConfig(experiment="sweep-min-pop", periods=5)
+
+    def test_periods_default_and_provenance(self, tmp_path):
+        assert ExperimentConfig(experiment="dynamics").periods == 20
+        assert ExperimentConfig(experiment="sweep-min-pop").periods == 400
+        grid = ["--ratio-grid", "0:1:2", "--no-timestamp"]
+        runs = {"dynamics": ["--periods", "2"],
+                "sweep-min-pop": ["--periods", "10", *grid],
+                "floquet-sweep": ["--periods", "10", *grid],
+                "effective-compare": ["--periods", "10", *grid]}
+        for command, extra in runs.items():
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--out", str(out), *extra]) == 0
+            comments, _, _ = read_csv(out)
+            printed = [c for c in comments if "periods=" in c]
+            if command in ("floquet-sweep", "effective-compare"):
+                assert printed == []
+            else:
+                assert len(printed) == 1
+                assert f" periods={extra[1]} " in printed[0]
 
 
 class TestDeterminism:
@@ -242,18 +266,22 @@ class TestCli:
                 assert main(["dynamics", flag, value]) == 2
         assert main(["properties", "--n-list", "0,3"]) == 2
 
-    def test_numerical_blowup_exit_code(self, tmp_path, capsys):
-        # RK4 overflows to NaN at this step size; the guards must trip on it
+    def test_numerical_blowup_exit_code(self, tmp_path):
+        # RK4 overflows to NaN at this step size; the guards must trip on it,
+        # and stderr carries their one message, with no numpy warning
         coarse = ["--omega", "1", "--steps-per-period", "100",
                   "--out", str(tmp_path / "out.csv")]
-        with np.errstate(all="ignore"):
-            assert main(["effective-compare", "--ratio-grid", "20000:20001:2",
-                         *coarse]) == 3
-            assert main(["dynamics", "--amplitude", "20000", "--periods", "1",
-                         *coarse]) == 3
-        err = capsys.readouterr().err
-        assert err.count("numerical-quality failure") == 2
-        assert "Traceback" not in err
+        src = str(Path(darkfloquet.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        for args in (["effective-compare", "--ratio-grid", "20000:20001:2"],
+                     ["dynamics", "--amplitude", "20000", "--periods", "1"]):
+            run = subprocess.run(
+                [sys.executable, "-m", "darkfloquet.cli", *args, *coarse],
+                capture_output=True, text=True, env=env, cwd=tmp_path)
+            assert run.returncode == 3
+            lines = run.stderr.splitlines()
+            assert len(lines) == 1, run.stderr
+            assert lines[0].startswith("numerical-quality failure: ")
         assert not (tmp_path / "out.csv").exists()
 
     def test_properties_exit_code(self, tmp_path):
