@@ -18,7 +18,7 @@ def main():
     for ratio in (0.0, 2.0, 2.404826):
         system = canonical_system(3, v, ratio * omega, omega)
         c0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-        traj = propagate(system, c0, 0.0, periods * system.period)
+        traj = propagate(system, c0, periods)
         floor = traj.populations[:, 0].min()
         predicted = min_p1_oracle(v, v * bessel_j0(ratio))
         print(f"A/omega = {ratio:5.3f}: min P1 over {periods} periods "

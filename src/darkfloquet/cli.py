@@ -25,10 +25,12 @@ EXIT_NUMERICAL = 3
 def _parse_ratio_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, count = spec.split(":")
-        grid = np.linspace(float(lo), float(hi), int(count))
-    except ValueError as exc:
-        raise ConfigError(f"bad --ratio-grid {spec!r}, expected lo:hi:count") from exc
-    return grid
+        lo, hi = float(lo), float(hi)
+        if np.isfinite(hi - lo):  # not NaN, inf, or a span past float range
+            return np.linspace(lo, hi, int(count))
+    except ValueError:
+        pass
+    raise ConfigError(f"bad --ratio-grid {spec!r}, expected lo:hi:count")
 
 
 def _add_shared(parser: argparse.ArgumentParser) -> None:

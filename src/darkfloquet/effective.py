@@ -97,14 +97,13 @@ def dark_state_closed_form(n: int, v: float, v_eff: float) -> DarkState:
         return DarkState(vector=w, localization=1.0)
     # scale so the largest component is O(1); the unscaled first component
     # v/v_eff overflows for subnormal v_eff
+    odd = np.arange(2, n, 2)  # sites 3, 5, ..., n
     if abs(v_eff) <= abs(v):
         w[0] = (-1) ** ((n - 1) // 2)
-        for k in range(1, (n - 1) // 2 + 1):
-            w[2 * k] = (-1) ** ((n - 2 * k - 1) // 2) * (v_eff / v)
+        w[odd] = (-1.0) ** ((n - odd - 1) // 2) * (v_eff / v)
     else:
         w[0] = (-1) ** ((n - 1) // 2) * v / v_eff
-        for k in range(1, (n - 1) // 2 + 1):
-            w[2 * k] = (-1) ** ((n - 2 * k - 1) // 2)
+        w[odd] = (-1.0) ** ((n - odd - 1) // 2)
     w /= np.linalg.norm(w)
     return DarkState(vector=w, localization=float(w[0] ** 2))
 
@@ -253,11 +252,8 @@ def _check_matrix(n: int, trial: int, v: float, v_eff: float,
         "residual of H w' + lambda w'")
 
     # P4: nonzero-eigenvalue modes carry at most half weight on any site
-    worst = 0.0
-    for k in range(n):
-        if abs(lam[k]) <= zero_tol:
-            continue
-        worst = max(worst, float(np.max(np.abs(vecs[:, k]) ** 2)))
+    worst = float(np.max(np.abs(vecs[:, np.abs(lam) > zero_tol]) ** 2,
+                         initial=0.0))
     add("P4", worst <= 0.5 + 1e-9, worst, "max |w_j|^2 over nonzero modes")
 
     if n % 2 == 1 and len(zero_idx) == 1 and v_eff != 0.0:
@@ -282,6 +278,8 @@ def verify_properties(n_range=range(2, 12), trials: int = 100,
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if rng_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {rng_seed}")
     checks: list[PropertyCheck] = []
     for n in n_range:
         if n < 2:

@@ -1,5 +1,6 @@
-"""Fixed-step RK4 propagation of the driven Schrödinger equation and the
-one-period propagator (monodromy matrix).
+"""Fixed-step RK4 for the one-period propagator U(s), 0 <= s <= T, of the
+driven Schrödinger equation; the monodromy matrix U(T) and every longer
+trajectory are read off it.
 
 No re-normalization is ever applied mid-trajectory: norm drift is kept as a
 quality diagnostic, and propagation aborts if it exceeds its bound.
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StepSizeError, UnitarityError
+from .linalg import _unitarity_defect
 from .model import DrivenSystem, hamiltonian_at
 
 __all__ = [
@@ -23,7 +25,7 @@ __all__ = [
 ]
 
 NORM_DRIFT_ABORT = 1e-4
-UNITARITY_ABORT = 1e-6
+UNITARITY_ABORT = 1e-8  # the tolerance of linalg.unitary_eigen, which U(T) feeds
 
 
 @dataclass(frozen=True)
@@ -56,31 +58,28 @@ class Trajectory:
         return float(np.max(np.abs(norms - 1.0)))
 
 
-def _rk4_run(system: DrivenSystem, y0: np.ndarray, t0: float, n_steps: int,
-             h: float):
-    """RK4 on i dy/dt = H(t) y; y may be a vector or a matrix of columns.
+def _rk4_run(system: DrivenSystem, n_steps: int):
+    """RK4 on i dU/dt = H(t) U over one drive period, from U(0) = 1.
 
-    Returns (times, stack) with stack[k] the state at times[k].
+    Returns (times, us) with us[k] = U(times[k]); us[-1] = U(T).
     """
+    h = system.period / n_steps
     half_amp = 0.5 * system.amplitude
     omega = system.omega
     signs = np.asarray(system.drive_signs, dtype=float)
     off = hamiltonian_at(system, 0.0)  # sin 0 = 0: the bare coupling matrix
 
     # drive values at t, t + h/2, t + h for every step
-    ts = t0 + h * np.arange(n_steps + 1)
+    ts = h * np.arange(n_steps + 1)
     sin_full = half_amp * np.sin(omega * ts)
     sin_half = half_amp * np.sin(omega * (ts[:-1] + 0.5 * h))
 
     def rhs(sin_t, y):
-        diag = (signs * sin_t)
-        if y.ndim == 1:
-            return -1j * (off @ y + diag * y)
-        return -1j * (off @ y + diag[:, None] * y)
+        return -1j * (off @ y + (signs * sin_t)[:, None] * y)
 
-    y = np.asarray(y0, dtype=complex).copy()
-    stack = np.empty((n_steps + 1,) + y.shape, dtype=complex)
-    stack[0] = y
+    y = np.eye(system.n, dtype=complex)
+    us = np.empty((n_steps + 1,) + y.shape, dtype=complex)
+    us[0] = y
     # inf/NaN from a too coarse step is left to the callers' guards to report
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
@@ -90,30 +89,35 @@ def _rk4_run(system: DrivenSystem, y0: np.ndarray, t0: float, n_steps: int,
             k3 = rhs(sh, y + (0.5 * h) * k2)
             k4 = rhs(s1, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            stack[k + 1] = y
-    return ts, stack
+            us[k + 1] = y
+    return ts, us
 
 
-def propagate(system: DrivenSystem, initial: np.ndarray, t0: float, t1: float,
+def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
               settings: PropagationSettings = PropagationSettings()) -> Trajectory:
-    """Propagate a state over [t0, t1] on a uniform RK4 grid.
+    """Propagate a state over a whole number of drive periods.
 
-    The step is the drive period divided by steps_per_period (rounded so the
-    grid lands exactly on t1). Aborts if the norm drifts by more than 1e-4.
+    H is periodic, so the state at t = mT + s is U(s) U(T)^m psi(0): one RK4
+    period gives U(s) on the grid, and each period starts from the last
+    state of the one before. Aborts if the norm drifts by more than 1e-4.
     """
-    if not t1 > t0:
-        raise ConfigError(f"need t1 > t0, got [{t0}, {t1}]")
+    if not isinstance(periods, (int, np.integer)) or periods < 1:
+        raise ConfigError(f"periods must be a positive integer, got {periods!r}")
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (system.n,):
         raise ConfigError(f"initial state must have {system.n} components")
     nrm = np.linalg.norm(initial)
     if abs(nrm - 1.0) > 1e-9:
         raise ConfigError(f"initial state norm is {nrm}, expected 1")
-    h_target = system.period / settings.steps_per_period
-    n_steps = max(1, round((t1 - t0) / h_target))
-    h = (t1 - t0) / n_steps
-    ts, stack = _rk4_run(system, initial, t0, n_steps, h)
-    traj = Trajectory(times=ts, states=stack)
+    n_steps = settings.steps_per_period
+    _, us = _rk4_run(system, n_steps)
+    states = np.empty((periods * n_steps + 1, system.n), dtype=complex)
+    states[0] = initial
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
+        for start in range(0, periods * n_steps, n_steps):
+            states[start + 1:start + n_steps + 1] = us[1:] @ states[start]
+    traj = Trajectory(times=(system.period / n_steps) * np.arange(len(states)),
+                      states=states)
     drift = traj.norm_drift
     if not drift <= NORM_DRIFT_ABORT:  # also trips on NaN
         raise StepSizeError(
@@ -129,10 +133,13 @@ def propagator_samples(system: DrivenSystem,
     Returns (times, us) with us[k] = U(times[k]); us[-1] is the monodromy
     matrix U(T).
     """
-    n_steps = settings.steps_per_period
-    h = system.period / n_steps
-    ts, us = _rk4_run(system, np.eye(system.n, dtype=complex), 0.0, n_steps, h)
-    _check_unitarity(us[-1], settings)
+    ts, us = _rk4_run(system, settings.steps_per_period)
+    defect = _unitarity_defect(us[-1])
+    if not defect <= UNITARITY_ABORT:  # also trips on NaN
+        raise UnitarityError(
+            f"monodromy unitarity defect {defect:.3e} exceeds "
+            f"{UNITARITY_ABORT}; increase steps_per_period "
+            f"(currently {settings.steps_per_period})")
     return ts, us
 
 
@@ -141,11 +148,3 @@ def monodromy(system: DrivenSystem,
     """One-period propagator U(T) from the n coordinate basis states."""
     return propagator_samples(system, settings)[1][-1]
 
-
-def _check_unitarity(u: np.ndarray, settings: PropagationSettings):
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if not defect <= UNITARITY_ABORT:  # also trips on NaN
-        raise UnitarityError(
-            f"monodromy unitarity defect {defect:.3e} exceeds "
-            f"{UNITARITY_ABORT}; increase steps_per_period "
-            f"(currently {settings.steps_per_period})")

@@ -40,7 +40,6 @@ class FloquetSpectrum:
     avg_populations: np.ndarray     # (n, n), row k = mode k
     site1: np.ndarray               # (steps+1, n)
     system: DrivenSystem
-    settings: PropagationSettings
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,7 @@ def floquet_spectrum(system: DrivenSystem,
     return FloquetSpectrum(quasi_energies=eps[order],
                            multipliers=dec.eigenvalues[order],
                            eigenvectors=vecs, avg_populations=pops,
-                           site1=us[:, 0, :] @ vecs, system=system,
-                           settings=settings)
+                           site1=us[:, 0, :] @ vecs, system=system)
 
 
 def _period_averaged_populations(us: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -124,7 +122,6 @@ class SweepResult:
     avg_populations: np.ndarray     # (n_ratios, n, n)
     eigenvectors: np.ndarray        # (n_ratios, n, n), column k = branch k
     system_template: DrivenSystem
-    settings: PropagationSettings
 
 
 def quasi_energy_sweep(n: int, v: float, omega: float, ratios,
@@ -137,12 +134,13 @@ def quasi_energy_sweep(n: int, v: float, omega: float, ratios,
         raise ConfigError("ratios must be a non-empty 1-D sequence")
     if np.any(~np.isfinite(ratios)) or np.any(ratios < 0):
         raise ConfigError("ratios must be finite and >= 0")
+    template = canonical_system(n, v, 0.0, omega)  # validates n first
     eps = np.empty((len(ratios), n))
     pops = np.empty((len(ratios), n, n))
     vecs = np.empty((len(ratios), n, n), dtype=complex)
-    template = canonical_system(n, v, 0.0, omega)
+    # float(r): an overflowing amplitude is inf, which DrivenSystem rejects
     for i, r in enumerate(ratios):
-        spec = floquet_spectrum(canonical_system(n, v, r * omega, omega),
+        spec = floquet_spectrum(canonical_system(n, v, float(r) * omega, omega),
                                 settings)
         e, p, w = spec.quasi_energies, spec.avg_populations, spec.eigenvectors
         if i:
@@ -150,8 +148,7 @@ def quasi_energy_sweep(n: int, v: float, omega: float, ratios,
             e, p, w = e[perm], p[perm], w[:, perm]
         eps[i], pops[i], vecs[i] = e, p, w
     return SweepResult(ratios=ratios, quasi_energies=eps, avg_populations=pops,
-                       eigenvectors=vecs, system_template=template,
-                       settings=settings)
+                       eigenvectors=vecs, system_template=template)
 
 
 def _match_branches(w_prev: np.ndarray, w_next: np.ndarray,

@@ -36,6 +36,8 @@ EXPERIMENTS = ("dynamics", "sweep-min-pop", "floquet-sweep",
                "effective-compare", "properties")
 # default horizon in driving periods of the experiments that take one
 DEFAULT_PERIODS = {"dynamics": 20, "sweep-min-pop": 400}
+# bound on the complex values in the largest array a run keeps (800 MB)
+MAX_KEPT_VALUES = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,12 @@ class ExperimentConfig:
                                DEFAULT_PERIODS.get(self.experiment))
         if self.experiment == "sweep-min-pop" and self.periods < 10:
             raise ConfigError(f"periods must be >= 10, got {self.periods}")
+        # U(s) keeps (steps+1) n^2 values, dynamics about (steps+1) n periods
+        horizon = self.periods if self.experiment in DEFAULT_PERIODS else 1
+        kept = (self.steps_per_period + 1) * self.n * max(self.n, horizon)
+        if kept > MAX_KEPT_VALUES:
+            raise ConfigError(f"run would keep {kept} complex values, more "
+                              f"than {MAX_KEPT_VALUES}")
         if self.ratio_grid is not None:
             grid = np.asarray(self.ratio_grid, dtype=float)
             if grid.ndim != 1 or len(grid) == 0 or np.any(~np.isfinite(grid)):
@@ -181,9 +189,8 @@ def run_dynamics(config: ExperimentConfig) -> Path:
     """Trajectory CSV (t, P_1..P_n) from the initial state (1, 0, ..., 0)."""
     amplitude = config.amplitude if config.amplitude is not None else 0.0
     system = canonical_system(config.n, config.v, amplitude, config.omega)
-    horizon = config.periods * system.period
-    traj = propagate(system, np.eye(config.n, dtype=complex)[0], 0.0, horizon,
-                     config.settings)
+    traj = propagate(system, np.eye(config.n, dtype=complex)[0],
+                     config.periods, config.settings)
     pops = traj.populations
     header = ["t"] + [f"P{j+1}" for j in range(config.n)]
     rows = ([float(t)] + [float(p) for p in pops[i]]
@@ -202,26 +209,19 @@ def run_min_pop_sweep(config: ExperimentConfig) -> Path:
     """CSV of (A/omega, min P_1) over the ratio grid, with the three-level
     effective-model prediction as a companion column where defined."""
     ratios = config.ratio_or_default()
-    mins = []
-    oracle = []
-    for r in ratios:
-        system = canonical_system(config.n, config.v, r * config.omega,
-                                  config.omega)
-        mins.append(min_p1_measured(system, config.periods,
-                                    config.settings))
-        if config.n == 3:
-            v_eff = config.v * bessel_j0(r)
-            oracle.append(min_p1_oracle(config.v, v_eff))
-    header = ["ratio", "min_P1"] + (["min_P1_effective"] if config.n == 3 else [])
+    columns = {"min_P1": [min_p1_measured(
+        canonical_system(config.n, config.v, float(r) * config.omega, config.omega),
+        config.periods, config.settings) for r in ratios]}
     if config.n == 3:
-        rows = ([float(r), m, o] for r, m, o in zip(ratios, mins, oracle))
-    else:
-        rows = ([float(r), m] for r, m in zip(ratios, mins))
-    _write_csv(config.out, _provenance(config), header, rows)
+        columns["min_P1_effective"] = [
+            min_p1_oracle(config.v, config.v * bessel_j0(r)) for r in ratios]
+    rows = ([float(r)] + [c[i] for c in columns.values()]
+            for i, r in enumerate(ratios))
+    _write_csv(config.out, _provenance(config), ["ratio", *columns], rows)
     if config.svg:
-        ys = [np.array(mins)] + ([np.array(oracle)] if config.n == 3 else [])
-        _write_svg(_svg_path(config.out), ratios, ys,
-                   ["min P1"] + (["effective"] if config.n == 3 else []),
+        _write_svg(_svg_path(config.out), ratios,
+                   [np.array(c) for c in columns.values()],
+                   ["min P1", "effective"][:len(columns)],
                    f"minimum P1, n={config.n}")
     return config.out
 
@@ -257,7 +257,7 @@ def run_effective_compare(config: ExperimentConfig) -> Path:
     rows = []
     max_dev = 0.0
     for i, r in enumerate(ratios):
-        system = canonical_system(config.n, config.v, r * config.omega,
+        system = canonical_system(config.n, config.v, float(r) * config.omega,
                                   config.omega)
         dec = hermitian_eigen(effective_model(system).matrix)
         # overlap pairing: monodromy eigenvectors against static eigenvectors

@@ -35,8 +35,12 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-8) -> bool:
-    n = m.shape[0]
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(n))) <= tol)
+    return _unitarity_defect(m) <= tol
+
+
+def _unitarity_defect(m: np.ndarray) -> float:
+    """max |M^dag M - 1|; NaN if M holds NaN or inf."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
 def hermitian_eigen(m: np.ndarray, hermiticity_tol: float = 1e-10) -> EigenDecomposition:
@@ -57,25 +61,31 @@ def hermitian_eigen(m: np.ndarray, hermiticity_tol: float = 1e-10) -> EigenDecom
     return EigenDecomposition(eigvals, vecs)
 
 
-def _order_degenerate(keys: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
-    """Deterministic ordering inside degenerate groups: sort by descending
-    magnitude of the first nonzero component, ties by its site index."""
-    vecs = vecs.copy()
-    n = len(keys)
-    start = 0
+def _groups(keys: np.ndarray, tol: float):
+    """(start, stop) of each run of two or more sorted keys whose
+    neighbours differ by at most tol."""
+    start, n = 0, len(keys)
     while start < n:
         stop = start + 1
         while stop < n and abs(keys[stop] - keys[stop - 1]) <= tol:
             stop += 1
         if stop - start > 1:
-            def rank(col):
-                w = vecs[:, col]
-                nz = np.flatnonzero(np.abs(w) > 1e-9)
-                j = nz[0] if len(nz) else 0
-                return (-abs(w[j]), j)
-            order = sorted(range(start, stop), key=rank)
-            vecs[:, start:stop] = vecs[:, order]
+            yield start, stop
         start = stop
+
+
+def _order_degenerate(keys: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
+    """Deterministic ordering inside degenerate groups: sort by descending
+    magnitude of the first nonzero component, ties by its site index."""
+    vecs = vecs.copy()
+
+    def rank(col):
+        w = vecs[:, col]
+        nz = np.flatnonzero(np.abs(w) > 1e-9)
+        j = nz[0] if len(nz) else 0
+        return (-abs(w[j]), j)
+    for start, stop in _groups(keys, tol):
+        vecs[:, start:stop] = vecs[:, sorted(range(start, stop), key=rank)]
     return vecs
 
 
@@ -90,24 +100,15 @@ def unitary_eigen(u: np.ndarray, unitarity_tol: float = 1e-8) -> EigenDecomposit
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u, unitarity_tol):
         raise ValueError("matrix is not unitary within tolerance")
-    n = u.shape[0]
     a = 0.5 * (u + u.conj().T)
     b = (u - u.conj().T) / 2j
     dec = hermitian_eigen(a, hermiticity_tol=1e-8)
-    vecs = dec.eigenvectors.astype(complex).copy()
-    avals = dec.eigenvalues
-    # resolve each (possibly degenerate) eigenspace of A against B
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(avals[stop] - avals[stop - 1]) <= 1e-8:
-            stop += 1
-        if stop - start > 1:
-            block = vecs[:, start:stop]
-            b_sub = block.conj().T @ b @ block
-            sub = hermitian_eigen(b_sub, hermiticity_tol=1e-8)
-            vecs[:, start:stop] = block @ sub.eigenvectors
-        start = stop
+    vecs = dec.eigenvectors.astype(complex)
+    # resolve each degenerate eigenspace of A against B
+    for start, stop in _groups(dec.eigenvalues, 1e-8):
+        block = vecs[:, start:stop]
+        sub = hermitian_eigen(block.conj().T @ b @ block, hermiticity_tol=1e-8)
+        vecs[:, start:stop] = block @ sub.eigenvectors
     lambdas = np.einsum("ik,ij,jk->k", vecs.conj(), u, vecs)
     if np.max(np.abs(np.abs(lambdas) - 1.0)) > 1e-7:
         raise ValueError("eigenvalues left the unit circle; input too far "

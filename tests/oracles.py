@@ -1,8 +1,10 @@
 """Independent reference computations used to pin expected values.
 
 These deliberately avoid the code paths they check: the Bessel oracle is a
-fixed-length series in exact rational arithmetic, and the matrix exponential
-is scaling-and-squaring on the raw series.
+fixed-length series in exact rational arithmetic, the matrix exponential
+is scaling-and-squaring on the raw series, and the time evolution is a
+plain state-vector RK4 over every step, with H(t) built from the system's
+fields rather than from darkfloquet.
 """
 
 from fractions import Fraction
@@ -49,3 +51,29 @@ def expm_scaling_squaring(a: np.ndarray, order: int = 16) -> np.ndarray:
     for _ in range(s):
         result = result @ result
     return result
+
+
+def rk4_states(system, c0, periods: int, steps_per_period: int) -> np.ndarray:
+    """States at every step of a plain state-vector RK4 over the given
+    number of drive periods from c0, with step T / steps_per_period;
+    row k is the state at t = k h."""
+    n = system.n
+    h = 2.0 * np.pi / system.omega / steps_per_period
+    coupling = system.v * (np.eye(n, k=1) + np.eye(n, k=-1))
+    signs = np.asarray(system.drive_signs, dtype=float)
+
+    def rhs(t, y):
+        drive = 0.5 * system.amplitude * np.sin(system.omega * t)
+        return -1j * (coupling @ y + drive * signs * y)
+
+    y = np.asarray(c0, dtype=complex)
+    states = [y]
+    for k in range(periods * steps_per_period):
+        t = k * h
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+    return np.array(states)

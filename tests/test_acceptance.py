@@ -151,20 +151,18 @@ def test_criterion_7_spectral_properties_suite():
 def test_criterion_8_numerical_quality():
     system = canonical_system(3, 1.0, 20.0, 10.0)
     c0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    drift = propagate(system, c0, 0.0,
-                      HORIZON_PERIODS * system.period).norm_drift
+    drift = propagate(system, c0, HORIZON_PERIODS).norm_drift
     u = monodromy(system)
     defect = np.max(np.abs(u.conj().T @ u - np.eye(3)))
     spec = floquet_spectrum(system)
     floq = max(np.max(np.abs(
-        propagate(system, vec, 0.0, system.period).final_state
+        propagate(system, vec, 1).final_state
         - np.exp(-1j * eps * system.period) * vec))
         for eps, vec in zip(spec.quasi_energies, spec.eigenvectors.T))
-    horizon = 5 * system.period
-    ref = propagate(system, c0, 0.0, horizon,
+    ref = propagate(system, c0, 5,
                     PropagationSettings(steps_per_period=16000)).final_state
     errs = [np.max(np.abs(propagate(
-        system, c0, 0.0, horizon,
+        system, c0, 5,
         PropagationSettings(steps_per_period=s)).final_state - ref))
         for s in (500, 1000, 2000, 4000)]
     monotone = all(b < a for a, b in zip(errs, errs[1:]))

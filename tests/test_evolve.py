@@ -5,7 +5,7 @@ from darkfloquet import (ConfigError, PropagationSettings, canonical_system,
                          monodromy, propagate)
 from darkfloquet.evolve import propagator_samples
 
-from oracles import j0_first_zero_oracle
+from oracles import j0_first_zero_oracle, rk4_states
 
 
 def basis_state(n, j=0):
@@ -17,13 +17,13 @@ def basis_state(n, j=0):
 def test_decoupled_sites_return_after_one_period():
     # v = 0: sites decouple, and the drive integrates to zero over a period
     system = canonical_system(3, 0.0, 24.0, 10.0)
-    traj = propagate(system, basis_state(3), 0.0, system.period)
+    traj = propagate(system, basis_state(3), 1)
     assert np.max(np.abs(traj.final_state - basis_state(3))) <= 1e-8
 
 
 def test_undriven_rabi_oscillation_reaches_zero():
     system = canonical_system(3, 1.0, 0.0, 10.0)
-    traj = propagate(system, basis_state(3), 0.0, 4 * np.pi)
+    traj = propagate(system, basis_state(3), 20)  # t up to 4 pi
     assert traj.populations[:, 0].min() <= 1e-3
     # P1(t) = cos^4(t / sqrt(2)) for the undriven chain
     expected = np.cos(traj.times / np.sqrt(2)) ** 4
@@ -32,48 +32,58 @@ def test_undriven_rabi_oscillation_reaches_zero():
 
 def test_suppressed_tunneling_near_first_bessel_zero():
     system = canonical_system(3, 1.0, 24.0, 10.0)  # A/omega = 2.4
-    traj = propagate(system, basis_state(3), 0.0, 100 * system.period)
+    traj = propagate(system, basis_state(3), 100)
     assert traj.populations[:, 0].min() >= 0.98
 
 
 def test_settings_validation():
     with pytest.raises(ConfigError):
         PropagationSettings(steps_per_period=50)
+    for periods in (0, -1, 2.5, 1.0):
+        with pytest.raises(ConfigError):
+            propagate(canonical_system(3, 1, 0, 10), basis_state(3), periods)
     with pytest.raises(ConfigError):
-        propagate(canonical_system(3, 1, 0, 10), basis_state(3), 1.0, 0.5)
-    with pytest.raises(ConfigError):
-        propagate(canonical_system(3, 1, 0, 10), 2 * basis_state(3), 0.0, 1.0)
+        propagate(canonical_system(3, 1, 0, 10), 2 * basis_state(3), 1)
 
 
 def test_norm_drift_is_tiny_and_monitored():
     system = canonical_system(3, 1.0, 20.0, 10.0)
-    traj = propagate(system, basis_state(3), 0.0, 50 * system.period)
+    traj = propagate(system, basis_state(3), 50)
     assert traj.norm_drift <= 1e-6
     assert np.all(np.diff(traj.times) > 0)
 
 
 def test_composition_of_period_maps():
     system = canonical_system(3, 1.0, 20.0, 10.0)
-    t_period = system.period
-    first = propagate(system, basis_state(3), 0.0, t_period)
-    second = propagate(system, first.final_state / np.linalg.norm(first.final_state),
-                       t_period, 2 * t_period)
-    direct = propagate(system, basis_state(3), 0.0, 2 * t_period)
+    first = propagate(system, basis_state(3), 1)
+    start = first.final_state / np.linalg.norm(first.final_state)
+    second = propagate(system, start, 1)
+    direct = propagate(system, basis_state(3), 2)
     assert np.max(np.abs(second.final_state - direct.final_state)) <= 1e-8
 
 
 def test_step_halving_converges_monotonically():
     system = canonical_system(3, 1.0, 20.0, 10.0)
-    horizon = 5 * system.period
-    reference = propagate(system, basis_state(3), 0.0, horizon,
+    reference = propagate(system, basis_state(3), 5,
                           PropagationSettings(steps_per_period=16000)).final_state
     errors = []
     for steps in (500, 1000, 2000, 4000):
-        final = propagate(system, basis_state(3), 0.0, horizon,
+        final = propagate(system, basis_state(3), 5,
                           PropagationSettings(steps_per_period=steps)).final_state
         errors.append(np.max(np.abs(final - reference)))
     assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
     assert errors[2] <= 1e-6  # doubling from the default changes little
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_states_match_direct_stepping(n):
+    # the period-map states against a plain RK4 over every step
+    system = canonical_system(n, 1.0, 20.0, 10.0)
+    traj = propagate(system, basis_state(n), 12)
+    direct = rk4_states(system, basis_state(n), 12, 2000)
+    assert traj.states.shape == direct.shape
+    assert np.max(np.abs(traj.states - direct)) <= 1e-12
+    assert traj.times[-1] == pytest.approx(12 * system.period)
 
 
 class TestMonodromy:

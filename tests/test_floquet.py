@@ -42,7 +42,7 @@ def test_floquet_defining_property():
     system = canonical_system(3, 1.0, 20.0, 10.0)
     spec = floquet_spectrum(system)
     for eps, vec in zip(spec.quasi_energies, spec.eigenvectors.T):
-        traj = propagate(system, vec / np.linalg.norm(vec), 0.0, system.period)
+        traj = propagate(system, vec / np.linalg.norm(vec), 1)
         expected = np.exp(-1j * eps * system.period) * vec
         assert np.max(np.abs(traj.final_state - expected)) <= 1e-6
 

@@ -3,10 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import darkfloquet
 from darkfloquet import ConfigError, bessel_j0, canonical_system
@@ -265,6 +268,17 @@ class TestCli:
             for value in ("nan", "inf"):
                 assert main(["dynamics", flag, value]) == 2
         assert main(["properties", "--n-list", "0,3"]) == 2
+        # these crashed with a traceback (exit 1) or printed numpy warnings
+        assert main(["dynamics", "--periods", "100000000"]) == 2
+        for command, extra in (("sweep-min-pop", "--periods"),
+                               ("floquet-sweep", "--steps-per-period")):
+            assert main([command, "--ratio-grid", "0:1:2",
+                         extra, "1000000000000"]) == 2
+        assert main(["floquet-sweep", "--ratio-grid", "0:1:2", "--n", "-1"]) == 2
+        assert main(["properties", "--seed", "-1", "--trials", "1"]) == 2
+        assert main(["sweep-min-pop", "--ratio-grid", "0:inf:2"]) == 2
+        assert main(["sweep-min-pop", "--omega", "1e300",
+                     "--ratio-grid", "1e300:1e300:1"]) == 2
 
     def test_numerical_blowup_exit_code(self, tmp_path):
         # RK4 overflows to NaN at this step size; the guards must trip on it,
@@ -284,6 +298,14 @@ class TestCli:
             assert lines[0].startswith("numerical-quality failure: ")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_coarse_monodromy_exit_code(self, tmp_path):
+        # a U(T) unitarity defect above unitary_eigen's tolerance must trip
+        # the integrator's guard, not reach the eigensolver
+        out = tmp_path / "out.csv"
+        assert main(["sweep-min-pop", "--n", "2", "--steps-per-period", "100",
+                     "--ratio-grid", "0:2:2", "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_properties_exit_code(self, tmp_path):
         out = tmp_path / "props.json"
         code = main(["properties", "--trials", "3", "--n-list", "2,3",
@@ -293,12 +315,63 @@ class TestCli:
 
 
 def test_min_p1_measured_matches_direct_propagation():
-    # the period-map evaluation must agree with a plain long propagation
-    from darkfloquet import propagate
+    # the period-map evaluation must agree with plain RK4 over every step
+    from oracles import rk4_states
     system = canonical_system(3, 1.0, 20.0, 10.0)
     fast = min_p1_measured(system, periods=12)
     c0 = np.zeros(3, dtype=complex)
     c0[0] = 1.0
-    traj = propagate(system, c0, 0.0, 12 * system.period)
-    direct = traj.populations[:, 0].min()
+    direct = (np.abs(rk4_states(system, c0, 12, 2000)[:, 0]) ** 2).min()
     assert fast == pytest.approx(direct, abs=1e-9)
+
+
+
+def _mostly(valid, invalid):
+    # three draws in four valid, so that most vectors get past the checks
+    return st.one_of(valid, valid, valid, invalid)
+
+
+_FLOATS = _mostly(st.floats(0.5, 30.0), st.floats(-5.0, 0.5) | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), 1e300, -1e300]))
+_SIZES = _mostly(st.integers(2, 5), st.integers(-1, 1))
+_PERIODS = _mostly(st.integers(1, 25), st.sampled_from([0, -1, 10**8, 10**12]))
+_STEPS = _mostly(st.integers(100, 200),
+                 st.sampled_from([0, -1, -100, 50, 99, 10**12]))
+_GRID = _mostly(
+    st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 3.0), st.integers(1, 3)).map(
+        lambda g: (g[0], g[0] + g[1], g[2])),
+    st.tuples(_FLOATS, _FLOATS, st.integers(-1, 3))).map(
+    lambda g: f"{g[0]!r}:{g[1]!r}:{g[2]}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["dynamics", "sweep-min-pop", "floquet-sweep",
+                                "effective-compare", "properties"]),
+       n=_SIZES,
+       floats=st.fixed_dictionaries({}, optional={
+           "--v": _FLOATS, "--amplitude": _FLOATS, "--omega": _FLOATS}),
+       periods=st.none() | _PERIODS, steps=_STEPS, grid=_GRID,
+       seed=_mostly(st.integers(0, 3), st.integers(-2, -1)),
+       n_list=st.lists(_SIZES, min_size=1, max_size=2),
+       trials=_mostly(st.integers(1, 2), st.integers(-1, 0)))
+def test_cli_exit_code_over_arguments(command, n, floats, periods, steps,
+                                      grid, seed, n_list, trials):
+    # any argument vector ends in a documented exit code, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        # --flag=value, so that argparse takes "-1e+300" as a value
+        argv = [command, f"--n={n}", f"--steps-per-period={steps}",
+                f"--seed={seed}", f"--out={Path(tmp) / 'out.csv'}"]
+        for flag, value in floats.items():
+            argv.append(f"{flag}={value!r}")
+        if periods is not None:
+            argv.append(f"--periods={periods}")
+        if command in ("sweep-min-pop", "floquet-sweep", "effective-compare"):
+            argv.append(f"--ratio-grid={grid}")
+        if command == "properties":
+            argv += [f"--n-list={','.join(map(str, n_list))}",
+                     f"--trials={trials}"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the vector
+            code = exc.code
+        assert code in (0, 1, 2, 3), argv
