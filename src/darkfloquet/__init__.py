@@ -16,7 +16,8 @@ from .errors import (ConfigError, NumericalQualityError, StepSizeError,
                      UnitarityError)
 from .evolve import PropagationSettings, Trajectory, monodromy, propagate
 from .floquet import (DarkModeResult, FloquetSpectrum, SweepResult, dark_mode,
-                      floquet_spectrum, fold_quasi_energy, quasi_energy_sweep)
+                      floquet_spectrum, fold_quasi_energy, min_p1_sweep,
+                      quasi_energy_sweep)
 from .linalg import (EigenDecomposition, hermitian_eigen, tridiag_det_sequence,
                      unitary_eigen)
 from .model import DrivenSystem, canonical_system, hamiltonian_at
@@ -28,7 +29,8 @@ __all__ = [
     "tridiag_det_sequence",
     "PropagationSettings", "Trajectory", "propagate", "monodromy",
     "FloquetSpectrum", "DarkModeResult", "SweepResult",
-    "floquet_spectrum", "dark_mode", "quasi_energy_sweep", "fold_quasi_energy",
+    "floquet_spectrum", "dark_mode", "quasi_energy_sweep", "min_p1_sweep",
+    "fold_quasi_energy",
     "EffectiveModel", "DarkState", "PropertyReport", "bessel_j0",
     "J0_FIRST_ZERO", "effective_model", "dark_state_closed_form",
     "localization", "min_p1_floor", "min_p1_oracle", "verify_properties",

@@ -73,10 +73,7 @@ class DarkState:
 
 
 def effective_model(system: DrivenSystem) -> EffectiveModel:
-    """Time-averaged model of a canonically driven chain."""
-    if not system.is_canonical():
-        raise ConfigError("effective model requires the canonical drive sign "
-                          "pattern (+1, -1, ..., -1)")
+    """Time-averaged model of the driven chain."""
     v_eff = system.v * bessel_j0(system.ratio)
     return EffectiveModel(n=system.n, v=system.v, v_eff=v_eff,
                           matrix=_effective_matrix(system.n, v_eff, system.v))
@@ -192,8 +189,8 @@ class PropertyReport:
             lines.append("  all properties hold")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "seed": self.seed,
             "n_checks": len(self.checks),
             "n_violations": len(self.violations),
@@ -203,10 +200,7 @@ class PropertyReport:
                  "residual": c.residual, "detail": c.detail}
                 for c in self.checks
             ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        }, indent=2)
 
 
 def _check_matrix(n: int, trial: int, v: float, v_eff: float,

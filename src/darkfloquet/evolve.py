@@ -2,6 +2,11 @@
 driven Schrödinger equation; the monodromy matrix U(T) and every longer
 trajectory are read off it.
 
+One step loop advances a (G, n, n) stack of propagators for a grid of drive
+amplitudes that share n, v and omega, with the same arithmetic per point as
+a one-point grid. Each caller keeps only what it reads: every U(s), row 0
+of every U(s), or the period averages of the site projectors.
+
 No re-normalization is ever applied mid-trajectory: norm drift is kept as a
 quality diagnostic, and propagation aborts if it exceeds its bound.
 """
@@ -14,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, StepSizeError, UnitarityError
 from .linalg import _unitarity_defect
-from .model import DrivenSystem, hamiltonian_at
+from .model import DrivenSystem, _drive_signs, hamiltonian_at
 
 __all__ = [
     "PropagationSettings",
@@ -22,6 +27,8 @@ __all__ = [
     "propagate",
     "monodromy",
     "propagator_samples",
+    "propagator_site1",
+    "propagator_averages",
 ]
 
 NORM_DRIFT_ABORT = 1e-4
@@ -58,38 +65,65 @@ class Trajectory:
         return float(np.max(np.abs(norms - 1.0)))
 
 
-def _rk4_run(system: DrivenSystem, n_steps: int):
-    """RK4 on i dU/dt = H(t) U over one drive period, from U(0) = 1.
+def _rk4_run(systems, n_steps: int, visit):
+    """RK4 on i dU/dt = H(t) U over one drive period from U(0) = 1, for a
+    grid of systems that share n, v and omega. Calls visit(k, us) with
+    us[g] = U(k h) of systems[g] for k = 0..n_steps; returns (times, U(T))."""
+    first = systems[0]
+    n, omega = first.n, first.omega
+    if any((s.n, s.v, s.omega) != (n, first.v, omega) for s in systems):
+        raise ConfigError("a propagator grid must share n, v and omega")
+    h = first.period / n_steps
+    half_amp = 0.5 * np.array([s.amplitude for s in systems])
+    signs = _drive_signs(n)[:, None, None]
+    off = hamiltonian_at(first, 0.0).astype(complex)  # sin 0 = 0: bare coupling
 
-    Returns (times, us) with us[k] = U(times[k]); us[-1] = U(T).
-    """
-    h = system.period / n_steps
-    half_amp = 0.5 * system.amplitude
-    omega = system.omega
-    signs = np.asarray(system.drive_signs, dtype=float)
-    off = hamiltonian_at(system, 0.0)  # sin 0 = 0: the bare coupling matrix
-
-    # drive values at t, t + h/2, t + h for every step
+    # drive values at t, t + h/2, t + h for every step, shaped (G, 1) each
     ts = h * np.arange(n_steps + 1)
-    sin_full = half_amp * np.sin(omega * ts)
-    sin_half = half_amp * np.sin(omega * (ts[:-1] + 0.5 * h))
+    sin_full = (half_amp * np.sin(omega * ts)[:, None])[:, :, None]
+    sin_half = (half_amp * np.sin(omega * (ts[:-1] + 0.5 * h))[:, None])[:, :, None]
 
-    def rhs(sin_t, y):
-        return -1j * (off @ y + (signs * sin_t)[:, None] * y)
+    # y[i, g, :] is row i of grid point g's propagator, so that one matrix
+    # product applies the coupling to the whole grid
+    def rhs(drive, y):
+        hop = (off @ y.reshape(n, -1)).reshape(y.shape)
+        return -1j * (hop + drive * y)
 
-    y = np.eye(system.n, dtype=complex)
-    us = np.empty((n_steps + 1,) + y.shape, dtype=complex)
-    us[0] = y
+    y = np.repeat(np.eye(n, dtype=complex)[:, None, :], len(systems), axis=1)
+    d1 = signs * sin_full[0]
     # inf/NaN from a too coarse step is left to the callers' guards to report
     with np.errstate(over="ignore", invalid="ignore"):
+        visit(0, y.transpose(1, 0, 2))
         for k in range(n_steps):
-            s0, sh, s1 = sin_full[k], sin_half[k], sin_full[k + 1]
-            k1 = rhs(s0, y)
-            k2 = rhs(sh, y + (0.5 * h) * k1)
-            k3 = rhs(sh, y + (0.5 * h) * k2)
-            k4 = rhs(s1, y + h * k3)
+            d0, dh, d1 = d1, signs * sin_half[k], signs * sin_full[k + 1]
+            k1 = rhs(d0, y)
+            k2 = rhs(dh, y + (0.5 * h) * k1)
+            k3 = rhs(dh, y + (0.5 * h) * k2)
+            k4 = rhs(d1, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            us[k + 1] = y
+            visit(k + 1, y.transpose(1, 0, 2))
+    return ts, y.transpose(1, 0, 2)
+
+
+def _checked(systems, settings: PropagationSettings, uts: np.ndarray):
+    """Abort unless every grid point's U(T) is unitary to UNITARITY_ABORT."""
+    for system, u in zip(systems, uts):
+        defect = _unitarity_defect(u)
+        if not defect <= UNITARITY_ABORT:  # also trips on NaN
+            raise UnitarityError(
+                f"monodromy unitarity defect {defect:.3e} at A/omega="
+                f"{system.ratio:.6g} exceeds {UNITARITY_ABORT}; increase "
+                f"steps_per_period (currently {settings.steps_per_period})")
+    return uts
+
+
+def _all_samples(system: DrivenSystem, n_steps: int):
+    us = np.empty((n_steps + 1, system.n, system.n), dtype=complex)
+
+    def keep(k, y):
+        us[k] = y[0]
+
+    ts, _ = _rk4_run([system], n_steps, keep)
     return ts, us
 
 
@@ -110,7 +144,7 @@ def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
     if abs(nrm - 1.0) > 1e-9:
         raise ConfigError(f"initial state norm is {nrm}, expected 1")
     n_steps = settings.steps_per_period
-    _, us = _rk4_run(system, n_steps)
+    _, us = _all_samples(system, n_steps)
     states = np.empty((periods * n_steps + 1, system.n), dtype=complex)
     states[0] = initial
     with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
@@ -133,18 +167,47 @@ def propagator_samples(system: DrivenSystem,
     Returns (times, us) with us[k] = U(times[k]); us[-1] is the monodromy
     matrix U(T).
     """
-    ts, us = _rk4_run(system, settings.steps_per_period)
-    defect = _unitarity_defect(us[-1])
-    if not defect <= UNITARITY_ABORT:  # also trips on NaN
-        raise UnitarityError(
-            f"monodromy unitarity defect {defect:.3e} exceeds "
-            f"{UNITARITY_ABORT}; increase steps_per_period "
-            f"(currently {settings.steps_per_period})")
+    ts, us = _all_samples(system, settings.steps_per_period)
+    _checked([system], settings, us[-1:])
     return ts, us
 
 
 def monodromy(system: DrivenSystem,
               settings: PropagationSettings = PropagationSettings()) -> np.ndarray:
     """One-period propagator U(T) from the n coordinate basis states."""
-    return propagator_samples(system, settings)[1][-1]
+    _, uts = _rk4_run([system], settings.steps_per_period, lambda k, y: None)
+    return _checked([system], settings, uts)[0]
 
+
+def propagator_site1(systems,
+                     settings: PropagationSettings = PropagationSettings()):
+    """(times, rows, uts) over one period for a grid of systems that share
+    n, v and omega: rows[g, k] = <1|U(times[k]), uts[g] = U(T)."""
+    rows = np.empty((len(systems), settings.steps_per_period + 1,
+                     systems[0].n), dtype=complex)
+
+    def keep(k, y):
+        rows[:, k] = y[:, 0]
+
+    ts, uts = _rk4_run(systems, settings.steps_per_period, keep)
+    return ts, rows, _checked(systems, settings, uts)
+
+
+def propagator_averages(systems,
+                        settings: PropagationSettings = PropagationSettings()):
+    """(times, q, uts) for a grid of systems that share n, v and omega:
+    q[g, j] = (1/T) int_0^T U^dag |j><j| U dt, accumulated with the
+    trapezoid rule while the loop runs, so that a state c(0) spends
+    c^dag q[g, j] c of the period on site j; uts[g] = U(T)."""
+    n, n_steps = systems[0].n, settings.steps_per_period
+    q = np.zeros((len(systems), n, n, n), dtype=complex)
+    term = np.empty_like(q)
+
+    def accumulate(k, y):
+        np.multiply(y.conj()[..., :, None], y[..., None, :], out=term)
+        if k in (0, n_steps):  # trapezoid end weights
+            np.multiply(term, 0.5, out=term)
+        np.add(q, term, out=q)
+
+    ts, uts = _rk4_run(systems, n_steps, accumulate)
+    return ts, q / n_steps, _checked(systems, settings, uts)

@@ -1,6 +1,7 @@
 """Floquet analysis: quasi-energies and modes from the monodromy matrix,
 period-averaged populations, dark-mode detection, and drive-strength sweeps
-with branch tracking."""
+with branch tracking. A sweep integrates its ratio grid in one step loop
+per chunk; a single system is the one-point grid of the same code."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .evolve import PropagationSettings, propagator_samples
+from .evolve import (PropagationSettings, propagator_averages,
+                     propagator_site1)
 from .linalg import unitary_eigen
 from .model import DrivenSystem, canonical_system
 
@@ -20,8 +22,14 @@ __all__ = [
     "floquet_spectrum",
     "dark_mode",
     "quasi_energy_sweep",
+    "min_p1_sweep",
     "SweepResult",
 ]
+
+# complex values (8 MB) one sweep chunk may keep: n^3 per grid point for the
+# period averages Q_j, (steps + 1) n for row 0 of every U(s)
+MAX_CHUNK_VALUES = 5 * 10**5
+MIN_P1_BLOCK = 100  # periods per block of the min-P1 evaluation
 
 
 @dataclass(frozen=True)
@@ -30,15 +38,13 @@ class FloquetSpectrum:
 
     Mode k has quasi-energy quasi_energies[k] in the first Brillouin zone,
     eigenvalue multipliers[k] of the monodromy matrix U(T), t=0 vector
-    eigenvectors[:, k] and period-averaged populations avg_populations[k];
-    site1[s, k] = <1|U(t_s)|mode k> on the one-period integrator grid.
+    eigenvectors[:, k] and period-averaged populations avg_populations[k].
     """
 
     quasi_energies: np.ndarray      # (n,)
     multipliers: np.ndarray         # (n,)
     eigenvectors: np.ndarray        # (n, n), column k = mode k
     avg_populations: np.ndarray     # (n, n), row k = mode k
-    site1: np.ndarray               # (steps+1, n)
     system: DrivenSystem
 
 
@@ -55,35 +61,70 @@ def fold_quasi_energy(eps: float | np.ndarray,
     return r - omega * (r > 0.5 * omega)
 
 
-def floquet_spectrum(system: DrivenSystem,
-                     settings: PropagationSettings = PropagationSettings()
-                     ) -> FloquetSpectrum:
-    """Quasi-energies and modes of the driven system.
-
-    Eigenphases of the monodromy matrix give the quasi-energies; each mode's
-    populations are averaged over one period with the trapezoidal rule on
-    the integrator grid.
-    """
-    _, us = propagator_samples(system, settings)
-    dec = unitary_eigen(us[-1])
+def _modes(u: np.ndarray, system: DrivenSystem):
+    """(quasi-energies, multipliers, eigenvectors) of one monodromy matrix,
+    sorted by quasi-energy."""
+    dec = unitary_eigen(u)
     eps = fold_quasi_energy(-np.angle(dec.eigenvalues) / system.period,
                             system.omega)
     order = np.argsort(eps, kind="stable")
-    vecs = dec.eigenvectors[:, order]
-    pops = np.stack([_period_averaged_populations(us, vecs[:, k])
-                     for k in range(system.n)])
-    return FloquetSpectrum(quasi_energies=eps[order],
-                           multipliers=dec.eigenvalues[order],
-                           eigenvectors=vecs, avg_populations=pops,
-                           site1=us[:, 0, :] @ vecs, system=system)
+    return eps[order], dec.eigenvalues[order], dec.eigenvectors[:, order]
 
 
-def _period_averaged_populations(us: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    traj = us @ vec  # (steps+1, n); one mode at a time keeps memory O(steps n)
-    p = np.abs(traj) ** 2
-    # trapezoid on the uniform grid
-    avg = (0.5 * (p[0] + p[-1]) + p[1:-1].sum(axis=0)) / (p.shape[0] - 1)
-    return avg
+def _chunks(systems, values_per_point: int):
+    size = max(1, MAX_CHUNK_VALUES // values_per_point)
+    return [systems[i:i + size] for i in range(0, len(systems), size)]
+
+
+def _spectra(systems, settings: PropagationSettings) -> list[FloquetSpectrum]:
+    """Spectra of a grid of systems that share n, v and omega; a mode's
+    averaged population on site j is vec^dag Q_j vec."""
+    spectra = []
+    for chunk in _chunks(systems, systems[0].n ** 3):
+        _, q, uts = propagator_averages(chunk, settings)
+        for system, u, q_j in zip(chunk, uts, q):
+            eps, lam, vecs = _modes(u, system)
+            pops = np.einsum("ak,jab,bk->kj", vecs.conj(), q_j, vecs).real
+            spectra.append(FloquetSpectrum(
+                quasi_energies=eps, multipliers=lam, eigenvectors=vecs,
+                avg_populations=pops, system=system))
+    return spectra
+
+
+def _min_p1(systems, periods: int,
+            settings: PropagationSettings) -> np.ndarray:
+    """min P_1 over the given number of periods from (1, 0, ..., 0), for a
+    grid of systems that share n, v and omega. H is periodic, so the
+    site-1 amplitude at t = kT + s is sum_m <1|U(s)|m> lambda_m^k <m|1>,
+    with lambda_m the monodromy eigenvalues: the same samples as direct
+    long propagation on the same grid."""
+    if not isinstance(periods, (int, np.integer)) or periods < 1:
+        raise ConfigError(f"periods must be a positive integer, got {periods!r}")
+    out = []
+    for chunk in _chunks(systems,
+                         (settings.steps_per_period + 1) * systems[0].n):
+        _, rows, uts = propagator_site1(chunk, settings)
+        for system, row, u in zip(chunk, rows, uts):
+            _, lam, vecs = _modes(u, system)
+            site1 = row @ vecs    # <1|U(s)|mode m>
+            least = np.inf
+            # min |a|^2 = (min |a|)^2: rounding a square is monotone
+            for k0 in range(0, periods, MIN_P1_BLOCK):
+                ks = np.arange(k0, min(k0 + MIN_P1_BLOCK, periods))
+                amps = (lam[:, None] ** ks[None, :]
+                        * vecs[0].conj()[:, None])    # (n, block)
+                least = min(least, float(np.abs(site1 @ amps).min()))
+            out.append(least * least)
+    return np.array(out)
+
+
+def floquet_spectrum(system: DrivenSystem,
+                     settings: PropagationSettings = PropagationSettings()
+                     ) -> FloquetSpectrum:
+    """Quasi-energies and modes of the driven system: eigenphases of the
+    monodromy matrix, and each mode's populations averaged over one period
+    with the trapezoidal rule on the integrator grid."""
+    return _spectra([system], settings)[0]
 
 
 def dark_mode(spectrum: FloquetSpectrum, eps_tol: float | None = None,
@@ -124,24 +165,29 @@ class SweepResult:
     system_template: DrivenSystem
 
 
-def quasi_energy_sweep(n: int, v: float, omega: float, ratios,
-                       settings: PropagationSettings = PropagationSettings()
-                       ) -> SweepResult:
-    """Floquet spectra over a grid of drive ratios A/omega, with mode
-    branches matched across adjacent grid points by eigenvector overlap."""
+def _grid_systems(n: int, v: float, omega: float, ratios):
+    """(ratios, systems) of a sweep, all validated before any integration."""
     ratios = np.asarray(ratios, dtype=float)
     if ratios.ndim != 1 or len(ratios) == 0:
         raise ConfigError("ratios must be a non-empty 1-D sequence")
     if np.any(~np.isfinite(ratios)) or np.any(ratios < 0):
         raise ConfigError("ratios must be finite and >= 0")
+    # float(r): an overflowing amplitude is inf, which DrivenSystem rejects
+    return ratios, [canonical_system(n, v, float(r) * omega, omega)
+                    for r in ratios]
+
+
+def quasi_energy_sweep(n: int, v: float, omega: float, ratios,
+                       settings: PropagationSettings = PropagationSettings()
+                       ) -> SweepResult:
+    """Floquet spectra over a grid of drive ratios A/omega, with mode
+    branches matched across adjacent grid points by eigenvector overlap."""
     template = canonical_system(n, v, 0.0, omega)  # validates n first
+    ratios, systems = _grid_systems(n, v, omega, ratios)
     eps = np.empty((len(ratios), n))
     pops = np.empty((len(ratios), n, n))
     vecs = np.empty((len(ratios), n, n), dtype=complex)
-    # float(r): an overflowing amplitude is inf, which DrivenSystem rejects
-    for i, r in enumerate(ratios):
-        spec = floquet_spectrum(canonical_system(n, v, float(r) * omega, omega),
-                                settings)
+    for i, spec in enumerate(_spectra(systems, settings)):
         e, p, w = spec.quasi_energies, spec.avg_populations, spec.eigenvectors
         if i:
             perm = _match_branches(vecs[i - 1], w, eps[i - 1], e)
@@ -149,6 +195,15 @@ def quasi_energy_sweep(n: int, v: float, omega: float, ratios,
         eps[i], pops[i], vecs[i] = e, p, w
     return SweepResult(ratios=ratios, quasi_energies=eps, avg_populations=pops,
                        eigenvectors=vecs, system_template=template)
+
+
+def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
+                 settings: PropagationSettings = PropagationSettings()
+                 ) -> np.ndarray:
+    """Sampled minimum of P_1(t) over the given number of driving periods,
+    from (1, 0, ..., 0), at each drive ratio A/omega of the grid."""
+    _, systems = _grid_systems(n, v, omega, ratios)
+    return _min_p1(systems, periods, settings)
 
 
 def _match_branches(w_prev: np.ndarray, w_next: np.ndarray,

@@ -18,7 +18,8 @@ from .effective import (bessel_j0, effective_model, min_p1_oracle,
                         verify_properties)
 from .errors import ConfigError
 from .evolve import PropagationSettings, propagate
-from .floquet import _match_branches, floquet_spectrum, quasi_energy_sweep
+from .floquet import (_match_branches, _min_p1, min_p1_sweep,
+                      quasi_energy_sweep)
 from .linalg import hermitian_eigen
 from .model import canonical_system
 
@@ -164,25 +165,11 @@ def _write_svg(path: Path, x: np.ndarray, ys: list[np.ndarray],
     Path(path).write_text("\n".join(parts))
 
 
-def _svg_path(csv_path: Path) -> Path:
-    return Path(csv_path).with_suffix(".svg")
-
-
 def min_p1_measured(system, periods: int,
                     settings: PropagationSettings = PropagationSettings()) -> float:
     """Sampled minimum of P_1(t) over the given number of driving periods,
-    starting from (1, 0, ..., 0).
-
-    Uses the periodicity of H: in the Floquet basis the state at t = kT + s
-    has site-1 amplitude sum_m <1|U(s)|m> lambda_m^k <m|1>, with lambda_m
-    the monodromy eigenvalues. The sampled minimum equals the one from
-    direct long propagation at the same grid.
-    """
-    spec = floquet_spectrum(system, settings)
-    ks = np.arange(periods)
-    amps = (spec.multipliers[:, None] ** ks[None, :]
-            * spec.eigenvectors[0].conj()[:, None])    # (n, periods)
-    return float((np.abs(spec.site1 @ amps) ** 2).min())
+    starting from (1, 0, ..., 0); the one-point grid of `min_p1_sweep`."""
+    return float(_min_p1([system], periods, settings)[0])
 
 
 def run_dynamics(config: ExperimentConfig) -> Path:
@@ -198,7 +185,7 @@ def run_dynamics(config: ExperimentConfig) -> Path:
     comments = _provenance(config, {"norm_drift": f"{traj.norm_drift:.3e}"})
     _write_csv(config.out, comments, header, rows)
     if config.svg:
-        _write_svg(_svg_path(config.out), traj.times,
+        _write_svg(config.out.with_suffix(".svg"), traj.times,
                    [pops[:, j] for j in range(config.n)],
                    [f"P{j+1}" for j in range(config.n)],
                    f"populations, n={config.n}, A/w={amplitude/config.omega:.3g}")
@@ -209,9 +196,8 @@ def run_min_pop_sweep(config: ExperimentConfig) -> Path:
     """CSV of (A/omega, min P_1) over the ratio grid, with the three-level
     effective-model prediction as a companion column where defined."""
     ratios = config.ratio_or_default()
-    columns = {"min_P1": [min_p1_measured(
-        canonical_system(config.n, config.v, float(r) * config.omega, config.omega),
-        config.periods, config.settings) for r in ratios]}
+    columns = {"min_P1": min_p1_sweep(config.n, config.v, config.omega, ratios,
+                                      config.periods, config.settings)}
     if config.n == 3:
         columns["min_P1_effective"] = [
             min_p1_oracle(config.v, config.v * bessel_j0(r)) for r in ratios]
@@ -219,7 +205,7 @@ def run_min_pop_sweep(config: ExperimentConfig) -> Path:
             for i, r in enumerate(ratios))
     _write_csv(config.out, _provenance(config), ["ratio", *columns], rows)
     if config.svg:
-        _write_svg(_svg_path(config.out), ratios,
+        _write_svg(config.out.with_suffix(".svg"), ratios,
                    [np.array(c) for c in columns.values()],
                    ["min P1", "effective"][:len(columns)],
                    f"minimum P1, n={config.n}")
@@ -241,7 +227,7 @@ def run_floquet_sweep(config: ExperimentConfig) -> Path:
                         + [float(p) for p in sweep.avg_populations[i, k]])
     _write_csv(config.out, _provenance(config), header, rows)
     if config.svg:
-        _write_svg(_svg_path(config.out), ratios,
+        _write_svg(config.out.with_suffix(".svg"), ratios,
                    [sweep.quasi_energies[:, k] for k in range(config.n)],
                    [f"eps{k+1}" for k in range(config.n)],
                    f"quasi-energies, n={config.n}")
@@ -275,7 +261,7 @@ def run_effective_compare(config: ExperimentConfig) -> Path:
     _write_csv(config.out, comments, header, rows)
     if config.svg:
         devs = np.array([r[4] for r in rows]).reshape(len(ratios), config.n)
-        _write_svg(_svg_path(config.out), ratios,
+        _write_svg(config.out.with_suffix(".svg"), ratios,
                    [devs[:, k] for k in range(config.n)],
                    [f"|eps-lam| {k+1}" for k in range(config.n)],
                    f"effective-model deviation, n={config.n}")

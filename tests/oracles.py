@@ -60,7 +60,7 @@ def rk4_states(system, c0, periods: int, steps_per_period: int) -> np.ndarray:
     n = system.n
     h = 2.0 * np.pi / system.omega / steps_per_period
     coupling = system.v * (np.eye(n, k=1) + np.eye(n, k=-1))
-    signs = np.asarray(system.drive_signs, dtype=float)
+    signs = np.array([1.0] + [-1.0] * (n - 1))  # site 1 against the rest
 
     def rhs(t, y):
         drive = 0.5 * system.amplitude * np.sin(system.omega * t)

@@ -10,7 +10,7 @@ import pytest
 from darkfloquet import (PropagationSettings, bessel_j0, canonical_system,
                          dark_state_closed_form, effective_model,
                          floquet_spectrum, hermitian_eigen, min_p1_floor,
-                         monodromy, propagate, quasi_energy_sweep,
+                         min_p1_sweep, monodromy, propagate, quasi_energy_sweep,
                          tridiag_det_sequence, verify_properties)
 from darkfloquet.harness import min_p1_measured
 from darkfloquet.linalg import _effective_matrix
@@ -29,12 +29,8 @@ def _verdict(num, label, ok, detail=""):
 @pytest.fixture(scope="module")
 def min_p1_sweeps():
     """min P1 over 400 driving periods on the full ratio grid, n = 2..5."""
-    out = {}
-    for n in (2, 3, 4, 5):
-        vals = [min_p1_measured(canonical_system(n, 1.0, r * 10.0, 10.0),
-                                HORIZON_PERIODS) for r in FULL_GRID]
-        out[n] = np.array(vals)
-    return out
+    return {n: min_p1_sweep(n, 1.0, 10.0, FULL_GRID, HORIZON_PERIODS)
+            for n in (2, 3, 4, 5)}
 
 
 @pytest.fixture(scope="module")

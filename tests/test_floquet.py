@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from darkfloquet import (PropagationSettings, canonical_system, dark_mode,
                          floquet_spectrum, fold_quasi_energy, hermitian_eigen,
-                         propagate, quasi_energy_sweep)
+                         min_p1_sweep, propagate, quasi_energy_sweep)
+from darkfloquet import floquet
 from darkfloquet.model import hamiltonian_at
 
-from oracles import j0_first_zero_oracle
+from oracles import j0_first_zero_oracle, rk4_states
 
 
 def test_undriven_spectrum():
@@ -65,8 +66,10 @@ def test_spectrum_arrays_describe_the_monodromy():
     assert np.allclose(fold_quasi_energy(
         -np.angle(spec.multipliers) / system.period, system.omega),
         spec.quasi_energies, rtol=0, atol=1e-12)
-    assert np.max(np.abs(spec.site1 - us[:, 0, :] @ vecs)) <= 1e-12
-    assert spec.site1.shape == (2001, 3)
+    pops = [np.abs(us @ vecs[:, k]) ** 2 for k in range(3)]
+    trapezoid = [(0.5 * (p[0] + p[-1]) + p[1:-1].sum(axis=0)) / 2000
+                 for p in pops]
+    assert np.max(np.abs(spec.avg_populations - trapezoid)) <= 1e-12
 
 
 class TestDarkMode:
@@ -99,14 +102,15 @@ class TestDarkMode:
 
 
 def test_gauge_invariance_of_populations():
-    from darkfloquet.floquet import _period_averaged_populations
-    from darkfloquet.evolve import propagator_samples
+    from darkfloquet.evolve import propagator_averages
     system = canonical_system(3, 1.0, 20.0, 10.0)
-    _, us = propagator_samples(system)
+    _, q, _ = propagator_averages([system])
     vec = floquet_spectrum(system).eigenvectors[:, 0]
-    base = _period_averaged_populations(us, vec)
-    rotated = _period_averaged_populations(us, np.exp(1j * 0.813) * vec)
-    assert np.max(np.abs(base - rotated)) <= 1e-12
+    rotated = np.exp(1j * 0.813) * vec
+    base = np.einsum("a,jab,b->j", vec.conj(), q[0], vec)
+    turned = np.einsum("a,jab,b->j", rotated.conj(), q[0], rotated)
+    assert np.max(np.abs(base - turned)) <= 1e-12
+    assert np.max(np.abs(base.imag)) <= 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -156,3 +160,42 @@ class TestSweep:
             quasi_energy_sweep(3, 1.0, 10.0, [-0.5])
         with pytest.raises(ConfigError):
             quasi_energy_sweep(3, 1.0, 10.0, [np.nan])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 11])
+def test_batched_min_p1_matches_direct_stepping(n, monkeypatch):
+    # a budget of two grid points per chunk: chunks of 2, 2 and 1
+    steps, periods = 2000, 12
+    ratios = np.linspace(0.0, 5.0, 5)
+    monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES", 2 * (steps + 1) * n)
+    sizes = []
+    site1 = floquet.propagator_site1
+
+    def spy(systems, settings):
+        sizes.append(len(systems))
+        return site1(systems, settings)
+
+    monkeypatch.setattr(floquet, "propagator_site1", spy)
+    fast = min_p1_sweep(n, 1.0, 10.0, ratios, periods,
+                        PropagationSettings(steps_per_period=steps))
+    assert sizes == [2, 2, 1]
+    c0 = np.eye(n, dtype=complex)[0]
+    for r, got in zip(ratios, fast):
+        system = canonical_system(n, 1.0, float(r) * 10.0, 10.0)
+        direct = np.abs(rk4_states(system, c0, periods, steps)[:, 0]) ** 2
+        assert abs(got - direct.min()) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 5, 11])
+def test_streamed_averages_match_direct_stepping(n):
+    # each mode's period-averaged populations against a trapezoid average of
+    # a plain RK4 run started from the mode
+    ratios = [0.7, 2.0]
+    sweep = quasi_energy_sweep(n, 1.0, 10.0, ratios)
+    for i, r in enumerate(ratios):
+        system = canonical_system(n, 1.0, r * 10.0, 10.0)
+        for k in range(n):
+            p = np.abs(rk4_states(system, sweep.eigenvectors[i][:, k], 1,
+                                  2000)) ** 2
+            avg = (0.5 * (p[0] + p[-1]) + p[1:-1].sum(axis=0)) / 2000
+            assert np.max(np.abs(sweep.avg_populations[i, k] - avg)) <= 1e-12

@@ -306,6 +306,24 @@ class TestCli:
                      "--ratio-grid", "0:2:2", "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_one_coarse_point_in_grid_exit_code(self, tmp_path):
+        # the grid is integrated in one loop, and the guard still reads every
+        # point: here only the last, A/omega = 1.5, is too coarse at 100 steps
+        out = tmp_path / "out.csv"
+        src = str(Path(darkfloquet.__file__).parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "darkfloquet.cli", "sweep-min-pop",
+             "--n", "2", "--steps-per-period", "100",
+             "--ratio-grid", "0:1.5:4", "--out", str(out)],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 3
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1, run.stderr
+        assert lines[0].startswith("numerical-quality failure: ")
+        assert "A/omega=1.5 " in lines[0]
+        assert not out.exists()
+
     def test_properties_exit_code(self, tmp_path):
         out = tmp_path / "props.json"
         code = main(["properties", "--trials", "3", "--n-list", "2,3",

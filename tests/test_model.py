@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkfloquet import ConfigError, DrivenSystem, canonical_system, hamiltonian_at
+from darkfloquet import ConfigError, canonical_system, hamiltonian_at
 
 from oracles import j0_first_zero_oracle
 
@@ -32,10 +32,11 @@ def test_two_level_system_matches_standard_driven_model():
 
 
 def test_canonical_sign_pattern():
-    assert canonical_system(5, 1.0, 0.0, 10.0).drive_signs == (1, -1, -1, -1, -1)
-    system = canonical_system(3, 1.0, 24.0, 10.0)
-    assert system.ratio == pytest.approx(2.4)
-    assert system.is_canonical()
+    system = canonical_system(5, 1.0, 20.0, 10.0)
+    t = np.pi / (2 * 10.0)  # sin(omega t) = 1
+    assert np.allclose(np.diag(hamiltonian_at(system, t)),
+                       [10.0, -10.0, -10.0, -10.0, -10.0], rtol=0, atol=1e-12)
+    assert canonical_system(3, 1.0, 24.0, 10.0).ratio == pytest.approx(2.4)
 
 
 def test_first_zero_system():
@@ -48,13 +49,6 @@ def test_first_zero_system():
 def test_invalid_parameters_rejected(n, omega):
     with pytest.raises(ConfigError):
         canonical_system(n, 1.0, 0.0, omega)
-
-
-def test_bad_drive_signs_rejected():
-    with pytest.raises(ConfigError):
-        DrivenSystem(n=3, v=1.0, amplitude=1.0, omega=10.0, drive_signs=(1, 0, -1))
-    with pytest.raises(ConfigError):
-        DrivenSystem(n=3, v=1.0, amplitude=1.0, omega=10.0, drive_signs=(1, -1))
 
 
 @settings(max_examples=30, deadline=None)
