@@ -8,6 +8,7 @@ single-file SVGs written without any plotting dependency.
 from __future__ import annotations
 
 import datetime
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,6 +40,8 @@ EXPERIMENTS = ("dynamics", "sweep-min-pop", "floquet-sweep",
 DEFAULT_PERIODS = {"dynamics": 20, "sweep-min-pop": 400}
 # bound on the complex values in the largest array a run keeps (800 MB)
 MAX_KEPT_VALUES = 5 * 10**7
+# table rows formatted per '%' call, which bounds the text held at once
+WRITE_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -110,36 +113,50 @@ def _provenance(config: ExperimentConfig, extra: dict | None = None) -> list[str
     return lines
 
 
-def _write_csv(path: Path, comments: list[str], header: list[str],
-               rows) -> None:
-    path = Path(path)
-    if path.parent != Path(""):
+def _text_blocks(columns, formats: list[str], end: str):
+    """Rows of 1-D columns, each the joined '%'-formats of its values plus
+    end; one '%' call per block of WRITE_BLOCK_ROWS rows."""
+    row = ",".join(formats) + end
+    for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+        block = [c[start:start + WRITE_BLOCK_ROWS].tolist() for c in columns]
+        yield row * len(block[0]) % tuple(itertools.chain(*zip(*block)))
+
+
+def _write(path: Path, chunks) -> None:
+    """Write text chunks to path, making its directory; a path that cannot
+    be written is a configuration error."""
+    try:
         path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for line in comments:
-            fh.write(line + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.12g}" if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
-def _write_svg(path: Path, x: np.ndarray, ys: list[np.ndarray],
+def _write_csv(path: Path, comments: list[str], header: list[str],
+               columns) -> None:
+    """CSV of '#' comment lines, a header and one 1-D array per column:
+    integer columns print as %d, the rest as %.12g."""
+    formats = ["%d" if np.issubdtype(c.dtype, np.integer) else "%.12g"
+               for c in columns]
+    head = "".join(line + "\n" for line in [*comments, ",".join(header)])
+    _write(path, itertools.chain([head], _text_blocks(columns, formats, "\n")))
+
+
+def _write_svg(path: Path, x: np.ndarray, ys: np.ndarray,
                labels: list[str], title: str) -> None:
-    """Minimal line plot: one polyline per series, fixed 640x400 canvas."""
+    """Minimal line plot: one polyline per row of ys, fixed 640x400 canvas."""
     w, h, pad = 640, 400, 45
     x = np.asarray(x, dtype=float)
-    all_y = np.concatenate([np.asarray(y, dtype=float) for y in ys])
+    ys = np.asarray(ys, dtype=float)  # (series, points)
     x0, x1 = float(x.min()), float(x.max())
-    y0, y1 = float(all_y.min()), float(all_y.max())
+    y0, y1 = float(ys.min()), float(ys.max())
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
-    def sx(v):
-        return pad + (v - x0) / (x1 - x0) * (w - 2 * pad)
-    def sy(v):
-        return h - pad - (v - y0) / (y1 - y0) * (h - 2 * pad)
+    sx = pad + (x - x0) / (x1 - x0) * (w - 2 * pad)
+    sy = h - pad - (ys - y0) / (y1 - y0) * (h - 2 * pad)
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
               "#8c564b", "#17becf", "#7f7f7f"]
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">',
@@ -150,8 +167,8 @@ def _write_svg(path: Path, x: np.ndarray, ys: list[np.ndarray],
              'stroke="black"/>',
              f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{h-pad}" '
              'stroke="black"/>']
-    for i, (y, label) in enumerate(zip(ys, labels)):
-        pts = " ".join(f"{sx(px):.2f},{sy(py):.2f}" for px, py in zip(x, y))
+    for i, (y, label) in enumerate(zip(sy, labels)):
+        pts = "".join(_text_blocks([sx, y], ["%.2f", "%.2f"], " "))[:-1]
         color = colors[i % len(colors)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.2"/>')
@@ -162,7 +179,7 @@ def _write_svg(path: Path, x: np.ndarray, ys: list[np.ndarray],
     parts.append(f'<text x="{w-pad}" y="{h-pad+16}" text-anchor="end" '
                  f'font-family="sans-serif" font-size="11">{x1:.3g}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts))
+    _write(path, ["\n".join(parts)])
 
 
 def min_p1_measured(system, periods: int,
@@ -180,13 +197,11 @@ def run_dynamics(config: ExperimentConfig) -> Path:
                      config.periods, config.settings)
     pops = traj.populations
     header = ["t"] + [f"P{j+1}" for j in range(config.n)]
-    rows = ([float(t)] + [float(p) for p in pops[i]]
-            for i, t in enumerate(traj.times))
     comments = _provenance(config, {"norm_drift": f"{traj.norm_drift:.3e}"})
-    _write_csv(config.out, comments, header, rows)
+    _write_csv(config.out, comments, header, [traj.times, *pops.T])
     if config.svg:
         _write_svg(config.out.with_suffix(".svg"), traj.times,
-                   [pops[:, j] for j in range(config.n)],
+                   pops.T,
                    [f"P{j+1}" for j in range(config.n)],
                    f"populations, n={config.n}, A/w={amplitude/config.omega:.3g}")
     return config.out
@@ -199,14 +214,13 @@ def run_min_pop_sweep(config: ExperimentConfig) -> Path:
     columns = {"min_P1": min_p1_sweep(config.n, config.v, config.omega, ratios,
                                       config.periods, config.settings)}
     if config.n == 3:
-        columns["min_P1_effective"] = [
-            min_p1_oracle(config.v, config.v * bessel_j0(r)) for r in ratios]
-    rows = ([float(r)] + [c[i] for c in columns.values()]
-            for i, r in enumerate(ratios))
-    _write_csv(config.out, _provenance(config), ["ratio", *columns], rows)
+        columns["min_P1_effective"] = np.array([
+            min_p1_oracle(config.v, config.v * bessel_j0(r)) for r in ratios])
+    _write_csv(config.out, _provenance(config), ["ratio", *columns],
+               [ratios, *columns.values()])
     if config.svg:
         _write_svg(config.out.with_suffix(".svg"), ratios,
-                   [np.array(c) for c in columns.values()],
+                   list(columns.values()),
                    ["min P1", "effective"][:len(columns)],
                    f"minimum P1, n={config.n}")
     return config.out
@@ -220,15 +234,15 @@ def run_floquet_sweep(config: ExperimentConfig) -> Path:
                                config.settings)
     header = (["ratio", "branch", "quasi_energy"]
               + [f"avgP{j+1}" for j in range(config.n)])
-    rows = []
-    for i, r in enumerate(ratios):
-        for k in range(config.n):
-            rows.append([float(r), k, float(sweep.quasi_energies[i, k])]
-                        + [float(p) for p in sweep.avg_populations[i, k]])
-    _write_csv(config.out, _provenance(config), header, rows)
+    # one row per (ratio, branch), ratio-major
+    columns = [np.repeat(ratios, config.n),
+               np.tile(np.arange(config.n), len(ratios)),
+               sweep.quasi_energies.ravel(),
+               *sweep.avg_populations.reshape(-1, config.n).T]
+    _write_csv(config.out, _provenance(config), header, columns)
     if config.svg:
         _write_svg(config.out.with_suffix(".svg"), ratios,
-                   [sweep.quasi_energies[:, k] for k in range(config.n)],
+                   sweep.quasi_energies.T,
                    [f"eps{k+1}" for k in range(config.n)],
                    f"quasi-energies, n={config.n}")
     return config.out
@@ -240,8 +254,7 @@ def run_effective_compare(config: ExperimentConfig) -> Path:
     ratios = config.ratio_or_default()
     sweep = quasi_energy_sweep(config.n, config.v, config.omega, ratios,
                                config.settings)
-    rows = []
-    max_dev = 0.0
+    lams = np.empty_like(sweep.quasi_energies)
     for i, r in enumerate(ratios):
         system = canonical_system(config.n, config.v, float(r) * config.omega,
                                   config.omega)
@@ -249,20 +262,18 @@ def run_effective_compare(config: ExperimentConfig) -> Path:
         # overlap pairing: monodromy eigenvectors against static eigenvectors
         pairing = _match_branches(sweep.eigenvectors[i], dec.eigenvectors,
                                   sweep.quasi_energies[i], dec.eigenvalues)
-        for k in range(config.n):
-            lam = float(dec.eigenvalues[pairing[k]])
-            eps = float(sweep.quasi_energies[i, k])
-            dev = abs(eps - lam)
-            max_dev = max(max_dev, dev)
-            rows.append([float(r), k, eps, lam, dev])
+        lams[i] = dec.eigenvalues[pairing]
+    devs = np.abs(sweep.quasi_energies - lams)
     header = ["ratio", "branch", "quasi_energy", "effective_eigenvalue",
               "abs_deviation"]
-    comments = _provenance(config, {"max_abs_deviation": f"{max_dev:.6g}"})
-    _write_csv(config.out, comments, header, rows)
+    comments = _provenance(config, {"max_abs_deviation": f"{devs.max():.6g}"})
+    _write_csv(config.out, comments, header,
+               [np.repeat(ratios, config.n),
+                np.tile(np.arange(config.n), len(ratios)),
+                sweep.quasi_energies.ravel(), lams.ravel(), devs.ravel()])
     if config.svg:
-        devs = np.array([r[4] for r in rows]).reshape(len(ratios), config.n)
         _write_svg(config.out.with_suffix(".svg"), ratios,
-                   [devs[:, k] for k in range(config.n)],
+                   devs.T,
                    [f"|eps-lam| {k+1}" for k in range(config.n)],
                    f"effective-model deviation, n={config.n}")
     return config.out
@@ -274,9 +285,6 @@ def run_properties(config: ExperimentConfig, matrix_perturbation=None) -> int:
     violation was found."""
     report = verify_properties(config.property_n_range, config.property_trials,
                                config.seed, matrix_perturbation)
-    out = Path(config.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    out.with_suffix(".txt").write_text(report.to_text())
-    out.with_suffix(".json").write_text(report.to_json() + "\n")
+    _write(config.out.with_suffix(".txt"), [report.to_text()])
+    _write(config.out.with_suffix(".json"), [report.to_json() + "\n"])
     return 0 if report.ok else 1

@@ -17,8 +17,6 @@ __all__ = [
     "hermitian_eigen",
     "unitary_eigen",
     "tridiag_det_sequence",
-    "is_hermitian",
-    "is_unitary",
 ]
 
 
@@ -28,14 +26,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column k pairs with eigenvalues[k]
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol * max(1.0, np.max(np.abs(m))))
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-8) -> bool:
-    return _unitarity_defect(m) <= tol
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
@@ -53,7 +43,8 @@ def hermitian_eigen(m: np.ndarray, hermiticity_tol: float = 1e-10) -> EigenDecom
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m, hermiticity_tol):
+    if not (np.max(np.abs(m - m.conj().T))
+            <= hermiticity_tol * max(1.0, np.max(np.abs(m)))):
         raise ValueError("matrix is not Hermitian within tolerance")
     a = 0.5 * (m + m.conj().T)  # symmetrize away representation noise
     eigvals, vecs = np.linalg.eigh(a)
@@ -98,7 +89,7 @@ def unitary_eigen(u: np.ndarray, unitarity_tol: float = 1e-8) -> EigenDecomposit
     sorted by ascending eigenphase in (-pi, pi].
     """
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, unitarity_tol):
+    if not (_unitarity_defect(u) <= unitarity_tol):  # NaN fails too
         raise ValueError("matrix is not unitary within tolerance")
     a = 0.5 * (u + u.conj().T)
     b = (u - u.conj().T) / 2j

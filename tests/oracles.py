@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: the Bessel oracle is a
 fixed-length series in exact rational arithmetic, the matrix exponential
 is scaling-and-squaring on the raw series, and the time evolution is a
 plain state-vector RK4 over every step, with H(t) built from the system's
-fields rather than from darkfloquet.
+fields rather than from darkfloquet, and the CSV text is formatted one value
+at a time.
 """
 
 from fractions import Fraction
@@ -77,3 +78,13 @@ def rk4_states(system, c0, periods: int, steps_per_period: int) -> np.ndarray:
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states.append(y)
     return np.array(states)
+
+
+def csv_text(comments, header, rows) -> str:
+    """A CSV table written row by row, one value at a time: floats as
+    f"{x:.12g}", everything else through str."""
+    lines = [*comments, ",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{x:.12g}" if isinstance(x, float) else str(x)
+                              for x in row))
+    return "".join(line + "\n" for line in lines)

@@ -12,14 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import darkfloquet
-from darkfloquet import ConfigError, bessel_j0, canonical_system
+from darkfloquet import ConfigError, bessel_j0, canonical_system, propagate
+from darkfloquet import harness
 from darkfloquet.cli import main
 from darkfloquet.harness import (ExperimentConfig, min_p1_measured,
                                  run_dynamics, run_effective_compare,
                                  run_floquet_sweep, run_min_pop_sweep,
                                  run_properties)
 
-from oracles import j0_first_zero_oracle
+from oracles import csv_text, j0_first_zero_oracle
 
 
 def read_csv(path):
@@ -237,6 +238,39 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+class TestCsvWriter:
+    # the block writer must print the bytes of the row-by-row formatter
+    @staticmethod
+    def _assert_matches_oracle(path, columns):
+        comments = ["# a comment", "# another=1"]
+        header = [f"c{j}" for j in range(len(columns))]
+        harness._write_csv(path, comments, header, columns)
+        rows = zip(*(np.asarray(c).tolist() for c in columns))
+        assert path.read_bytes() == csv_text(comments, header, rows).encode()
+
+    def test_special_values_and_integer_column(self, tmp_path):
+        floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5,
+                           0.1, 1.0 / 3.0, -123456789012.5, 2.0, 1e300])
+        ints = np.array([-3, 0, 7, 2**40, 1, 2, 3, 4, 5, 6, 10, 11])
+        self._assert_matches_oracle(tmp_path / "t.csv",
+                                    [floats, ints, floats[::-1]])
+
+    @pytest.mark.parametrize("rows", [1, 3, 4, 5])
+    def test_rows_around_the_block_size(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(harness, "WRITE_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(rows)
+        self._assert_matches_oracle(
+            tmp_path / "t.csv", [rng.normal(size=rows) * 1e3,
+                                 np.arange(rows), rng.random(rows)])
+
+    @pytest.mark.parametrize("n", [3, 11])
+    def test_propagated_trajectory(self, tmp_path, n):
+        system = canonical_system(n, 1.0, 24.0, 10.0)
+        traj = propagate(system, np.eye(n, dtype=complex)[0], 3)
+        self._assert_matches_oracle(tmp_path / "t.csv",
+                                    [traj.times, *traj.populations.T])
+
+
 class TestCli:
     def test_dynamics_roundtrip(self, tmp_path):
         out = tmp_path / "dyn.csv"
@@ -324,6 +358,27 @@ class TestCli:
         assert "A/omega=1.5 " in lines[0]
         assert not out.exists()
 
+    def test_unwritable_out_exit_code(self, tmp_path):
+        # a path that cannot be written is a configuration error: exit 2
+        # with one line on stderr, not a traceback
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        src = str(Path(darkfloquet.__file__).parents[1])
+        for args in (["dynamics", "--out", str(tmp_path)],
+                     ["dynamics", "--out", str(blocker / "x.csv")],
+                     ["properties", "--trials", "1", "--n-list", "2",
+                      "--out", str(blocker / "x.json")],
+                     ["dynamics", "--out", str(tmp_path / ("x" * 300))]):
+            run = subprocess.run(
+                [sys.executable, "-m", "darkfloquet.cli", *args,
+                 "--periods", "1"],
+                capture_output=True, text=True, cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": src})
+            assert run.returncode == 2, args
+            lines = run.stderr.splitlines()
+            assert len(lines) == 1, run.stderr
+            assert lines[0].startswith("error: ")
+
     def test_properties_exit_code(self, tmp_path):
         out = tmp_path / "props.json"
         code = main(["properties", "--trials", "3", "--n-list", "2,3",
@@ -393,3 +448,10 @@ def test_cli_exit_code_over_arguments(command, n, floats, periods, steps,
         except SystemExit as exc:  # argparse rejects the vector
             code = exc.code
         assert code in (0, 1, 2, 3), argv
+        if code == 0 and command != "properties":
+            # the header, then data rows of len(header) non-empty fields
+            with open(Path(tmp) / "out.csv") as fh:
+                header, *rows = csv.reader(
+                    line for line in fh if not line.startswith("#"))
+            assert rows, argv
+            assert all(len(row) == len(header) and all(row) for row in rows), argv
