@@ -10,13 +10,13 @@ not just at one point.
 
 import numpy as np
 
-from darkfloquet import bessel_j0, canonical_system, min_p1_oracle, propagate
+from darkfloquet import DrivenSystem, bessel_j0, min_p1_oracle, propagate
 
 
 def main():
     omega, v, periods = 10.0, 1.0, 20
     for ratio in (0.0, 2.0, 2.404826):
-        system = canonical_system(3, v, ratio * omega, omega)
+        system = DrivenSystem(3, v, ratio * omega, omega)
         c0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         traj = propagate(system, c0, periods)
         floor = traj.populations[:, 0].min()

@@ -9,7 +9,7 @@ weight on site 1 and the threshold above which that weight exceeds 1/2.
 
 import numpy as np
 
-from darkfloquet import (bessel_j0, canonical_system, dark_mode,
+from darkfloquet import (DrivenSystem, bessel_j0, dark_mode,
                          floquet_spectrum, localization)
 
 
@@ -18,7 +18,7 @@ def main():
     for n in (3, 4, 5):
         print(f"--- {n}-level chain ---")
         for ratio in (0.8, 2.0, 3.5):
-            spec = floquet_spectrum(canonical_system(n, v, ratio * omega, omega))
+            spec = floquet_spectrum(DrivenSystem(n, v, ratio * omega, omega))
             found = dark_mode(spec)
             if found.index is None:
                 print(f"  A/omega = {ratio}: no dark mode")

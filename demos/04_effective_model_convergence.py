@@ -8,7 +8,7 @@ residual deviation shrinks as the drive frequency grows at fixed A/omega.
 
 import numpy as np
 
-from darkfloquet import (canonical_system, effective_model, floquet_spectrum,
+from darkfloquet import (DrivenSystem, effective_model, floquet_spectrum,
                          hermitian_eigen)
 
 
@@ -17,7 +17,7 @@ def main():
     for omega in (10.0, 20.0, 40.0):
         worst = 0.0
         for ratio in ratios:
-            system = canonical_system(3, 1.0, ratio * omega, omega)
+            system = DrivenSystem(3, 1.0, ratio * omega, omega)
             eps = floquet_spectrum(system).quasi_energies
             lam = hermitian_eigen(effective_model(system).matrix).eigenvalues
             worst = max(worst, float(np.max(np.abs(eps - lam))))

@@ -20,11 +20,11 @@ from .floquet import (DarkModeResult, FloquetSpectrum, SweepResult, dark_mode,
                       quasi_energy_sweep)
 from .linalg import (EigenDecomposition, hermitian_eigen, tridiag_det_sequence,
                      unitary_eigen)
-from .model import DrivenSystem, canonical_system, hamiltonian_at
+from .model import DrivenSystem
 
 __all__ = [
     "__version__",
-    "DrivenSystem", "canonical_system", "hamiltonian_at",
+    "DrivenSystem",
     "EigenDecomposition", "hermitian_eigen", "unitary_eigen",
     "tridiag_det_sequence",
     "PropagationSettings", "Trajectory", "propagate", "monodromy",

@@ -18,21 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StepSizeError, UnitarityError
-from .linalg import _unitarity_defect
-from .model import DrivenSystem, _drive_signs, hamiltonian_at
+from .linalg import UNITARITY_TOL, _effective_matrix, _unitarity_defect
+from .model import DrivenSystem
 
 __all__ = [
     "PropagationSettings",
     "Trajectory",
     "propagate",
     "monodromy",
-    "propagator_samples",
     "propagator_site1",
     "propagator_averages",
 ]
 
 NORM_DRIFT_ABORT = 1e-4
-UNITARITY_ABORT = 1e-8  # the tolerance of linalg.unitary_eigen, which U(T) feeds
 
 
 @dataclass(frozen=True)
@@ -67,21 +65,24 @@ class Trajectory:
 
 def _rk4_run(systems, n_steps: int, visit):
     """RK4 on i dU/dt = H(t) U over one drive period from U(0) = 1, for a
-    grid of systems that share n, v and omega. Calls visit(k, us) with
+    grid of systems that share n, v and omega; H(t) is the bare chain plus
+    sign_j (A/2) sin(omega t) on site j. Calls visit(k, us) with
     us[g] = U(k h) of systems[g] for k = 0..n_steps; returns (times, U(T))."""
     first = systems[0]
     n, omega = first.n, first.omega
     if any((s.n, s.v, s.omega) != (n, first.v, omega) for s in systems):
         raise ConfigError("a propagator grid must share n, v and omega")
     h = first.period / n_steps
+    signs = np.array([1.0] + [-1.0] * (n - 1))  # site 1 against the rest
     half_amp = 0.5 * np.array([s.amplitude for s in systems])
-    signs = _drive_signs(n)[:, None, None]
-    off = hamiltonian_at(first, 0.0).astype(complex)  # sin 0 = 0: bare coupling
+    # amp[i, g] = sign_i A_g / 2: site i of point g has energy amp sin(omega t)
+    amp = signs[:, None, None] * half_amp[:, None]
+    off = _effective_matrix(n, first.v, first.v).astype(complex)
 
-    # drive values at t, t + h/2, t + h for every step, shaped (G, 1) each
+    # sin(omega t) at t and t + h/2 for every step
     ts = h * np.arange(n_steps + 1)
-    sin_full = (half_amp * np.sin(omega * ts)[:, None])[:, :, None]
-    sin_half = (half_amp * np.sin(omega * (ts[:-1] + 0.5 * h))[:, None])[:, :, None]
+    sin_full = np.sin(omega * ts)
+    sin_half = np.sin(omega * (ts[:-1] + 0.5 * h))
 
     # y[i, g, :] is row i of grid point g's propagator, so that one matrix
     # product applies the coupling to the whole grid
@@ -90,12 +91,12 @@ def _rk4_run(systems, n_steps: int, visit):
         return -1j * (hop + drive * y)
 
     y = np.repeat(np.eye(n, dtype=complex)[:, None, :], len(systems), axis=1)
-    d1 = signs * sin_full[0]
+    d1 = amp * sin_full[0]
     # inf/NaN from a too coarse step is left to the callers' guards to report
     with np.errstate(over="ignore", invalid="ignore"):
         visit(0, y.transpose(1, 0, 2))
         for k in range(n_steps):
-            d0, dh, d1 = d1, signs * sin_half[k], signs * sin_full[k + 1]
+            d0, dh, d1 = d1, amp * sin_half[k], amp * sin_full[k + 1]
             k1 = rhs(d0, y)
             k2 = rhs(dh, y + (0.5 * h) * k1)
             k3 = rhs(dh, y + (0.5 * h) * k2)
@@ -106,25 +107,16 @@ def _rk4_run(systems, n_steps: int, visit):
 
 
 def _checked(systems, settings: PropagationSettings, uts: np.ndarray):
-    """Abort unless every grid point's U(T) is unitary to UNITARITY_ABORT."""
+    """Abort unless every grid point's U(T) is unitary to UNITARITY_TOL, the
+    tolerance of the eigensolver that U(T) feeds."""
     for system, u in zip(systems, uts):
         defect = _unitarity_defect(u)
-        if not defect <= UNITARITY_ABORT:  # also trips on NaN
+        if not defect <= UNITARITY_TOL:  # also trips on NaN
             raise UnitarityError(
                 f"monodromy unitarity defect {defect:.3e} at A/omega="
-                f"{system.ratio:.6g} exceeds {UNITARITY_ABORT}; increase "
+                f"{system.ratio:.6g} exceeds {UNITARITY_TOL}; increase "
                 f"steps_per_period (currently {settings.steps_per_period})")
     return uts
-
-
-def _all_samples(system: DrivenSystem, n_steps: int):
-    us = np.empty((n_steps + 1, system.n, system.n), dtype=complex)
-
-    def keep(k, y):
-        us[k] = y[0]
-
-    ts, _ = _rk4_run([system], n_steps, keep)
-    return ts, us
 
 
 def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
@@ -144,7 +136,12 @@ def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
     if abs(nrm - 1.0) > 1e-9:
         raise ConfigError(f"initial state norm is {nrm}, expected 1")
     n_steps = settings.steps_per_period
-    _, us = _all_samples(system, n_steps)
+    us = np.empty((n_steps + 1, system.n, system.n), dtype=complex)
+
+    def keep(k, y):
+        us[k] = y[0]
+
+    _rk4_run([system], n_steps, keep)
     states = np.empty((periods * n_steps + 1, system.n), dtype=complex)
     states[0] = initial
     with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
@@ -158,18 +155,6 @@ def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ABORT}; increase "
             f"steps_per_period (currently {settings.steps_per_period})")
     return traj
-
-
-def propagator_samples(system: DrivenSystem,
-                       settings: PropagationSettings = PropagationSettings()):
-    """Propagator U(t) sampled at every integrator step over one period.
-
-    Returns (times, us) with us[k] = U(times[k]); us[-1] is the monodromy
-    matrix U(T).
-    """
-    ts, us = _all_samples(system, settings.steps_per_period)
-    _checked([system], settings, us[-1:])
-    return ts, us
 
 
 def monodromy(system: DrivenSystem,

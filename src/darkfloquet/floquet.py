@@ -13,7 +13,7 @@ from .errors import ConfigError
 from .evolve import (PropagationSettings, propagator_averages,
                      propagator_site1)
 from .linalg import unitary_eigen
-from .model import DrivenSystem, canonical_system
+from .model import DrivenSystem
 
 __all__ = [
     "FloquetSpectrum",
@@ -30,6 +30,7 @@ __all__ = [
 # period averages Q_j, (steps + 1) n for row 0 of every U(s)
 MAX_CHUNK_VALUES = 5 * 10**5
 MIN_P1_BLOCK = 100  # periods per block of the min-P1 evaluation
+DARK_EPS_TOL, DARK_POP_TOL = 1e-4, 0.02  # dark mode: |eps|/omega, even-site <P>
 
 
 @dataclass(frozen=True)
@@ -61,16 +62,6 @@ def fold_quasi_energy(eps: float | np.ndarray,
     return r - omega * (r > 0.5 * omega)
 
 
-def _modes(u: np.ndarray, system: DrivenSystem):
-    """(quasi-energies, multipliers, eigenvectors) of one monodromy matrix,
-    sorted by quasi-energy."""
-    dec = unitary_eigen(u)
-    eps = fold_quasi_energy(-np.angle(dec.eigenvalues) / system.period,
-                            system.omega)
-    order = np.argsort(eps, kind="stable")
-    return eps[order], dec.eigenvalues[order], dec.eigenvectors[:, order]
-
-
 def _chunks(systems, values_per_point: int):
     size = max(1, MAX_CHUNK_VALUES // values_per_point)
     return [systems[i:i + size] for i in range(0, len(systems), size)]
@@ -83,39 +74,17 @@ def _spectra(systems, settings: PropagationSettings) -> list[FloquetSpectrum]:
     for chunk in _chunks(systems, systems[0].n ** 3):
         _, q, uts = propagator_averages(chunk, settings)
         for system, u, q_j in zip(chunk, uts, q):
-            eps, lam, vecs = _modes(u, system)
+            dec = unitary_eigen(u)
+            eps = fold_quasi_energy(-np.angle(dec.eigenvalues) / system.period,
+                                    system.omega)
+            order = np.argsort(eps, kind="stable")
+            eps, lam = eps[order], dec.eigenvalues[order]
+            vecs = dec.eigenvectors[:, order]
             pops = np.einsum("ak,jab,bk->kj", vecs.conj(), q_j, vecs).real
             spectra.append(FloquetSpectrum(
                 quasi_energies=eps, multipliers=lam, eigenvectors=vecs,
                 avg_populations=pops, system=system))
     return spectra
-
-
-def _min_p1(systems, periods: int,
-            settings: PropagationSettings) -> np.ndarray:
-    """min P_1 over the given number of periods from (1, 0, ..., 0), for a
-    grid of systems that share n, v and omega. H is periodic, so the
-    site-1 amplitude at t = kT + s is sum_m <1|U(s)|m> lambda_m^k <m|1>,
-    with lambda_m the monodromy eigenvalues: the same samples as direct
-    long propagation on the same grid."""
-    if not isinstance(periods, (int, np.integer)) or periods < 1:
-        raise ConfigError(f"periods must be a positive integer, got {periods!r}")
-    out = []
-    for chunk in _chunks(systems,
-                         (settings.steps_per_period + 1) * systems[0].n):
-        _, rows, uts = propagator_site1(chunk, settings)
-        for system, row, u in zip(chunk, rows, uts):
-            _, lam, vecs = _modes(u, system)
-            site1 = row @ vecs    # <1|U(s)|mode m>
-            least = np.inf
-            # min |a|^2 = (min |a|)^2: rounding a square is monotone
-            for k0 in range(0, periods, MIN_P1_BLOCK):
-                ks = np.arange(k0, min(k0 + MIN_P1_BLOCK, periods))
-                amps = (lam[:, None] ** ks[None, :]
-                        * vecs[0].conj()[:, None])    # (n, block)
-                least = min(least, float(np.abs(site1 @ amps).min()))
-            out.append(least * least)
-    return np.array(out)
 
 
 def floquet_spectrum(system: DrivenSystem,
@@ -127,8 +96,7 @@ def floquet_spectrum(system: DrivenSystem,
     return _spectra([system], settings)[0]
 
 
-def dark_mode(spectrum: FloquetSpectrum, eps_tol: float | None = None,
-              pop_tol: float = 0.02) -> DarkModeResult:
+def dark_mode(spectrum: FloquetSpectrum) -> DarkModeResult:
     """Find the dark Floquet mode: zero quasi-energy and negligible
     period-averaged population on every even site.
 
@@ -136,14 +104,10 @@ def dark_mode(spectrum: FloquetSpectrum, eps_tol: float | None = None,
     if no mode qualifies, and also if more than one does (even-n degeneracy
     points), which is then flagged ambiguous.
     """
-    omega = spectrum.system.omega
-    if eps_tol is None:
-        eps_tol = 1e-4 * omega
-    if eps_tol <= 0 or pop_tol <= 0:
-        raise ConfigError("tolerances must be positive")
+    eps_tol = DARK_EPS_TOL * spectrum.system.omega
     even_sites = spectrum.avg_populations[:, 1::2]  # sites 2, 4, ... (1-based)
     matches = np.flatnonzero((np.abs(spectrum.quasi_energies) <= eps_tol)
-                             & np.all(even_sites <= pop_tol, axis=1))
+                             & np.all(even_sites <= DARK_POP_TOL, axis=1))
     if len(matches) == 1:
         return DarkModeResult(index=int(matches[0]))
     return DarkModeResult(index=None, ambiguous=len(matches) > 1)
@@ -173,7 +137,7 @@ def _grid_systems(n: int, v: float, omega: float, ratios):
     if np.any(~np.isfinite(ratios)) or np.any(ratios < 0):
         raise ConfigError("ratios must be finite and >= 0")
     # float(r): an overflowing amplitude is inf, which DrivenSystem rejects
-    return ratios, [canonical_system(n, v, float(r) * omega, omega)
+    return ratios, [DrivenSystem(n, v, float(r) * omega, omega)
                     for r in ratios]
 
 
@@ -182,7 +146,7 @@ def quasi_energy_sweep(n: int, v: float, omega: float, ratios,
                        ) -> SweepResult:
     """Floquet spectra over a grid of drive ratios A/omega, with mode
     branches matched across adjacent grid points by eigenvector overlap."""
-    template = canonical_system(n, v, 0.0, omega)  # validates n first
+    template = DrivenSystem(n, v, 0.0, omega)  # validates n first
     ratios, systems = _grid_systems(n, v, omega, ratios)
     eps = np.empty((len(ratios), n))
     pops = np.empty((len(ratios), n, n))
@@ -201,9 +165,31 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
                  settings: PropagationSettings = PropagationSettings()
                  ) -> np.ndarray:
     """Sampled minimum of P_1(t) over the given number of driving periods,
-    from (1, 0, ..., 0), at each drive ratio A/omega of the grid."""
+    from (1, 0, ..., 0), at each drive ratio A/omega of the grid.
+
+    H is periodic, so the site-1 amplitude at t = kT + s is <1|U(s)|psi_k>
+    with psi_k = U(T)^k (1, 0, ..., 0): the period starts are chained
+    through U(T) as in `propagate`, and row 0 of U(s) gives every sample of
+    a period, so the samples are those of direct long propagation."""
     _, systems = _grid_systems(n, v, omega, ratios)
-    return _min_p1(systems, periods, settings)
+    if not isinstance(periods, (int, np.integer)) or periods < 1:
+        raise ConfigError(f"periods must be a positive integer, got {periods!r}")
+    out = []
+    for chunk in _chunks(systems, (settings.steps_per_period + 1) * n):
+        _, rows, uts = propagator_site1(chunk, settings)
+        psi = np.tile(np.eye(n, 1, dtype=complex), (len(chunk), 1, 1))
+        least = np.full(len(chunk), np.inf)
+        for k0 in range(0, periods, MIN_P1_BLOCK):
+            starts = np.empty((len(chunk), n, min(MIN_P1_BLOCK, periods - k0)),
+                              dtype=complex)
+            for k in range(starts.shape[2]):
+                starts[:, :, k:k + 1] = psi
+                psi = uts @ psi
+            for g, (row, start) in enumerate(zip(rows, starts)):
+                # min |a|^2 = (min |a|)^2: rounding a square is monotone
+                least[g] = min(least[g], np.abs(row @ start).min())
+        out.append(least * least)
+    return np.concatenate(out)
 
 
 def _match_branches(w_prev: np.ndarray, w_next: np.ndarray,

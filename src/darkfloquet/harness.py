@@ -19,10 +19,9 @@ from .effective import (bessel_j0, effective_model, min_p1_oracle,
                         verify_properties)
 from .errors import ConfigError
 from .evolve import PropagationSettings, propagate
-from .floquet import (_match_branches, _min_p1, min_p1_sweep,
-                      quasi_energy_sweep)
+from .floquet import _match_branches, min_p1_sweep, quasi_energy_sweep
 from .linalg import hermitian_eigen
-from .model import canonical_system
+from .model import DrivenSystem
 
 __all__ = [
     "ExperimentConfig",
@@ -31,14 +30,13 @@ __all__ = [
     "run_floquet_sweep",
     "run_effective_compare",
     "run_properties",
-    "min_p1_measured",
 ]
 
 EXPERIMENTS = ("dynamics", "sweep-min-pop", "floquet-sweep",
                "effective-compare", "properties")
 # default horizon in driving periods of the experiments that take one
 DEFAULT_PERIODS = {"dynamics": 20, "sweep-min-pop": 400}
-# bound on the complex values in the largest array a run keeps (800 MB)
+# bound on the complex values of U(s) or of the sampled horizon (800 MB)
 MAX_KEPT_VALUES = 5 * 10**7
 # table rows formatted per '%' call, which bounds the text held at once
 WRITE_BLOCK_ROWS = 4096
@@ -69,12 +67,15 @@ class ExperimentConfig:
                                DEFAULT_PERIODS.get(self.experiment))
         if self.experiment == "sweep-min-pop" and self.periods < 10:
             raise ConfigError(f"periods must be >= 10, got {self.periods}")
-        # U(s) keeps (steps+1) n^2 values, dynamics about (steps+1) n periods
+        # U(s) holds (steps+1) n^2 values; the horizon (steps+1) periods w,
+        # with w = n kept values per sample (dynamics) or 1 (sweep-min-pop)
         horizon = self.periods if self.experiment in DEFAULT_PERIODS else 1
-        kept = (self.steps_per_period + 1) * self.n * max(self.n, horizon)
-        if kept > MAX_KEPT_VALUES:
-            raise ConfigError(f"run would keep {kept} complex values, more "
-                              f"than {MAX_KEPT_VALUES}")
+        width = self.n if self.experiment == "dynamics" else 1
+        samples = (self.steps_per_period + 1) * max(self.n ** 2, horizon * width)
+        if samples > MAX_KEPT_VALUES:
+            raise ConfigError(
+                f"run would hold {samples} complex values of U(s) or of "
+                f"the sampled horizon, more than {MAX_KEPT_VALUES}")
         if self.ratio_grid is not None:
             grid = np.asarray(self.ratio_grid, dtype=float)
             if grid.ndim != 1 or len(grid) == 0 or np.any(~np.isfinite(grid)):
@@ -182,17 +183,10 @@ def _write_svg(path: Path, x: np.ndarray, ys: np.ndarray,
     _write(path, ["\n".join(parts)])
 
 
-def min_p1_measured(system, periods: int,
-                    settings: PropagationSettings = PropagationSettings()) -> float:
-    """Sampled minimum of P_1(t) over the given number of driving periods,
-    starting from (1, 0, ..., 0); the one-point grid of `min_p1_sweep`."""
-    return float(_min_p1([system], periods, settings)[0])
-
-
 def run_dynamics(config: ExperimentConfig) -> Path:
     """Trajectory CSV (t, P_1..P_n) from the initial state (1, 0, ..., 0)."""
     amplitude = config.amplitude if config.amplitude is not None else 0.0
-    system = canonical_system(config.n, config.v, amplitude, config.omega)
+    system = DrivenSystem(config.n, config.v, amplitude, config.omega)
     traj = propagate(system, np.eye(config.n, dtype=complex)[0],
                      config.periods, config.settings)
     pops = traj.populations
@@ -256,8 +250,8 @@ def run_effective_compare(config: ExperimentConfig) -> Path:
                                config.settings)
     lams = np.empty_like(sweep.quasi_energies)
     for i, r in enumerate(ratios):
-        system = canonical_system(config.n, config.v, float(r) * config.omega,
-                                  config.omega)
+        system = DrivenSystem(config.n, config.v, float(r) * config.omega,
+                              config.omega)
         dec = hermitian_eigen(effective_model(system).matrix)
         # overlap pairing: monodromy eigenvectors against static eigenvectors
         pairing = _match_branches(sweep.eigenvectors[i], dec.eigenvectors,

@@ -19,6 +19,8 @@ __all__ = [
     "tridiag_det_sequence",
 ]
 
+UNITARITY_TOL = 1e-8  # max |U^dag U - 1| that unitary_eigen accepts
+
 
 @dataclass(frozen=True)
 class EigenDecomposition:
@@ -80,7 +82,7 @@ def _order_degenerate(keys: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndar
     return vecs
 
 
-def unitary_eigen(u: np.ndarray, unitarity_tol: float = 1e-8) -> EigenDecomposition:
+def unitary_eigen(u: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a unitary matrix.
 
     A unitary matrix is normal, so its Hermitian and anti-Hermitian parts
@@ -89,7 +91,7 @@ def unitary_eigen(u: np.ndarray, unitarity_tol: float = 1e-8) -> EigenDecomposit
     sorted by ascending eigenphase in (-pi, pi].
     """
     u = np.asarray(u, dtype=complex)
-    if not (_unitarity_defect(u) <= unitarity_tol):  # NaN fails too
+    if not (_unitarity_defect(u) <= UNITARITY_TOL):  # NaN fails too
         raise ValueError("matrix is not unitary within tolerance")
     a = 0.5 * (u + u.conj().T)
     b = (u - u.conj().T) / 2j

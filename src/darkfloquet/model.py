@@ -1,4 +1,4 @@
-"""Driven N-level chain: system parameters and instantaneous Hamiltonian.
+"""Driven N-level chain: the system parameters.
 
 The model is a nearest-neighbor chain of ``n`` levels with coupling ``v``
 whose on-site energies are modulated as ``sign_j * (A/2) * sin(omega * t)``,
@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import _effective_matrix
 
-__all__ = ["DrivenSystem", "canonical_system", "hamiltonian_at"]
+__all__ = ["DrivenSystem"]
 
 
 @dataclass(frozen=True)
@@ -55,23 +54,3 @@ class DrivenSystem:
         """Dimensionless drive parameter A / omega."""
         return self.amplitude / self.omega
 
-
-def _drive_signs(n: int) -> np.ndarray:
-    """Per-site sign of the (A/2) sin(omega t) diagonal term."""
-    return np.array((1.0,) + (-1.0,) * (n - 1))
-
-
-def canonical_system(n: int, v: float, amplitude: float, omega: float) -> DrivenSystem:
-    """Chain with the canonical sign pattern (+1, -1, ..., -1)."""
-    return DrivenSystem(n=n, v=v, amplitude=amplitude, omega=omega)
-
-
-def hamiltonian_at(system: DrivenSystem, t: float) -> np.ndarray:
-    """Instantaneous Hamiltonian H(t), a real symmetric tridiagonal matrix.
-
-    Off-diagonal entries are all ``v``; diagonal entry j is
-    ``sign_j * (A/2) * sin(omega * t)``.
-    """
-    drive = 0.5 * system.amplitude * np.sin(system.omega * t)
-    return (_effective_matrix(system.n, system.v, system.v)
-            + np.diag(drive * _drive_signs(system.n)))

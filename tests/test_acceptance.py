@@ -7,12 +7,11 @@ on the terminal. Expensive sweeps are shared through module fixtures.
 import numpy as np
 import pytest
 
-from darkfloquet import (PropagationSettings, bessel_j0, canonical_system,
+from darkfloquet import (DrivenSystem, PropagationSettings, bessel_j0,
                          dark_state_closed_form, effective_model,
                          floquet_spectrum, hermitian_eigen, min_p1_floor,
                          min_p1_sweep, monodromy, propagate, quasi_energy_sweep,
                          tridiag_det_sequence, verify_properties)
-from darkfloquet.harness import min_p1_measured
 from darkfloquet.linalg import _effective_matrix
 
 from conftest import FULL_GRID
@@ -65,8 +64,7 @@ def test_criterion_3_three_level_tunneling_minima():
     for ratio, test in [(0.0, lambda m: m <= 1e-3),
                         (2.0, lambda m: abs(m - 0.818) <= 0.03),
                         (2.404826, lambda m: m >= 0.98)]:
-        m = min_p1_measured(canonical_system(3, 1.0, ratio * 10.0, 10.0),
-                            HORIZON_PERIODS)
+        m = min_p1_sweep(3, 1.0, 10.0, [ratio], HORIZON_PERIODS)[0]
         checks.append((ratio, m, test(m)))
     _verdict(3, "n=3 min P1 at ratios 0, 2.0 and the Bessel root",
              all(ok for _, _, ok in checks),
@@ -124,7 +122,7 @@ def test_criterion_6_effective_model_agreement(sweep_n3_full,
         devs = []
         for i, r in enumerate(sweep.ratios):
             lam = hermitian_eigen(effective_model(
-                canonical_system(3, 1.0, r * omega, omega)).matrix).eigenvalues
+                DrivenSystem(3, 1.0, r * omega, omega)).matrix).eigenvalues
             devs.append(np.max(np.abs(np.sort(sweep.quasi_energies[i]) - lam)))
         return max(devs)
 
@@ -145,7 +143,7 @@ def test_criterion_7_spectral_properties_suite():
 
 
 def test_criterion_8_numerical_quality():
-    system = canonical_system(3, 1.0, 20.0, 10.0)
+    system = DrivenSystem(3, 1.0, 20.0, 10.0)
     c0 = np.array([1.0, 0.0, 0.0], dtype=complex)
     drift = propagate(system, c0, HORIZON_PERIODS).norm_drift
     u = monodromy(system)

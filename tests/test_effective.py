@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkfloquet import (ConfigError, J0_FIRST_ZERO, PropagationSettings,
-                         bessel_j0, canonical_system, dark_state_closed_form,
-                         effective_model, hermitian_eigen, localization,
-                         min_p1_floor, min_p1_oracle, verify_properties)
+from darkfloquet import (ConfigError, DrivenSystem, J0_FIRST_ZERO,
+                         PropagationSettings, bessel_j0,
+                         dark_state_closed_form, effective_model,
+                         hermitian_eigen, localization, min_p1_floor,
+                         min_p1_oracle, min_p1_sweep, verify_properties)
 from darkfloquet.linalg import _effective_matrix
 
 from oracles import expm_scaling_squaring, j0_first_zero_oracle, j0_series_oracle
@@ -55,17 +56,17 @@ class TestBesselJ0:
 
 class TestEffectiveModel:
     def test_undriven_is_bare_chain(self):
-        m = effective_model(canonical_system(3, 1.0, 0.0, 10.0))
+        m = effective_model(DrivenSystem(3, 1.0, 0.0, 10.0))
         assert np.allclose(m.matrix, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
         assert m.v_eff == 1.0
 
     def test_bond_vanishes_at_first_root(self):
-        m = effective_model(canonical_system(3, 1.0, J0_FIRST_ZERO * 10.0, 10.0))
+        m = effective_model(DrivenSystem(3, 1.0, J0_FIRST_ZERO * 10.0, 10.0))
         assert abs(m.v_eff) <= 1e-9
         assert abs(m.matrix[0, 1]) <= 1e-9
 
     def test_five_level_bonds(self):
-        m = effective_model(canonical_system(5, 1.0, 20.0, 10.0))
+        m = effective_model(DrivenSystem(5, 1.0, 20.0, 10.0))
         assert m.v_eff == pytest.approx(0.22389077914123567, abs=1e-12)
         assert np.allclose(np.diag(m.matrix, 1)[1:], [1.0, 1.0, 1.0])
 
@@ -227,7 +228,7 @@ def test_effective_spectrum_approaches_quasi_energies():
     ratio = 2.0
     devs = []
     for omega in (10.0, 20.0, 40.0):
-        system = canonical_system(3, 1.0, ratio * omega, omega)
+        system = DrivenSystem(3, 1.0, ratio * omega, omega)
         eps = floquet_spectrum(system).quasi_energies
         lam = hermitian_eigen(effective_model(system).matrix).eigenvalues
         devs.append(np.max(np.abs(eps - lam)))
@@ -236,9 +237,7 @@ def test_effective_spectrum_approaches_quasi_energies():
 
 
 def test_min_p1_oracle_matches_driven_dynamics():
-    from darkfloquet.harness import min_p1_measured
-    for ratio in (0.0, 1.0, 2.0, 3.0):
-        system = canonical_system(3, 1.0, ratio * 10.0, 10.0)
-        measured = min_p1_measured(system, periods=200)
+    ratios = [0.0, 1.0, 2.0, 3.0]
+    for ratio, measured in zip(ratios, min_p1_sweep(3, 1.0, 10.0, ratios, 200)):
         predicted = min_p1_oracle(1.0, bessel_j0(ratio))
         assert abs(measured - predicted) <= 0.02

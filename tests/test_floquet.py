@@ -5,42 +5,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkfloquet import (PropagationSettings, canonical_system, dark_mode,
+from darkfloquet import (DrivenSystem, PropagationSettings, dark_mode,
                          floquet_spectrum, fold_quasi_energy, hermitian_eigen,
                          min_p1_sweep, propagate, quasi_energy_sweep)
 from darkfloquet import floquet
-from darkfloquet.model import hamiltonian_at
 
 from oracles import j0_first_zero_oracle, rk4_states
 
 
 def test_undriven_spectrum():
-    spec = floquet_spectrum(canonical_system(3, 1.0, 0.0, 10.0))
+    spec = floquet_spectrum(DrivenSystem(3, 1.0, 0.0, 10.0))
     assert np.allclose(spec.quasi_energies, [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-7)
 
 
 def test_zero_quasi_energy_branch_exists_for_odd_n():
     for ratio in (0.7, 1.9, 3.4, 5.0):
-        spec = floquet_spectrum(canonical_system(3, 1.0, ratio * 10.0, 10.0))
+        spec = floquet_spectrum(DrivenSystem(3, 1.0, ratio * 10.0, 10.0))
         assert np.min(np.abs(spec.quasi_energies)) <= 1e-6
 
 
 def test_quasi_energies_near_bessel_zero_match_bare_chain():
     # v_eff = 0 leaves the 2-3 bond only: spectrum {0, +/-v}
     root = j0_first_zero_oracle()
-    spec = floquet_spectrum(canonical_system(3, 1.0, root * 10.0, 10.0))
+    spec = floquet_spectrum(DrivenSystem(3, 1.0, root * 10.0, 10.0))
     assert np.allclose(spec.quasi_energies, [-1.0, 0.0, 1.0], atol=3e-2)
 
 
 def test_mode_population_normalization():
-    spec = floquet_spectrum(canonical_system(5, 1.0, 20.0, 10.0))
+    spec = floquet_spectrum(DrivenSystem(5, 1.0, 20.0, 10.0))
     assert np.allclose(spec.avg_populations.sum(axis=1), 1.0, rtol=0, atol=1e-8)
     assert np.all(spec.avg_populations >= 0)
     assert np.all(spec.avg_populations <= 1 + 1e-12)
 
 
 def test_floquet_defining_property():
-    system = canonical_system(3, 1.0, 20.0, 10.0)
+    system = DrivenSystem(3, 1.0, 20.0, 10.0)
     spec = floquet_spectrum(system)
     for eps, vec in zip(spec.quasi_energies, spec.eigenvectors.T):
         traj = propagate(system, vec / np.linalg.norm(vec), 1)
@@ -50,17 +49,18 @@ def test_floquet_defining_property():
 
 def test_particle_hole_symmetric_spectrum():
     for n in (3, 4, 5):
-        spec = floquet_spectrum(canonical_system(n, 1.0, 17.0, 10.0))
+        spec = floquet_spectrum(DrivenSystem(n, 1.0, 17.0, 10.0))
         eps = spec.quasi_energies
         assert np.all(np.diff(eps) >= 0)
         assert np.allclose(eps, -eps[::-1], atol=1e-6)
 
 
 def test_spectrum_arrays_describe_the_monodromy():
-    from darkfloquet.evolve import propagator_samples
-    system = canonical_system(3, 1.0, 20.0, 10.0)
+    system = DrivenSystem(3, 1.0, 20.0, 10.0)
     spec = floquet_spectrum(system)
-    _, us = propagator_samples(system)
+    # U(s) from plain RK4 on the basis states: column j starts at e_j
+    us = np.stack([rk4_states(system, np.eye(3, dtype=complex)[j], 1, 2000)
+                   for j in range(3)], axis=-1)
     u, vecs = us[-1], spec.eigenvectors
     assert np.max(np.abs(u @ vecs - vecs * spec.multipliers)) <= 1e-12
     assert np.allclose(fold_quasi_energy(
@@ -74,7 +74,7 @@ def test_spectrum_arrays_describe_the_monodromy():
 
 class TestDarkMode:
     def test_three_level_dark_mode(self):
-        spec = floquet_spectrum(canonical_system(3, 1.0, 20.0, 10.0))
+        spec = floquet_spectrum(DrivenSystem(3, 1.0, 20.0, 10.0))
         result = dark_mode(spec)
         assert result.index is not None and not result.ambiguous
         assert abs(spec.quasi_energies[result.index]) <= 1e-6
@@ -82,19 +82,19 @@ class TestDarkMode:
         assert spec.avg_populations[result.index, 0] > 0.5
 
     def test_five_level_dark_mode(self):
-        spec = floquet_spectrum(canonical_system(5, 1.0, 20.0, 10.0))
+        spec = floquet_spectrum(DrivenSystem(5, 1.0, 20.0, 10.0))
         result = dark_mode(spec)
         assert result.index is not None
         assert spec.avg_populations[result.index, 1] <= 0.02
         assert spec.avg_populations[result.index, 3] <= 0.02
 
     def test_four_level_generic_has_none(self):
-        spec = floquet_spectrum(canonical_system(4, 1.0, 20.0, 10.0))
+        spec = floquet_spectrum(DrivenSystem(4, 1.0, 20.0, 10.0))
         result = dark_mode(spec)
         assert result.index is None and not result.ambiguous
 
     def test_two_candidates_are_ambiguous(self):
-        spec = floquet_spectrum(canonical_system(3, 1.0, 20.0, 10.0))
+        spec = floquet_spectrum(DrivenSystem(3, 1.0, 20.0, 10.0))
         twin = dataclasses.replace(spec, quasi_energies=np.zeros(3),
                                    avg_populations=np.full((3, 3), 0.01))
         result = dark_mode(twin)
@@ -103,7 +103,7 @@ class TestDarkMode:
 
 def test_gauge_invariance_of_populations():
     from darkfloquet.evolve import propagator_averages
-    system = canonical_system(3, 1.0, 20.0, 10.0)
+    system = DrivenSystem(3, 1.0, 20.0, 10.0)
     _, q, _ = propagator_averages([system])
     vec = floquet_spectrum(system).eigenvectors[:, 0]
     rotated = np.exp(1j * 0.813) * vec
@@ -128,8 +128,7 @@ class TestSweep:
     def test_zero_ratio_reproduces_static_eigenvalues(self):
         for n in (2, 3, 4, 5, 6):
             sweep = quasi_energy_sweep(n, 1.0, 10.0, [0.0])
-            static = hermitian_eigen(
-                hamiltonian_at(canonical_system(n, 1.0, 0.0, 10.0), 0.0))
+            static = hermitian_eigen(np.eye(n, k=1) + np.eye(n, k=-1))
             assert np.allclose(np.sort(sweep.quasi_energies[0]),
                                static.eigenvalues, atol=1e-7)
 
@@ -162,10 +161,12 @@ class TestSweep:
             quasi_energy_sweep(3, 1.0, 10.0, [np.nan])
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 11])
-def test_batched_min_p1_matches_direct_stepping(n, monkeypatch):
+@pytest.mark.parametrize("n,steps", [(2, 2000), (3, 2000), (5, 2000),
+                                     (11, 2000), (3, 500), (11, 500)],
+                         ids=["2", "3", "5", "11", "3-500", "11-500"])
+def test_batched_min_p1_matches_direct_stepping(n, steps, monkeypatch):
     # a budget of two grid points per chunk: chunks of 2, 2 and 1
-    steps, periods = 2000, 12
+    periods = 12
     ratios = np.linspace(0.0, 5.0, 5)
     monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES", 2 * (steps + 1) * n)
     sizes = []
@@ -181,9 +182,18 @@ def test_batched_min_p1_matches_direct_stepping(n, monkeypatch):
     assert sizes == [2, 2, 1]
     c0 = np.eye(n, dtype=complex)[0]
     for r, got in zip(ratios, fast):
-        system = canonical_system(n, 1.0, float(r) * 10.0, 10.0)
+        system = DrivenSystem(n, 1.0, float(r) * 10.0, 10.0)
         direct = np.abs(rk4_states(system, c0, periods, steps)[:, 0]) ** 2
         assert abs(got - direct.min()) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 11])
+def test_one_point_min_p1_is_the_grid_point(n):
+    grid = np.linspace(0.0, 5.0, 7)
+    swept = min_p1_sweep(n, 1.0, 10.0, grid, 150)
+    for i in (0, 3, 6):
+        alone = min_p1_sweep(n, 1.0, 10.0, grid[i:i + 1], 150)
+        assert alone[0] == swept[i]
 
 
 @pytest.mark.parametrize("n", [3, 5, 11])
@@ -193,7 +203,7 @@ def test_streamed_averages_match_direct_stepping(n):
     ratios = [0.7, 2.0]
     sweep = quasi_energy_sweep(n, 1.0, 10.0, ratios)
     for i, r in enumerate(ratios):
-        system = canonical_system(n, 1.0, r * 10.0, 10.0)
+        system = DrivenSystem(n, 1.0, r * 10.0, 10.0)
         for k in range(n):
             p = np.abs(rk4_states(system, sweep.eigenvectors[i][:, k], 1,
                                   2000)) ** 2

@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import darkfloquet
-from darkfloquet import ConfigError, bessel_j0, canonical_system, propagate
+from darkfloquet import (ConfigError, DrivenSystem, bessel_j0, min_p1_sweep,
+                         propagate)
 from darkfloquet import harness
 from darkfloquet.cli import main
-from darkfloquet.harness import (ExperimentConfig, min_p1_measured,
-                                 run_dynamics, run_effective_compare,
-                                 run_floquet_sweep, run_min_pop_sweep,
-                                 run_properties)
+from darkfloquet.harness import (ExperimentConfig, run_dynamics,
+                                 run_effective_compare, run_floquet_sweep,
+                                 run_min_pop_sweep, run_properties)
 
 from oracles import csv_text, j0_first_zero_oracle
 
@@ -265,7 +265,7 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("n", [3, 11])
     def test_propagated_trajectory(self, tmp_path, n):
-        system = canonical_system(n, 1.0, 24.0, 10.0)
+        system = DrivenSystem(n, 1.0, 24.0, 10.0)
         traj = propagate(system, np.eye(n, dtype=complex)[0], 3)
         self._assert_matches_oracle(tmp_path / "t.csv",
                                     [traj.times, *traj.populations.T])
@@ -304,6 +304,7 @@ class TestCli:
         assert main(["properties", "--n-list", "0,3"]) == 2
         # these crashed with a traceback (exit 1) or printed numpy warnings
         assert main(["dynamics", "--periods", "100000000"]) == 2
+        assert main(["dynamics", "--periods", "10000"]) == 2
         for command, extra in (("sweep-min-pop", "--periods"),
                                ("floquet-sweep", "--steps-per-period")):
             assert main([command, "--ratio-grid", "0:1:2",
@@ -379,6 +380,15 @@ class TestCli:
             assert len(lines) == 1, run.stderr
             assert lines[0].startswith("error: ")
 
+    def test_long_min_pop_horizon_fits(self, tmp_path):
+        # sweep-min-pop holds U(s) and one site-1 amplitude per sample,
+        # (steps + 1) periods values, not the n of a dynamics trajectory
+        out = tmp_path / "m.csv"
+        assert main(["sweep-min-pop", "--n", "3", "--periods", "10000",
+                     "--ratio-grid", "0:1:2", "--out", str(out)]) == 0
+        _, _, data = read_csv(out)
+        assert data.shape == (2, 3)
+
     def test_properties_exit_code(self, tmp_path):
         out = tmp_path / "props.json"
         code = main(["properties", "--trials", "3", "--n-list", "2,3",
@@ -390,8 +400,8 @@ class TestCli:
 def test_min_p1_measured_matches_direct_propagation():
     # the period-map evaluation must agree with plain RK4 over every step
     from oracles import rk4_states
-    system = canonical_system(3, 1.0, 20.0, 10.0)
-    fast = min_p1_measured(system, periods=12)
+    system = DrivenSystem(3, 1.0, 20.0, 10.0)
+    fast = min_p1_sweep(3, 1.0, 10.0, [system.ratio], 12)[0]
     c0 = np.zeros(3, dtype=complex)
     c0[0] = 1.0
     direct = (np.abs(rk4_states(system, c0, 12, 2000)[:, 0]) ** 2).min()
