@@ -1,6 +1,10 @@
 """Fixed-step RK4 for the one-period propagator U(s), 0 <= s <= T, of the
 driven Schrödinger equation; the monodromy matrix U(T) and every longer
-trajectory are read off it.
+trajectory are read off it. The loop stops at W = U(T/2): the chain is
+bipartite and the drive flips sign after half a period, so with
+Γ = diag(+1, -1, +1, ...), Γ H(t + T/2) Γ = -H(t)* and U(s + T/2) =
+Γ conj(U(s)) Γ W. RK4 keeps this relation exactly in exact arithmetic (its
+stage polynomials have real coefficients) when steps_per_period is even.
 
 One step loop advances a (G, n, n) stack of propagators for a grid of drive
 amplitudes that share n, v and omega, with the same arithmetic per point as
@@ -38,8 +42,8 @@ class PropagationSettings:
     steps_per_period: int = 2000
 
     def __post_init__(self):
-        if self.steps_per_period < 100:
-            raise ConfigError("steps_per_period must be >= 100, got "
+        if self.steps_per_period < 100 or self.steps_per_period % 2:
+            raise ConfigError("steps_per_period must be even and >= 100, got "
                               f"{self.steps_per_period}")
 
 
@@ -64,25 +68,25 @@ class Trajectory:
 
 
 def _rk4_run(systems, n_steps: int, visit):
-    """RK4 on i dU/dt = H(t) U over one drive period from U(0) = 1, for a
-    grid of systems that share n, v and omega; H(t) is the bare chain plus
-    sign_j (A/2) sin(omega t) on site j. Calls visit(k, us) with
-    us[g] = U(k h) of systems[g] for k = 0..n_steps; returns (times, U(T))."""
+    """RK4 on i dU/dt = H(t) U from U(0) = 1 to W = U(T/2), for a grid of
+    systems that share n, v and omega; H(t) is the bare chain plus sign_j
+    (A/2) sin(omega t) on site j. Calls visit(k, us) with us[g] = U(k h) of
+    systems[g] for k <= n_steps/2; returns (h k for k <= n_steps, W)."""
     first = systems[0]
     n, omega = first.n, first.omega
     if any((s.n, s.v, s.omega) != (n, first.v, omega) for s in systems):
         raise ConfigError("a propagator grid must share n, v and omega")
-    h = first.period / n_steps
+    h, half = first.period / n_steps, n_steps // 2
     signs = np.array([1.0] + [-1.0] * (n - 1))  # site 1 against the rest
     half_amp = 0.5 * np.array([s.amplitude for s in systems])
     # amp[i, g] = sign_i A_g / 2: site i of point g has energy amp sin(omega t)
     amp = signs[:, None, None] * half_amp[:, None]
     off = _effective_matrix(n, first.v, first.v).astype(complex)
 
-    # sin(omega t) at t and t + h/2 for every step
+    # sin(omega t) at t and t + h/2 for every step of the first half
     ts = h * np.arange(n_steps + 1)
-    sin_full = np.sin(omega * ts)
-    sin_half = np.sin(omega * (ts[:-1] + 0.5 * h))
+    sin_full = np.sin(omega * ts[:half + 1])
+    sin_half = np.sin(omega * (ts[:half] + 0.5 * h))
 
     # y[i, g, :] is row i of grid point g's propagator, so that one matrix
     # product applies the coupling to the whole grid
@@ -95,7 +99,7 @@ def _rk4_run(systems, n_steps: int, visit):
     # inf/NaN from a too coarse step is left to the callers' guards to report
     with np.errstate(over="ignore", invalid="ignore"):
         visit(0, y.transpose(1, 0, 2))
-        for k in range(n_steps):
+        for k in range(half):
             d0, dh, d1 = d1, amp * sin_half[k], amp * sin_full[k + 1]
             k1 = rhs(d0, y)
             k2 = rhs(dh, y + (0.5 * h) * k1)
@@ -106,9 +110,19 @@ def _rk4_run(systems, n_steps: int, visit):
     return ts, y.transpose(1, 0, 2)
 
 
-def _checked(systems, settings: PropagationSettings, uts: np.ndarray):
-    """Abort unless every grid point's U(T) is unitary to UNITARITY_TOL, the
-    tolerance of the eigensolver that U(T) feeds."""
+def _glide(a, w, rows=False):
+    """Γ conj(a) Γ W: U(s + T/2) for a = U(s) and W = U(T/2), or its row 0
+    for rows=True and a = row 0 of U(s), which Γ leaves as it is."""
+    gamma = (-1.0) ** np.arange(w.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN: guards trip
+        out = (a.conj() * gamma) @ w
+        return out if rows else gamma[:, None] * out
+
+
+def _period_maps(systems, settings: PropagationSettings, w: np.ndarray):
+    """U(T) = Γ conj(W) Γ W of every grid point; aborts unless each is
+    unitary to UNITARITY_TOL, the tolerance of the eigensolver it feeds."""
+    uts = _glide(w, w)
     for system, u in zip(systems, uts):
         defect = _unitarity_defect(u)
         if not defect <= UNITARITY_TOL:  # also trips on NaN
@@ -123,8 +137,8 @@ def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
               settings: PropagationSettings = PropagationSettings()) -> Trajectory:
     """Propagate a state over a whole number of drive periods.
 
-    H is periodic, so the state at t = mT + s is U(s) U(T)^m psi(0): one RK4
-    period gives U(s) on the grid, and each period starts from the last
+    H is periodic, so the state at t = mT + s is U(s) U(T)^m psi(0), with
+    U(s) from the half-period loop, and each period starts from the last
     state of the one before. Aborts if the norm drifts by more than 1e-4.
     """
     if not isinstance(periods, (int, np.integer)) or periods < 1:
@@ -141,7 +155,8 @@ def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
     def keep(k, y):
         us[k] = y[0]
 
-    _rk4_run([system], n_steps, keep)
+    _, w = _rk4_run([system], n_steps, keep)
+    us[n_steps // 2 + 1:] = _glide(us[1:n_steps // 2 + 1], w[0])
     states = np.empty((periods * n_steps + 1, system.n), dtype=complex)
     states[0] = initial
     with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
@@ -160,8 +175,8 @@ def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
 def monodromy(system: DrivenSystem,
               settings: PropagationSettings = PropagationSettings()) -> np.ndarray:
     """One-period propagator U(T) from the n coordinate basis states."""
-    _, uts = _rk4_run([system], settings.steps_per_period, lambda k, y: None)
-    return _checked([system], settings, uts)[0]
+    _, w = _rk4_run([system], settings.steps_per_period, lambda k, y: None)
+    return _period_maps([system], settings, w)[0]
 
 
 def propagator_site1(systems,
@@ -174,25 +189,29 @@ def propagator_site1(systems,
     def keep(k, y):
         rows[:, k] = y[:, 0]
 
-    ts, uts = _rk4_run(systems, settings.steps_per_period, keep)
-    return ts, rows, _checked(systems, settings, uts)
+    ts, w = _rk4_run(systems, settings.steps_per_period, keep)
+    half = settings.steps_per_period // 2
+    rows[:, half + 1:] = _glide(rows[:, 1:half + 1], w, rows=True)
+    return ts, rows, _period_maps(systems, settings, w)
 
 
 def propagator_averages(systems,
                         settings: PropagationSettings = PropagationSettings()):
     """(times, q, uts) for a grid of systems that share n, v and omega:
-    q[g, j] = (1/T) int_0^T U^dag |j><j| U dt, accumulated with the
-    trapezoid rule while the loop runs, so that a state c(0) spends
-    c^dag q[g, j] c of the period on site j; uts[g] = U(T)."""
+    q[g, j] = (1/T) int_0^T U^dag |j><j| U dt by the trapezoid rule, so that
+    a state c(0) spends c^dag q[g, j] c of the period on site j; uts[g] =
+    U(T). The loop sums the first half, S; the second is W^dag Γ S* Γ W."""
     n, n_steps = systems[0].n, settings.steps_per_period
     q = np.zeros((len(systems), n, n, n), dtype=complex)
     term = np.empty_like(q)
 
     def accumulate(k, y):
         np.multiply(y.conj()[..., :, None], y[..., None, :], out=term)
-        if k in (0, n_steps):  # trapezoid end weights
+        if k in (0, n_steps // 2):  # trapezoid end weights
             np.multiply(term, 0.5, out=term)
         np.add(q, term, out=q)
 
-    ts, uts = _rk4_run(systems, n_steps, accumulate)
-    return ts, q / n_steps, _checked(systems, settings, uts)
+    ts, w = _rk4_run(systems, n_steps, accumulate)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
+        q += w.conj().swapaxes(-1, -2)[:, None] @ _glide(q, w[:, None])
+    return ts, q / n_steps, _period_maps(systems, settings, w)

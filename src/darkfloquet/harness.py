@@ -68,14 +68,17 @@ class ExperimentConfig:
         if self.experiment == "sweep-min-pop" and self.periods < 10:
             raise ConfigError(f"periods must be >= 10, got {self.periods}")
         # U(s) holds (steps+1) n^2 values; the horizon (steps+1) periods w,
-        # with w = n kept values per sample (dynamics) or 1 (sweep-min-pop)
-        horizon = self.periods if self.experiment in DEFAULT_PERIODS else 1
+        # with w = n kept values per sample (dynamics) or 1 (sweep-min-pop);
+        # the spectra hold (steps+1)-long time tables and one point's Q_j
         width = self.n if self.experiment == "dynamics" else 1
-        samples = (self.steps_per_period + 1) * max(self.n ** 2, horizon * width)
+        samples = ((self.steps_per_period + 1)
+                   * max(self.n ** 2, self.periods * width)
+                   if self.experiment in DEFAULT_PERIODS
+                   else max(self.steps_per_period + 1, self.n ** 3))
         if samples > MAX_KEPT_VALUES:
             raise ConfigError(
-                f"run would hold {samples} complex values of U(s) or of "
-                f"the sampled horizon, more than {MAX_KEPT_VALUES}")
+                f"run would hold {samples} values of U(s), of the sampled "
+                f"horizon or of the period tables, more than {MAX_KEPT_VALUES}")
         if self.ratio_grid is not None:
             grid = np.asarray(self.ratio_grid, dtype=float)
             if grid.ndim != 1 or len(grid) == 0 or np.any(~np.isfinite(grid)):

@@ -109,10 +109,8 @@ def unitary_eigen(u: np.ndarray) -> EigenDecomposition:
     phases = np.angle(lambdas)
     phases[phases <= -np.pi] = np.pi
     order = np.argsort(phases, kind="stable")
-    lambdas = lambdas[order]
-    vecs = vecs[:, order]
-    vecs = _order_degenerate(np.sort(phases), vecs, 1e-8)
-    return EigenDecomposition(lambdas, vecs)
+    vecs = _order_degenerate(np.sort(phases), vecs[:, order], 1e-8)
+    return EigenDecomposition(lambdas[order], vecs)
 
 
 def tridiag_det_sequence(v_eff: float, v: float, n_max: int) -> np.ndarray:

@@ -39,8 +39,9 @@ def test_suppressed_tunneling_near_first_bessel_zero():
 
 
 def test_settings_validation():
-    with pytest.raises(ConfigError):
-        PropagationSettings(steps_per_period=50)
+    for steps in (50, 99, 101, 2001):
+        with pytest.raises(ConfigError, match="even"):
+            PropagationSettings(steps_per_period=steps)
     for periods in (0, -1, 2.5, 1.0):
         with pytest.raises(ConfigError):
             propagate(DrivenSystem(3, 1, 0, 10), basis_state(3), periods)
@@ -77,7 +78,7 @@ def test_step_halving_converges_monotonically():
     assert errors[2] <= 1e-6  # doubling from the default changes little
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 11])
 def test_states_match_direct_stepping(n):
     # the period-map states against a plain RK4 over every step
     system = DrivenSystem(n, 1.0, 20.0, 10.0)
@@ -144,3 +145,28 @@ def test_drive_tables_do_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_loop_integrates_half_a_period():
+    # the second half of the period comes from the time-glide relation, so
+    # the step loop visits U(k h) for k = 0..N/2 only
+    seen = []
+    ts, w = evolve._rk4_run([DrivenSystem(3, 1.0, 20.0, 10.0)], 2000,
+                            lambda k, us: seen.append(k))
+    assert seen == list(range(1001))
+    assert len(ts) == 2001 and w.shape == (1, 3, 3)
+
+
+def test_monodromy_spectrum_is_closed_under_conjugation():
+    # Γ H(t + T/2) Γ = -H(t)* makes U(T) similar to its complex conjugate,
+    # so quasi-energies pair as eps <-> -eps
+    rng = np.random.default_rng(7)
+    for n in range(2, 12):
+        for _ in range(2):
+            omega = rng.uniform(5.0, 20.0)
+            system = DrivenSystem(n, rng.uniform(0.2, 2.0),
+                                  rng.uniform(0.0, 5.0) * omega, omega)
+            lam = np.linalg.eigvals(monodromy(system))
+            gap = np.abs(lam.conj()[:, None] - lam[None, :])
+            assert np.max(gap.min(axis=1)) <= 1e-12
+            assert np.max(gap.min(axis=0)) <= 1e-12

@@ -196,7 +196,7 @@ def test_one_point_min_p1_is_the_grid_point(n):
         assert alone[0] == swept[i]
 
 
-@pytest.mark.parametrize("n", [3, 5, 11])
+@pytest.mark.parametrize("n", [2, 3, 5, 11])
 def test_streamed_averages_match_direct_stepping(n):
     # each mode's period-averaged populations against a trapezoid average of
     # a plain RK4 run started from the mode

@@ -205,6 +205,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="sweep-min-pop", periods=5)
 
+    def test_spectra_are_charged_their_period_tables(self):
+        # floquet-sweep and effective-compare keep no U(s): a long period
+        # at n = 11 fits, while a step count past the bound still does not
+        for experiment in ("floquet-sweep", "effective-compare"):
+            config = ExperimentConfig(experiment=experiment, n=11,
+                                      steps_per_period=500000)
+            assert config.steps_per_period == 500000
+            with pytest.raises(ConfigError):
+                ExperimentConfig(experiment=experiment, n=11,
+                                 steps_per_period=10**8)
+
     def test_periods_default_and_provenance(self, tmp_path):
         assert ExperimentConfig(experiment="dynamics").periods == 20
         assert ExperimentConfig(experiment="sweep-min-pop").periods == 400
@@ -305,6 +316,9 @@ class TestCli:
         # these crashed with a traceback (exit 1) or printed numpy warnings
         assert main(["dynamics", "--periods", "100000000"]) == 2
         assert main(["dynamics", "--periods", "10000"]) == 2
+        # the half-period propagator needs T/2 to be a whole number of steps
+        assert main(["dynamics", "--steps-per-period", "2001"]) == 2
+        assert "must be even" in capsys.readouterr().err
         for command, extra in (("sweep-min-pop", "--periods"),
                                ("floquet-sweep", "--steps-per-period")):
             assert main([command, "--ratio-grid", "0:1:2",
@@ -418,8 +432,8 @@ _FLOATS = _mostly(st.floats(0.5, 30.0), st.floats(-5.0, 0.5) | st.sampled_from(
     [float("nan"), float("inf"), -float("inf"), 1e300, -1e300]))
 _SIZES = _mostly(st.integers(2, 5), st.integers(-1, 1))
 _PERIODS = _mostly(st.integers(1, 25), st.sampled_from([0, -1, 10**8, 10**12]))
-_STEPS = _mostly(st.integers(100, 200),
-                 st.sampled_from([0, -1, -100, 50, 99, 10**12]))
+_STEPS = _mostly(st.integers(50, 100).map(lambda half: 2 * half),
+                 st.sampled_from([0, -1, -100, 50, 99, 101, 10**12]))
 _GRID = _mostly(
     st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 3.0), st.integers(1, 3)).map(
         lambda g: (g[0], g[0] + g[1], g[2])),
