@@ -27,7 +27,8 @@ __all__ = [
 ]
 
 # complex values (8 MB) one sweep chunk may keep: n^3 per grid point for the
-# period averages Q_j, (steps + 1) n for row 0 of every U(s)
+# period averages Q_j, (steps + 1) n for row 0 of every U(s); also the real
+# entries of one stack of the property suite, n^2 per matrix
 MAX_CHUNK_VALUES = 5 * 10**5
 MIN_P1_BLOCK = 100  # periods per block of the min-P1 evaluation
 DARK_EPS_TOL, DARK_POP_TOL = 1e-4, 0.02  # dark mode: |eps|/omega, even-site <P>

@@ -276,12 +276,12 @@ def run_effective_compare(config: ExperimentConfig) -> Path:
     return config.out
 
 
-def run_properties(config: ExperimentConfig, matrix_perturbation=None) -> int:
+def run_properties(config: ExperimentConfig) -> int:
     """Run the effective-matrix property suite; writes a text and a JSON
     report next to the configured output path. Returns 0 if clean, 1 if any
     violation was found."""
     report = verify_properties(config.property_n_range, config.property_trials,
-                               config.seed, matrix_perturbation)
+                               config.seed)
     _write(config.out.with_suffix(".txt"), [report.to_text()])
     _write(config.out.with_suffix(".json"), [report.to_json() + "\n"])
     return 0 if report.ok else 1

@@ -1,6 +1,5 @@
-"""Small dense linear algebra: Hermitian eigendecomposition on LAPACK,
-unitary eigendecomposition via the normal-matrix split, and tridiagonal
-determinant recursions.
+"""Small dense linear algebra: Hermitian eigendecomposition on LAPACK and
+unitary eigendecomposition via the normal-matrix split.
 
 Everything here targets matrices of dimension a few tens at most; the
 emphasis is on orthonormal eigenvectors and deterministic ordering.
@@ -16,7 +15,6 @@ __all__ = [
     "EigenDecomposition",
     "hermitian_eigen",
     "unitary_eigen",
-    "tridiag_det_sequence",
 ]
 
 UNITARITY_TOL = 1e-8  # max |U^dag U - 1| that unitary_eigen accepts
@@ -111,30 +109,6 @@ def unitary_eigen(u: np.ndarray) -> EigenDecomposition:
     order = np.argsort(phases, kind="stable")
     vecs = _order_degenerate(np.sort(phases), vecs[:, order], 1e-8)
     return EigenDecomposition(lambdas[order], vecs)
-
-
-def tridiag_det_sequence(v_eff: float, v: float, n_max: int) -> np.ndarray:
-    """Determinants D_1..D_{n_max} of the effective chain Hamiltonian.
-
-    The matrix has zero diagonal, first bond v_eff, remaining bonds v; the
-    determinants obey D_1 = 0, D_2 = -v_eff**2, D_N = -v**2 * D_{N-2}.
-    Each value is cross-checked against a dense LAPACK determinant.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    d = np.zeros(n_max)
-    if n_max >= 2:
-        d[1] = -v_eff**2
-    for k in range(2, n_max):
-        d[k] = -v**2 * d[k - 2]
-    for size in range(1, n_max + 1):
-        dense = np.linalg.det(_effective_matrix(size, v_eff, v))
-        scale = max(1.0, abs(d[size - 1]), abs(dense))
-        if abs(dense - d[size - 1]) > 1e-9 * scale:
-            raise ArithmeticError(
-                f"determinant recursion disagrees with dense determinant at N={size}: "
-                f"{d[size - 1]} vs {dense}")
-    return d
 
 
 def _effective_matrix(n: int, v_eff: float, v: float) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 These deliberately avoid the code paths they check: the Bessel oracle is a
 fixed-length series in exact rational arithmetic, the matrix exponential
-is scaling-and-squaring on the raw series, and the time evolution is a
-plain state-vector RK4 over every step, with H(t) built from the system's
-fields rather than from darkfloquet, and the CSV text is formatted one value
-at a time.
+is scaling-and-squaring on the raw series, the time evolution is a plain
+RK4 over every step on a stack of state vectors, with H(t) built from the
+systems' fields rather than from darkfloquet, the chain determinants come
+from their two-term recursion, and the CSV text is formatted one value at a
+time.
 """
 
 from fractions import Fraction
@@ -54,30 +55,57 @@ def expm_scaling_squaring(a: np.ndarray, order: int = 16) -> np.ndarray:
     return result
 
 
+def rk4_rows(systems, states, periods: int, steps_per_period: int) -> np.ndarray:
+    """States at every step of a plain RK4 on a (rows, n) array over the
+    given number of drive periods: row r starts at states[r] and evolves
+    under systems[r] with step h_r = T_r / steps_per_period. Element
+    [k, r] is row r's state at t = k h_r."""
+    n = systems[0].n
+
+    def field(name):  # one entry per row, shaped to scale its column
+        return np.array([getattr(s, name) for s in systems])[:, None, None]
+
+    h = 2.0 * np.pi / field("omega") / steps_per_period
+    hop = -1j * field("v") * (np.eye(n, k=1) + np.eye(n, k=-1))
+    signs = np.array([1.0] + [-1.0] * (n - 1))[:, None]  # site 1 vs the rest
+    steps = periods * steps_per_period
+    # -i times the site energies of every row at each half step t = j h / 2
+    t = np.arange(2 * steps + 1)[:, None, None, None] * (0.5 * h)
+    onsite = -1j * 0.5 * field("amplitude") * np.sin(field("omega") * t) * signs
+    h = h.astype(complex)  # mixed real-complex products cost more per step
+    half, sixth = 0.5 * h, h / 6.0
+
+    def rhs(j, y):  # -i H(j h / 2) y on each row's column
+        return hop @ y + onsite[j] * y
+
+    y = np.array(states, dtype=complex)[:, :, None]
+    out = np.empty((steps + 1, *y.shape), dtype=complex)
+    out[0] = y
+    for k in range(steps):
+        k1 = rhs(2 * k, y)
+        k2 = rhs(2 * k + 1, y + half * k1)
+        k3 = rhs(2 * k + 1, y + half * k2)
+        k4 = rhs(2 * k + 2, y + h * k3)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k + 1] = y
+    return out[:, :, :, 0]
+
+
 def rk4_states(system, c0, periods: int, steps_per_period: int) -> np.ndarray:
-    """States at every step of a plain state-vector RK4 over the given
-    number of drive periods from c0, with step T / steps_per_period;
-    row k is the state at t = k h."""
-    n = system.n
-    h = 2.0 * np.pi / system.omega / steps_per_period
-    coupling = system.v * (np.eye(n, k=1) + np.eye(n, k=-1))
-    signs = np.array([1.0] + [-1.0] * (n - 1))  # site 1 against the rest
+    """The one-row case of `rk4_rows`: row k is the state at t = k h."""
+    return rk4_rows([system], [c0], periods, steps_per_period)[:, 0]
 
-    def rhs(t, y):
-        drive = 0.5 * system.amplitude * np.sin(system.omega * t)
-        return -1j * (coupling @ y + drive * signs * y)
 
-    y = np.asarray(c0, dtype=complex)
-    states = [y]
-    for k in range(periods * steps_per_period):
-        t = k * h
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states.append(y)
-    return np.array(states)
+def tridiag_det_sequence(v_eff: float, v: float, n_max: int) -> np.ndarray:
+    """Determinants D_1..D_{n_max} of the averaged chain (zero diagonal,
+    first bond v_eff, the others v) by the recursion D_1 = 0,
+    D_2 = -v_eff**2, D_N = -v**2 * D_{N-2}."""
+    d = np.zeros(n_max)
+    if n_max >= 2:
+        d[1] = -v_eff**2
+    for k in range(2, n_max):
+        d[k] = -v**2 * d[k - 2]
+    return d
 
 
 def csv_text(comments, header, rows) -> str:

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from darkfloquet import (DrivenSystem, PropagationSettings, bessel_j0,
-                         dark_state_closed_form, effective_model,
+                         dark_mode, dark_state_closed_form, effective_model,
                          floquet_spectrum, hermitian_eigen, min_p1_floor,
                          min_p1_sweep, monodromy, propagate, quasi_energy_sweep,
-                         tridiag_det_sequence, verify_properties)
+                         verify_properties)
 from darkfloquet.linalg import _effective_matrix
 
 from conftest import FULL_GRID
-from oracles import j0_series_oracle
+from oracles import j0_series_oracle, tridiag_det_sequence
 
 HORIZON_PERIODS = 400
 
@@ -194,3 +194,28 @@ def test_criterion_9_oracle_equivalence():
     _verdict(9, "Bessel, determinant and dark-state oracles agree",
              ok, f"bessel {bessel_dev:.2e}, det {det_dev:.2e}, "
                  f"residual {dark_resid:.2e}, match {dark_match:.2e}")
+
+
+def test_criterion_10_dark_mode_tends_to_stirap_dark_state():
+    # averaging gives the first bond v J0(A/omega) e^{iA/omega}, so the
+    # averaged null vector is g w_dark with g = diag(e^{iA/omega}, 1, ..., 1)
+    series = {}
+    for n in (3, 5):
+        for ratio in (0.8, 2.0, 3.5):
+            gauged = dark_state_closed_form(n, 1.0, bessel_j0(ratio)).vector
+            gauged = gauged * np.exp(1j * ratio * (np.arange(n) == 0))
+            series[n, ratio] = []
+            for omega in (10.0, 20.0, 40.0, 80.0):
+                spec = floquet_spectrum(
+                    DrivenSystem(n, 1.0, ratio * omega, omega))
+                k = dark_mode(spec).index
+                overlap = (0.0 if k is None
+                           else abs(np.vdot(gauged, spec.eigenvectors[:, k])))
+                series[n, ratio].append(1.0 - overlap**2)
+    at10 = max(s[0] for s in series.values())
+    least = min(a / b for s in series.values() for a, b in zip(s, s[1:]))
+    _verdict(10, f"dark Floquet mode -> gauged STIRAP dark state, infidelity "
+             f"{at10:.2e} at omega 10, divided by >= {least:.1f} per doubling",
+             at10 < 1e-3 and least >= 12.0,
+             "; ".join(f"n={n} A/w={r}: " + ", ".join(f"{x:.2e}" for x in s)
+                       for (n, r), s in series.items()))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from darkfloquet import (ConfigError, DrivenSystem, J0_FIRST_ZERO,
                          dark_state_closed_form, effective_model,
                          hermitian_eigen, localization, min_p1_floor,
                          min_p1_oracle, min_p1_sweep, verify_properties)
+from darkfloquet import effective, floquet
 from darkfloquet.linalg import _effective_matrix
 
 from oracles import expm_scaling_squaring, j0_first_zero_oracle, j0_series_oracle
@@ -190,15 +192,42 @@ class TestVerifyProperties:
         dec = hermitian_eigen(_effective_matrix(4, 0.0, 1.0))
         assert np.sum(np.abs(dec.eigenvalues) <= 1e-9) == 2
 
-    def test_perturbed_matrix_is_flagged(self):
-        def corrupt(m):
-            m = m.copy()
-            if m.shape[0] >= 3:
+    def test_perturbed_matrix_is_flagged(self, monkeypatch):
+        def corrupt(n, v_eff, v):
+            m = _effective_matrix(n, v_eff, v)
+            if n >= 3:
                 m[0, 2] = m[2, 0] = 0.35  # breaks the tridiagonal structure
             return m
-        report = verify_properties([5], trials=3, rng_seed=0,
-                                   matrix_perturbation=corrupt)
+        monkeypatch.setattr(effective, "_effective_matrix", corrupt)
+        report = verify_properties([5], trials=3, rng_seed=0)
         assert not report.ok
+        assert {c.property_id for c in report.violations} == {"P1", "P3", "P4"}
+
+    def test_pinned_draws_and_outcomes(self):
+        # (property, n, trial, v, v_eff, pass) of every check at seed 0
+        report = verify_properties(range(2, 12), trials=100, rng_seed=0)
+        drawn = json.dumps([[c.property_id, c.n, c.trial, c.v, c.v_eff,
+                             c.passed] for c in report.checks])
+        assert hashlib.sha256(drawn.encode()).hexdigest() == (
+            "8a847b317a05b08ce5f6c5f73c98b6fb8c48773d3d3182253c68f0ed69b7ee25")
+
+    @pytest.mark.parametrize("budget", [100, 10])
+    def test_chunked_stacks_match_one_stack(self, monkeypatch, budget):
+        # 21 matrices of 25 values: stacks of 4 matrices, or of one when
+        # the budget is below n^2
+        whole = verify_properties([5], trials=20, rng_seed=4).to_json()
+        monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES", budget)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def spy(a):
+            sizes.append(a.size)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        chunked = verify_properties([5], trials=20, rng_seed=4).to_json()
+        assert len(sizes) > 1 and max(sizes) <= max(budget, 25)
+        assert chunked == whole
 
     def test_reproducible(self):
         r1 = verify_properties([3, 4], trials=5, rng_seed=9)

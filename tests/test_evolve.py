@@ -7,7 +7,7 @@ from darkfloquet import (ConfigError, DrivenSystem, PropagationSettings,
                          monodromy, propagate)
 from darkfloquet import evolve
 
-from oracles import j0_first_zero_oracle, rk4_states
+from oracles import j0_first_zero_oracle, rk4_rows, rk4_states
 
 
 def basis_state(n, j=0):
@@ -119,8 +119,7 @@ class TestMonodromy:
     def test_samples_end_at_monodromy(self):
         # U(s) from plain RK4 on the basis states: column j starts at e_j
         system = DrivenSystem(3, 1.0, 20.0, 10.0)
-        us = np.stack([rk4_states(system, basis_state(3, j), 1, 2000)
-                       for j in range(3)], axis=-1)
+        us = rk4_rows([system] * 3, np.eye(3), 1, 2000).transpose(0, 2, 1)
         assert np.max(np.abs(us[-1] - monodromy(system))) <= 1e-12
         assert np.max(np.abs(us[0] - np.eye(3))) == 0.0
 

@@ -10,7 +10,7 @@ from darkfloquet import (DrivenSystem, PropagationSettings, dark_mode,
                          min_p1_sweep, propagate, quasi_energy_sweep)
 from darkfloquet import floquet
 
-from oracles import j0_first_zero_oracle, rk4_states
+from oracles import j0_first_zero_oracle, rk4_rows
 
 
 def test_undriven_spectrum():
@@ -59,8 +59,7 @@ def test_spectrum_arrays_describe_the_monodromy():
     system = DrivenSystem(3, 1.0, 20.0, 10.0)
     spec = floquet_spectrum(system)
     # U(s) from plain RK4 on the basis states: column j starts at e_j
-    us = np.stack([rk4_states(system, np.eye(3, dtype=complex)[j], 1, 2000)
-                   for j in range(3)], axis=-1)
+    us = rk4_rows([system] * 3, np.eye(3), 1, 2000).transpose(0, 2, 1)
     u, vecs = us[-1], spec.eigenvectors
     assert np.max(np.abs(u @ vecs - vecs * spec.multipliers)) <= 1e-12
     assert np.allclose(fold_quasi_energy(
@@ -180,11 +179,12 @@ def test_batched_min_p1_matches_direct_stepping(n, steps, monkeypatch):
     fast = min_p1_sweep(n, 1.0, 10.0, ratios, periods,
                         PropagationSettings(steps_per_period=steps))
     assert sizes == [2, 2, 1]
+    systems = [DrivenSystem(n, 1.0, float(r) * 10.0, 10.0) for r in ratios]
     c0 = np.eye(n, dtype=complex)[0]
-    for r, got in zip(ratios, fast):
-        system = DrivenSystem(n, 1.0, float(r) * 10.0, 10.0)
-        direct = np.abs(rk4_states(system, c0, periods, steps)[:, 0]) ** 2
-        assert abs(got - direct.min()) <= 1e-12
+    direct = np.abs(rk4_rows(systems, [c0] * len(ratios), periods,
+                             steps)[:, :, 0]) ** 2
+    for got, p1 in zip(fast, direct.T):
+        assert abs(got - p1.min()) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 11])
@@ -202,10 +202,10 @@ def test_streamed_averages_match_direct_stepping(n):
     # a plain RK4 run started from the mode
     ratios = [0.7, 2.0]
     sweep = quasi_energy_sweep(n, 1.0, 10.0, ratios)
-    for i, r in enumerate(ratios):
-        system = DrivenSystem(n, 1.0, r * 10.0, 10.0)
-        for k in range(n):
-            p = np.abs(rk4_states(system, sweep.eigenvectors[i][:, k], 1,
-                                  2000)) ** 2
-            avg = (0.5 * (p[0] + p[-1]) + p[1:-1].sum(axis=0)) / 2000
-            assert np.max(np.abs(sweep.avg_populations[i, k] - avg)) <= 1e-12
+    # one row per (ratio, mode), ratio-major
+    systems = [DrivenSystem(n, 1.0, r * 10.0, 10.0)
+               for r in ratios for _ in range(n)]
+    modes = np.concatenate([vecs.T for vecs in sweep.eigenvectors])
+    p = np.abs(rk4_rows(systems, modes, 1, 2000)) ** 2
+    avg = (0.5 * (p[0] + p[-1]) + p[1:-1].sum(axis=0)) / 2000
+    assert np.max(np.abs(sweep.avg_populations.reshape(-1, n) - avg)) <= 1e-12

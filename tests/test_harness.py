@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import darkfloquet
 from darkfloquet import (ConfigError, DrivenSystem, bessel_j0, min_p1_sweep,
                          propagate)
-from darkfloquet import harness
+from darkfloquet import effective, harness
 from darkfloquet.cli import main
 from darkfloquet.harness import (ExperimentConfig, run_dynamics,
                                  run_effective_compare, run_floquet_sweep,
@@ -179,16 +179,19 @@ class TestProperties:
         assert report["n_violations"] == 0
         assert "all properties hold" in (tmp_path / "props.txt").read_text()
 
-    def test_negative_control(self, tmp_path):
-        def corrupt(m):
-            m = m.copy()
-            if m.shape[0] >= 3:
+    def test_negative_control(self, tmp_path, monkeypatch):
+        effective_matrix = effective._effective_matrix
+
+        def corrupt(n, v_eff, v):
+            m = effective_matrix(n, v_eff, v)
+            if n >= 3:
                 m[0, 2] = m[2, 0] = 0.2
             return m
+        monkeypatch.setattr(effective, "_effective_matrix", corrupt)
         config = ExperimentConfig(experiment="properties",
                                   property_n_range=(5,), property_trials=3,
                                   seed=0, out=tmp_path / "props.json")
-        assert run_properties(config, matrix_perturbation=corrupt) == 1
+        assert run_properties(config) == 1
 
 
 class TestConfigValidation:

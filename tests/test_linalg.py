@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkfloquet import (bessel_j0, hermitian_eigen, tridiag_det_sequence,
-                         unitary_eigen)
+from darkfloquet import bessel_j0, hermitian_eigen, unitary_eigen
 from darkfloquet.linalg import _effective_matrix
 
-from oracles import expm_scaling_squaring, j0_series_oracle
+from oracles import (expm_scaling_squaring, j0_series_oracle,
+                     tridiag_det_sequence)
 
 
 def random_hermitian(rng, n):
