@@ -6,10 +6,10 @@ bipartite and the drive flips sign after half a period, so with
 Γ conj(U(s)) Γ W. RK4 keeps this relation exactly in exact arithmetic (its
 stage polynomials have real coefficients) when steps_per_period is even.
 
-One step loop advances a (G, n, n) stack of propagators for a grid of drive
-amplitudes that share n, v and omega, with the same arithmetic per point as
-a one-point grid. Each caller keeps only what it reads: every U(s), row 0
-of every U(s), or the period averages of the site projectors.
+One step loop advances the propagators of a grid of drive amplitudes that
+share n, v and omega. The hop of the chain is two shifted slice-adds, so a
+point's arithmetic is that of a one-point grid. Callers keep what they read:
+U(s), its row 0, or the site averages Q_j, summed QJ_BLOCK steps at a time.
 
 No re-normalization is ever applied mid-trajectory: norm drift is kept as a
 quality diagnostic, and propagation aborts if it exceeds its bound.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StepSizeError, UnitarityError
-from .linalg import UNITARITY_TOL, _effective_matrix, _unitarity_defect
+from .linalg import UNITARITY_TOL, _unitarity_defect
 from .model import DrivenSystem
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 NORM_DRIFT_ABORT = 1e-4
+QJ_BLOCK = 50  # steps of U(s) that propagator_averages adds in one product
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,8 @@ def _rk4_run(systems, n_steps: int, visit):
     """RK4 on i dU/dt = H(t) U from U(0) = 1 to W = U(T/2), for a grid of
     systems that share n, v and omega; H(t) is the bare chain plus sign_j
     (A/2) sin(omega t) on site j. Calls visit(k, us) with us[g] = U(k h) of
-    systems[g] for k <= n_steps/2; returns (h k for k <= n_steps, W)."""
+    systems[g] for k <= n_steps/2, a view that the next step overwrites;
+    returns (h k for k <= n_steps, W)."""
     first = systems[0]
     n, omega = first.n, first.omega
     if any((s.n, s.v, s.omega) != (n, first.v, omega) for s in systems):
@@ -79,35 +81,42 @@ def _rk4_run(systems, n_steps: int, visit):
     h, half = first.period / n_steps, n_steps // 2
     signs = np.array([1.0] + [-1.0] * (n - 1))  # site 1 against the rest
     half_amp = 0.5 * np.array([s.amplitude for s in systems])
-    # amp[i, g] = sign_i A_g / 2: site i of point g has energy amp sin(omega t)
-    amp = signs[:, None, None] * half_amp[:, None]
-    off = _effective_matrix(n, first.v, first.v).astype(complex)
+    # -i h H(t): bond on every link, drive[i, g] sin(omega t) on site i of g
+    bond = -1j * h * first.v
+    drive = (-1j * h) * signs[:, None, None] * half_amp[:, None]
 
     # sin(omega t) at t and t + h/2 for every step of the first half
     ts = h * np.arange(n_steps + 1)
     sin_full = np.sin(omega * ts[:half + 1])
     sin_half = np.sin(omega * (ts[:half] + 0.5 * h))
 
-    # y[i, g, :] is row i of grid point g's propagator, so that one matrix
-    # product applies the coupling to the whole grid
-    def rhs(drive, y):
-        hop = (off @ y.reshape(n, -1)).reshape(y.shape)
-        return -1j * (hop + drive * y)
+    # y[i + 1, g, :] is row i of point g's propagator, z that of the stage
+    # input; rows 0 and n + 1 stay zero, so the hop is two shifted slices
+    y, z = np.zeros((2, n + 2, len(systems), n), dtype=complex)
+    y[1:-1] = np.eye(n)[:, None, :]
+    slope, acc = np.empty((2, n, len(systems), n), dtype=complex)
+    u, ut, zc = y[1:-1], y[1:-1].transpose(1, 0, 2), z[1:-1]
 
-    y = np.repeat(np.eye(n, dtype=complex)[:, None, :], len(systems), axis=1)
-    d1 = amp * sin_full[0]
+    def rk_slope(d, below=z[:-2], above=z[2:], mid=zc):  # -i h H mid
+        np.multiply(np.add(below, above, out=slope), bond, out=slope)
+        return np.add(slope, d * mid, out=slope)
+
+    d1 = drive * sin_full[0]
     # inf/NaN from a too coarse step is left to the callers' guards to report
     with np.errstate(over="ignore", invalid="ignore"):
-        visit(0, y.transpose(1, 0, 2))
+        visit(0, ut)
         for k in range(half):
-            d0, dh, d1 = d1, amp * sin_half[k], amp * sin_full[k + 1]
-            k1 = rhs(d0, y)
-            k2 = rhs(dh, y + (0.5 * h) * k1)
-            k3 = rhs(dh, y + (0.5 * h) * k2)
-            k4 = rhs(d1, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            visit(k + 1, y.transpose(1, 0, 2))
-    return ts, y.transpose(1, 0, 2)
+            d0, dh, d1 = d1, drive * sin_half[k], drive * sin_full[k + 1]
+            rk_slope(d0, y[:-2], y[2:], u)
+            np.add(u, np.multiply(slope, 0.5, out=acc), out=zc)  # acc = K1/2
+            acc += rk_slope(dh)
+            np.add(u, 0.5 * slope, out=zc)
+            acc += rk_slope(dh)
+            np.add(u, slope, out=zc)
+            # y += (K1 + 2 K2 + 2 K3 + K4) / 6
+            u += (acc + 0.5 * rk_slope(d1)) / 3.0
+            visit(k + 1, ut)
+    return ts, ut
 
 
 def _glide(a, w, rows=False):
@@ -149,19 +158,22 @@ def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
     nrm = np.linalg.norm(initial)
     if abs(nrm - 1.0) > 1e-9:
         raise ConfigError(f"initial state norm is {nrm}, expected 1")
-    n_steps = settings.steps_per_period
-    us = np.empty((n_steps + 1, system.n, system.n), dtype=complex)
+    n_steps, half = settings.steps_per_period, settings.steps_per_period // 2
+    us = np.empty((half + 1, system.n, system.n), dtype=complex)
 
     def keep(k, y):
         us[k] = y[0]
 
-    _, w = _rk4_run([system], n_steps, keep)
-    us[n_steps // 2 + 1:] = _glide(us[1:n_steps // 2 + 1], w[0])
+    _rk4_run([system], n_steps, keep)
+    gamma = (-1.0) ** np.arange(system.n)
     states = np.empty((periods * n_steps + 1, system.n), dtype=complex)
     states[0] = initial
     with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
-        for start in range(0, periods * n_steps, n_steps):
-            states[start + 1:start + n_steps + 1] = us[1:] @ states[start]
+        for mid in range(half, periods * n_steps, n_steps):
+            states[mid - half + 1:mid + 1] = us[1:] @ states[mid - half]
+            # U(s + T/2) psi = Γ conj(U(s) Γ conj(W psi)), W psi = states[mid]
+            states[mid + 1:mid + half + 1] = gamma * (
+                us[1:] @ (gamma * states[mid].conj())).conj()
     traj = Trajectory(times=(system.period / n_steps) * np.arange(len(states)),
                       states=states)
     drift = traj.norm_drift
@@ -201,17 +213,26 @@ def propagator_averages(systems,
     q[g, j] = (1/T) int_0^T U^dag |j><j| U dt by the trapezoid rule, so that
     a state c(0) spends c^dag q[g, j] c of the period on site j; uts[g] =
     U(T). The loop sums the first half, S; the second is W^dag Γ S* Γ W."""
-    n, n_steps = systems[0].n, settings.steps_per_period
+    n, half = systems[0].n, settings.steps_per_period // 2
     q = np.zeros((len(systems), n, n, n), dtype=complex)
-    term = np.empty_like(q)
+    # the loop's U(k h) are summed into q QJ_BLOCK at a time: block[g, j, b]
+    # is row j of U(k h) of point g for the b-th step k of a block
+    block = np.empty((len(systems), n, QJ_BLOCK, n), dtype=complex)
 
-    def accumulate(k, y):
-        np.multiply(y.conj()[..., :, None], y[..., None, :], out=term)
-        if k in (0, n_steps // 2):  # trapezoid end weights
-            np.multiply(term, 0.5, out=term)
-        np.add(q, term, out=q)
+    def add_gram(x, weight=1.0):  # q[g, j] += weight x[g, j]^dag x[g, j]
+        np.add(q, weight * (x.conj().swapaxes(-1, -2) @ x), out=q)
 
-    ts, w = _rk4_run(systems, n_steps, accumulate)
+    def accumulate(k, us):
+        if 0 < k < half:
+            block[:, :, (k - 1) % QJ_BLOCK] = us
+            if k % QJ_BLOCK == 0:
+                add_gram(block)
+            return
+        if k == half:  # the last, partial block
+            add_gram(block[:, :, :(half - 1) % QJ_BLOCK])
+        add_gram(us[:, :, None, :], 0.5)  # trapezoid end weights
+
+    ts, w = _rk4_run(systems, settings.steps_per_period, accumulate)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
         q += w.conj().swapaxes(-1, -2)[:, None] @ _glide(q, w[:, None])
-    return ts, q / n_steps, _period_maps(systems, settings, w)
+    return ts, q / settings.steps_per_period, _period_maps(systems, settings, w)

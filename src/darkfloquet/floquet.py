@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .evolve import (PropagationSettings, propagator_averages,
+from .evolve import (QJ_BLOCK, PropagationSettings, propagator_averages,
                      propagator_site1)
 from .linalg import unitary_eigen
 from .model import DrivenSystem
@@ -26,9 +26,9 @@ __all__ = [
     "SweepResult",
 ]
 
-# complex values (8 MB) one sweep chunk may keep: n^3 per grid point for the
-# period averages Q_j, (steps + 1) n for row 0 of every U(s); also the real
-# entries of one stack of the property suite, n^2 per matrix
+# complex values (8 MB) one sweep chunk may keep: per grid point, n^3 for Q_j
+# plus QJ_BLOCK n^2 for the U(s) rows summed into it, or (steps + 1) n for row
+# 0 of every U(s); also the real entries of a property-suite stack, n^2 each
 MAX_CHUNK_VALUES = 5 * 10**5
 MIN_P1_BLOCK = 100  # periods per block of the min-P1 evaluation
 DARK_EPS_TOL, DARK_POP_TOL = 1e-4, 0.02  # dark mode: |eps|/omega, even-site <P>
@@ -72,7 +72,8 @@ def _spectra(systems, settings: PropagationSettings) -> list[FloquetSpectrum]:
     """Spectra of a grid of systems that share n, v and omega; a mode's
     averaged population on site j is vec^dag Q_j vec."""
     spectra = []
-    for chunk in _chunks(systems, systems[0].n ** 3):
+    n = systems[0].n
+    for chunk in _chunks(systems, n ** 3 + QJ_BLOCK * n ** 2):
         _, q, uts = propagator_averages(chunk, settings)
         for system, u, q_j in zip(chunk, uts, q):
             dec = unitary_eigen(u)
@@ -199,17 +200,14 @@ def _match_branches(w_prev: np.ndarray, w_next: np.ndarray,
     quasi-energy proximity. Returns perm with w_next[:, perm[k]] ~ branch k."""
     n = w_prev.shape[1]
     overlap = np.abs(w_prev.conj().T @ w_next)  # (k_prev, j_next)
+    # pairs by overlap, then |delta eps|, then (k, j): lexsort is stable
+    order = np.lexsort((np.abs(e_prev[:, None] - e_next).ravel(),
+                        -overlap.ravel()))
     perm = np.full(n, -1)
     used = np.zeros(n, dtype=bool)
-    flat = [(-overlap[k, j], abs(e_prev[k] - e_next[j]), k, j)
-            for k in range(n) for j in range(n)]
-    flat.sort()
-    assigned = 0
-    for _, _, k, j in flat:
+    for k, j in zip(*np.divmod(order, n)):
         if perm[k] == -1 and not used[j]:
-            perm[k] = j
-            used[j] = True
-            assigned += 1
-            if assigned == n:
+            perm[k], used[j] = j, True
+            if used.all():
                 break
     return perm

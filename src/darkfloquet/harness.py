@@ -18,7 +18,7 @@ from . import __version__
 from .effective import (bessel_j0, effective_model, min_p1_oracle,
                         verify_properties)
 from .errors import ConfigError
-from .evolve import PropagationSettings, propagate
+from .evolve import QJ_BLOCK, PropagationSettings, propagate
 from .floquet import _match_branches, min_p1_sweep, quasi_energy_sweep
 from .linalg import hermitian_eigen
 from .model import DrivenSystem
@@ -67,14 +67,15 @@ class ExperimentConfig:
                                DEFAULT_PERIODS.get(self.experiment))
         if self.experiment == "sweep-min-pop" and self.periods < 10:
             raise ConfigError(f"periods must be >= 10, got {self.periods}")
-        # U(s) holds (steps+1) n^2 values; the horizon (steps+1) periods w,
-        # with w = n kept values per sample (dynamics) or 1 (sweep-min-pop);
-        # the spectra hold (steps+1)-long time tables and one point's Q_j
-        width = self.n if self.experiment == "dynamics" else 1
-        samples = ((self.steps_per_period + 1)
-                   * max(self.n ** 2, self.periods * width)
+        # U(s), s <= T/2, holds (steps/2 + 1) n^2 values (dynamics; more than
+        # a sweep-min-pop point's rows); the horizon (steps+1) periods w, w =
+        # n kept values per sample (dynamics) or 1; the spectra hold
+        # (steps+1)-long time tables, Q_j and QJ_BLOCK rows of U(s) per point
+        steps, n = self.steps_per_period, self.n
+        width = n if self.experiment == "dynamics" else 1
+        samples = (max((steps // 2 + 1) * n ** 2, (steps + 1) * self.periods * width)
                    if self.experiment in DEFAULT_PERIODS
-                   else max(self.steps_per_period + 1, self.n ** 3))
+                   else max(steps + 1, n ** 3 + QJ_BLOCK * n ** 2))
         if samples > MAX_KEPT_VALUES:
             raise ConfigError(
                 f"run would hold {samples} values of U(s), of the sampled "

@@ -1,10 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from darkfloquet import (ConfigError, DrivenSystem, PropagationSettings,
-                         monodromy, propagate)
+                         UnitarityError, monodromy, propagate)
 from darkfloquet import evolve
 
 from oracles import j0_first_zero_oracle, rk4_rows, rk4_states
@@ -78,10 +79,13 @@ def test_step_halving_converges_monotonically():
     assert errors[2] <= 1e-6  # doubling from the default changes little
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 11])
-def test_states_match_direct_stepping(n):
-    # the period-map states against a plain RK4 over every step
-    system = DrivenSystem(n, 1.0, 20.0, 10.0)
+@pytest.mark.parametrize("n,v", [(2, 1.0), (3, 1.0), (5, 1.0), (11, 1.0),
+                                 (3, 0.37), (11, 0.37)],
+                         ids=["2", "3", "5", "11", "3-v0.37", "11-v0.37"])
+def test_states_match_direct_stepping(n, v):
+    # the period-map states against a plain RK4 over every step; at v != 1 a
+    # misplaced or squared bond would show
+    system = DrivenSystem(n, v, 20.0, 10.0)
     traj = propagate(system, basis_state(n), 12)
     direct = rk4_states(system, basis_state(n), 12, 2000)
     assert traj.states.shape == direct.shape
@@ -144,6 +148,17 @@ def test_drive_tables_do_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_blown_up_averages_raise_without_a_warning():
+    # A/omega = 20000 at 100 steps overflows to inf/NaN: the unitarity guard
+    # reports it, and no RuntimeWarning escapes the blocked Q_j sums
+    system = DrivenSystem(3, 1.0, 20000.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnitarityError):
+            evolve.propagator_averages(
+                [system], PropagationSettings(steps_per_period=100))
 
 
 def test_loop_integrates_half_a_period():

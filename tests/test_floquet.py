@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from darkfloquet import (DrivenSystem, PropagationSettings, dark_mode,
                          floquet_spectrum, fold_quasi_energy, hermitian_eigen,
                          min_p1_sweep, propagate, quasi_energy_sweep)
-from darkfloquet import floquet
+from darkfloquet import evolve, floquet
 
 from oracles import j0_first_zero_oracle, rk4_rows
 
@@ -196,16 +196,69 @@ def test_one_point_min_p1_is_the_grid_point(n):
         assert alone[0] == swept[i]
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 11])
-def test_streamed_averages_match_direct_stepping(n):
+@pytest.mark.parametrize(
+    "n,v,steps", [(2, 1.0, 2000), (3, 1.0, 2000), (5, 1.0, 2000),
+                  (11, 1.0, 2000), (3, 0.37, 2000), (11, 0.37, 2000),
+                  (11, 0.37, 100), (11, 0.37, 102)],
+    ids=["2", "3", "5", "11", "3-v0.37", "11-v0.37", "11-v0.37-100",
+         "11-v0.37-102"])
+def test_streamed_averages_match_direct_stepping(n, v, steps):
     # each mode's period-averaged populations against a trapezoid average of
-    # a plain RK4 run started from the mode
-    ratios = [0.7, 2.0]
-    sweep = quasi_energy_sweep(n, 1.0, 10.0, ratios)
+    # a plain RK4 run started from the mode. The loop sums Q_j in blocks of
+    # 50 steps: 100 steps end on a partial block, 102 on a full one and an
+    # empty last one, 2000 run through many; at 100 steps the unitarity
+    # guard refuses A/omega = 2
+    ratios = [0.7, 2.0] if steps == 2000 else [0.7, 1.2]
+    sweep = quasi_energy_sweep(n, v, 10.0, ratios,
+                               PropagationSettings(steps_per_period=steps))
     # one row per (ratio, mode), ratio-major
-    systems = [DrivenSystem(n, 1.0, r * 10.0, 10.0)
+    systems = [DrivenSystem(n, v, r * 10.0, 10.0)
                for r in ratios for _ in range(n)]
     modes = np.concatenate([vecs.T for vecs in sweep.eigenvectors])
-    p = np.abs(rk4_rows(systems, modes, 1, 2000)) ** 2
-    avg = (0.5 * (p[0] + p[-1]) + p[1:-1].sum(axis=0)) / 2000
+    p = np.abs(rk4_rows(systems, modes, 1, steps)) ** 2
+    avg = (0.5 * (p[0] + p[-1]) + p[1:-1].sum(axis=0)) / steps
     assert np.max(np.abs(sweep.avg_populations.reshape(-1, n) - avg)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 11])
+def test_chunked_sweep_matches_one_chunk(n, monkeypatch):
+    # a budget of two grid points per chunk, Q_j and its block of U(s) rows:
+    # chunks of 2, 2 and 1. A point's arithmetic does not depend on the
+    # grid it shares a loop with, so the arrays agree exactly
+    ratios = np.linspace(0.0, 5.0, 5)
+    whole = quasi_energy_sweep(n, 0.37, 10.0, ratios)
+    monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES",
+                        2 * (n ** 3 + evolve.QJ_BLOCK * n ** 2))
+    sizes = []
+    averages = floquet.propagator_averages
+
+    def spy(systems, settings):
+        sizes.append(len(systems))
+        return averages(systems, settings)
+
+    monkeypatch.setattr(floquet, "propagator_averages", spy)
+    chunked = quasi_energy_sweep(n, 0.37, 10.0, ratios)
+    assert sizes == [2, 2, 1]
+    for name in ("quasi_energies", "avg_populations", "eigenvectors"):
+        assert np.array_equal(getattr(chunked, name), getattr(whole, name))
+
+
+def test_branch_matching_breaks_ties_in_a_fixed_order():
+    # with w_prev = 1 the overlaps are |w_next|: the largest overlap wins,
+    # equal overlaps go to the smaller |delta eps|, and equal |delta eps| to
+    # the first (k, j) in row-major order
+    match, eye = floquet._match_branches, np.eye(3)
+    e = np.array([0.0, 1.0])
+    tied = np.full((2, 2), 0.5)
+    assert list(match(eye[:2, :2], np.array([[0.5, 0.9], [0.9, 0.5]]), e,
+                      e)) == [1, 0]
+    assert list(match(eye[:2, :2], tied, e, np.array([0.9, 0.1]))) == [1, 0]
+    assert list(match(eye[:2, :2], tied, e, np.array([0.5, 0.5]))) == [0, 1]
+    # branch 2 keeps its clear partner; branches 0 and 1 tie on overlap with
+    # modes 0 and 2, and then on |delta eps| too
+    w_next = np.array([[0.5, 0.0, 0.5], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    e_prev = np.array([-1.0, 1.0, 0.0])
+    assert list(match(eye, w_next, e_prev,
+                      np.array([0.0, 5.0, 0.0]))) == [0, 2, 1]
+    assert list(match(eye, w_next, e_prev,
+                      np.array([0.9, 5.0, -0.9]))) == [2, 0, 1]

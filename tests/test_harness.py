@@ -219,6 +219,13 @@ class TestConfigValidation:
                 ExperimentConfig(experiment=experiment, n=11,
                                  steps_per_period=10**8)
 
+    def test_dynamics_is_charged_half_a_period_of_propagators(self):
+        # propagate keeps U(s) for s <= T/2 only: (1000 + 1) n^2 values at
+        # 2000 steps, which fits at n = 200 and not at n = 250
+        assert ExperimentConfig(experiment="dynamics", n=200, periods=1).n == 200
+        with pytest.raises(ConfigError, match="would hold 62562500 values"):
+            ExperimentConfig(experiment="dynamics", n=250, periods=1)
+
     def test_periods_default_and_provenance(self, tmp_path):
         assert ExperimentConfig(experiment="dynamics").periods == 20
         assert ExperimentConfig(experiment="sweep-min-pop").periods == 400
