@@ -6,6 +6,11 @@ bipartite and the drive flips sign after half a period, so with
 Γ conj(U(s)) Γ W. RK4 keeps this relation exactly in exact arithmetic (its
 stage polynomials have real coefficients) when steps_per_period is even.
 
+U(T) alone needs a quarter period: H(t) = H(T/2 - t) is real symmetric, so
+the step ending at T/2 - k h is the transpose of the one starting at k h and
+W = U(floor(N/4) h)^T U(ceil(N/4) h). A sample of U(s) past T/4 would need
+(U^T)^-1, which conj(U) misses by RK4's unitarity defect, so samplers do not.
+
 One step loop advances the propagators of a grid of drive amplitudes that
 share n, v and omega. The hop of the chain is two shifted slice-adds, so a
 point's arithmetic is that of a one-point grid. Callers keep what they read:
@@ -30,6 +35,7 @@ __all__ = [
     "Trajectory",
     "propagate",
     "monodromy",
+    "period_maps",
     "propagator_site1",
     "propagator_averages",
 ]
@@ -68,27 +74,27 @@ class Trajectory:
         return float(np.max(np.abs(norms - 1.0)))
 
 
-def _rk4_run(systems, n_steps: int, visit):
-    """RK4 on i dU/dt = H(t) U from U(0) = 1 to W = U(T/2), for a grid of
-    systems that share n, v and omega; H(t) is the bare chain plus sign_j
-    (A/2) sin(omega t) on site j. Calls visit(k, us) with us[g] = U(k h) of
-    systems[g] for k <= n_steps/2, a view that the next step overwrites;
-    returns (h k for k <= n_steps, W)."""
+def _rk4_run(systems, n_steps: int, visit, last: int | None = None):
+    """RK4 on i dU/dt = H(t) U from U(0) = 1 to U(last h), last = n_steps/2
+    unless given, for a grid of systems that share n, v and omega; H(t) is
+    the bare chain plus sign_j (A/2) sin(omega t) on site j. Calls visit(k,
+    us) with us[g] = U(k h) of systems[g] for k <= last, a view that the next
+    step overwrites; returns (h k for k <= n_steps, U(last h))."""
     first = systems[0]
     n, omega = first.n, first.omega
     if any((s.n, s.v, s.omega) != (n, first.v, omega) for s in systems):
         raise ConfigError("a propagator grid must share n, v and omega")
-    h, half = first.period / n_steps, n_steps // 2
+    h, last = first.period / n_steps, n_steps // 2 if last is None else last
     signs = np.array([1.0] + [-1.0] * (n - 1))  # site 1 against the rest
     half_amp = 0.5 * np.array([s.amplitude for s in systems])
     # -i h H(t): bond on every link, drive[i, g] sin(omega t) on site i of g
     bond = -1j * h * first.v
     drive = (-1j * h) * signs[:, None, None] * half_amp[:, None]
 
-    # sin(omega t) at t and t + h/2 for every step of the first half
+    # sin(omega t) at t and t + h/2 for every step taken
     ts = h * np.arange(n_steps + 1)
-    sin_full = np.sin(omega * ts[:half + 1])
-    sin_half = np.sin(omega * (ts[:half] + 0.5 * h))
+    sin_full = np.sin(omega * ts[:last + 1])
+    sin_half = np.sin(omega * (ts[:last] + 0.5 * h))
 
     # y[i + 1, g, :] is row i of point g's propagator, z that of the stage
     # input; rows 0 and n + 1 stay zero, so the hop is two shifted slices
@@ -105,7 +111,7 @@ def _rk4_run(systems, n_steps: int, visit):
     # inf/NaN from a too coarse step is left to the callers' guards to report
     with np.errstate(over="ignore", invalid="ignore"):
         visit(0, ut)
-        for k in range(half):
+        for k in range(last):
             d0, dh, d1 = d1, drive * sin_half[k], drive * sin_full[k + 1]
             rk_slope(d0, y[:-2], y[2:], u)
             np.add(u, np.multiply(slope, 0.5, out=acc), out=zc)  # acc = K1/2
@@ -128,7 +134,7 @@ def _glide(a, w, rows=False):
         return out if rows else gamma[:, None] * out
 
 
-def _period_maps(systems, settings: PropagationSettings, w: np.ndarray):
+def _maps_from_half(systems, settings: PropagationSettings, w: np.ndarray):
     """U(T) = Γ conj(W) Γ W of every grid point; aborts unless each is
     unitary to UNITARITY_TOL, the tolerance of the eigensolver it feeds."""
     uts = _glide(w, w)
@@ -184,11 +190,24 @@ def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
     return traj
 
 
+def period_maps(systems, settings: PropagationSettings = PropagationSettings()):
+    """(G, n, n) stack of U(T) for a grid of systems that share n, v and
+    omega, from the first ceil(N/4) of the N steps of a period."""
+    n_steps, low = settings.steps_per_period, []
+
+    def keep(k, us):
+        if k == n_steps // 4:
+            low.append(us.copy())
+
+    _, high = _rk4_run(systems, n_steps, keep, -(-n_steps // 4))
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
+        return _maps_from_half(systems, settings, low[0].swapaxes(-1, -2) @ high)
+
+
 def monodromy(system: DrivenSystem,
               settings: PropagationSettings = PropagationSettings()) -> np.ndarray:
     """One-period propagator U(T) from the n coordinate basis states."""
-    _, w = _rk4_run([system], settings.steps_per_period, lambda k, y: None)
-    return _period_maps([system], settings, w)[0]
+    return period_maps([system], settings)[0]
 
 
 def propagator_site1(systems,
@@ -204,7 +223,7 @@ def propagator_site1(systems,
     ts, w = _rk4_run(systems, settings.steps_per_period, keep)
     half = settings.steps_per_period // 2
     rows[:, half + 1:] = _glide(rows[:, 1:half + 1], w, rows=True)
-    return ts, rows, _period_maps(systems, settings, w)
+    return ts, rows, _maps_from_half(systems, settings, w)
 
 
 def propagator_averages(systems,
@@ -235,4 +254,4 @@ def propagator_averages(systems,
     ts, w = _rk4_run(systems, settings.steps_per_period, accumulate)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
         q += w.conj().swapaxes(-1, -2)[:, None] @ _glide(q, w[:, None])
-    return ts, q / settings.steps_per_period, _period_maps(systems, settings, w)
+    return ts, q / settings.steps_per_period, _maps_from_half(systems, settings, w)

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .evolve import (QJ_BLOCK, PropagationSettings, propagator_averages,
-                     propagator_site1)
+from .evolve import (QJ_BLOCK, PropagationSettings, period_maps,
+                     propagator_averages, propagator_site1)
 from .linalg import unitary_eigen
 from .model import DrivenSystem
 
@@ -22,13 +22,15 @@ __all__ = [
     "floquet_spectrum",
     "dark_mode",
     "quasi_energy_sweep",
+    "quasi_energy_branches",
     "min_p1_sweep",
     "SweepResult",
 ]
 
 # complex values (8 MB) one sweep chunk may keep: per grid point, n^3 for Q_j
-# plus QJ_BLOCK n^2 for the U(s) rows summed into it, or (steps + 1) n for row
-# 0 of every U(s); also the real entries of a property-suite stack, n^2 each
+# plus QJ_BLOCK n^2 for the U(s) rows summed into it, n^2 for U(T) alone, or
+# (steps + 1) n for row 0 of every U(s); also the real entries of a
+# property-suite stack, n^2 each
 MAX_CHUNK_VALUES = 5 * 10**5
 MIN_P1_BLOCK = 100  # periods per block of the min-P1 evaluation
 DARK_EPS_TOL, DARK_POP_TOL = 1e-4, 0.02  # dark mode: |eps|/omega, even-site <P>
@@ -68,6 +70,15 @@ def _chunks(systems, values_per_point: int):
     return [systems[i:i + size] for i in range(0, len(systems), size)]
 
 
+def _modes(system: DrivenSystem, u: np.ndarray):
+    """Quasi-energies, multipliers and eigenvectors of U(T), by quasi-energy."""
+    dec = unitary_eigen(u)
+    eps = fold_quasi_energy(-np.angle(dec.eigenvalues) / system.period,
+                            system.omega)
+    order = np.argsort(eps, kind="stable")
+    return eps[order], dec.eigenvalues[order], dec.eigenvectors[:, order]
+
+
 def _spectra(systems, settings: PropagationSettings) -> list[FloquetSpectrum]:
     """Spectra of a grid of systems that share n, v and omega; a mode's
     averaged population on site j is vec^dag Q_j vec."""
@@ -76,12 +87,7 @@ def _spectra(systems, settings: PropagationSettings) -> list[FloquetSpectrum]:
     for chunk in _chunks(systems, n ** 3 + QJ_BLOCK * n ** 2):
         _, q, uts = propagator_averages(chunk, settings)
         for system, u, q_j in zip(chunk, uts, q):
-            dec = unitary_eigen(u)
-            eps = fold_quasi_energy(-np.angle(dec.eigenvalues) / system.period,
-                                    system.omega)
-            order = np.argsort(eps, kind="stable")
-            eps, lam = eps[order], dec.eigenvalues[order]
-            vecs = dec.eigenvectors[:, order]
+            eps, lam, vecs = _modes(system, u)
             pops = np.einsum("ak,jab,bk->kj", vecs.conj(), q_j, vecs).real
             spectra.append(FloquetSpectrum(
                 quasi_energies=eps, multipliers=lam, eigenvectors=vecs,
@@ -143,6 +149,17 @@ def _grid_systems(n: int, v: float, omega: float, ratios):
                     for r in ratios]
 
 
+def _track(eps: np.ndarray, vecs: np.ndarray, *rows: np.ndarray) -> None:
+    """Permute the modes of each grid point in place, after the first, so
+    that column k of vecs[i] (and entry k of eps[i] and of every rows[i])
+    continues branch k of the point before it."""
+    for i in range(1, len(eps)):
+        perm = _match_branches(vecs[i - 1], vecs[i], eps[i - 1], eps[i])
+        eps[i], vecs[i] = eps[i][perm], vecs[i][:, perm]
+        for r in rows:
+            r[i] = r[i][perm]
+
+
 def quasi_energy_sweep(n: int, v: float, omega: float, ratios,
                        settings: PropagationSettings = PropagationSettings()
                        ) -> SweepResult:
@@ -150,17 +167,24 @@ def quasi_energy_sweep(n: int, v: float, omega: float, ratios,
     branches matched across adjacent grid points by eigenvector overlap."""
     template = DrivenSystem(n, v, 0.0, omega)  # validates n first
     ratios, systems = _grid_systems(n, v, omega, ratios)
-    eps = np.empty((len(ratios), n))
-    pops = np.empty((len(ratios), n, n))
-    vecs = np.empty((len(ratios), n, n), dtype=complex)
-    for i, spec in enumerate(_spectra(systems, settings)):
-        e, p, w = spec.quasi_energies, spec.avg_populations, spec.eigenvectors
-        if i:
-            perm = _match_branches(vecs[i - 1], w, eps[i - 1], e)
-            e, p, w = e[perm], p[perm], w[:, perm]
-        eps[i], pops[i], vecs[i] = e, p, w
+    spectra = _spectra(systems, settings)
+    eps, pops, vecs = (np.array([getattr(s, f) for s in spectra]) for f in
+                       ("quasi_energies", "avg_populations", "eigenvectors"))
+    _track(eps, vecs, pops)
     return SweepResult(ratios=ratios, quasi_energies=eps, avg_populations=pops,
                        eigenvectors=vecs, system_template=template)
+
+
+def quasi_energy_branches(n: int, v: float, omega: float, ratios,
+                          settings: PropagationSettings = PropagationSettings()):
+    """(quasi_energies, eigenvectors) of `quasi_energy_sweep`, without the
+    period averages: U(T) comes from the quarter-period `period_maps`."""
+    _, systems = _grid_systems(n, v, omega, ratios)
+    eps, _, vecs = map(np.array, zip(*[
+        _modes(system, u) for chunk in _chunks(systems, n * n)
+        for system, u in zip(chunk, period_maps(chunk, settings))]))
+    _track(eps, vecs)
+    return eps, vecs
 
 
 def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,

@@ -19,7 +19,8 @@ from .effective import (bessel_j0, effective_model, min_p1_oracle,
                         verify_properties)
 from .errors import ConfigError
 from .evolve import QJ_BLOCK, PropagationSettings, propagate
-from .floquet import _match_branches, min_p1_sweep, quasi_energy_sweep
+from .floquet import (MIN_P1_BLOCK, _match_branches, min_p1_sweep,
+                      quasi_energy_branches, quasi_energy_sweep)
 from .linalg import hermitian_eigen
 from .model import DrivenSystem
 
@@ -38,6 +39,8 @@ EXPERIMENTS = ("dynamics", "sweep-min-pop", "floquet-sweep",
 DEFAULT_PERIODS = {"dynamics": 20, "sweep-min-pop": 400}
 # bound on the complex values of U(s) or of the sampled horizon (800 MB)
 MAX_KEPT_VALUES = 5 * 10**7
+# bound on the site-1 samples of one sweep-min-pop point: a few seconds' work
+MAX_SAMPLES_PER_POINT = 10**9
 # table rows formatted per '%' call, which bounds the text held at once
 WRITE_BLOCK_ROWS = 4096
 
@@ -68,18 +71,25 @@ class ExperimentConfig:
         if self.experiment == "sweep-min-pop" and self.periods < 10:
             raise ConfigError(f"periods must be >= 10, got {self.periods}")
         # U(s), s <= T/2, holds (steps/2 + 1) n^2 values (dynamics; more than
-        # a sweep-min-pop point's rows); the horizon (steps+1) periods w, w =
-        # n kept values per sample (dynamics) or 1; the spectra hold
-        # (steps+1)-long time tables, Q_j and QJ_BLOCK rows of U(s) per point
+        # a sweep-min-pop point's rows); the horizon (steps+1) periods n values
+        # (dynamics) or (steps+1) MIN_P1_BLOCK at most (sweep-min-pop); the
+        # spectra (steps+1)-long time tables, Q_j and QJ_BLOCK rows of U(s)
+        # per point (effective-compare, which keeps U(T) alone, no more)
         steps, n = self.steps_per_period, self.n
-        width = n if self.experiment == "dynamics" else 1
-        samples = (max((steps // 2 + 1) * n ** 2, (steps + 1) * self.periods * width)
-                   if self.experiment in DEFAULT_PERIODS
-                   else max(steps + 1, n ** 3 + QJ_BLOCK * n ** 2))
+        if self.experiment in DEFAULT_PERIODS:
+            horizon = (self.periods * n if self.experiment == "dynamics"
+                       else min(self.periods, MIN_P1_BLOCK))
+            samples = max((steps // 2 + 1) * n ** 2, (steps + 1) * horizon)
+        else:
+            samples = max(steps + 1, n ** 3 + QJ_BLOCK * n ** 2)
         if samples > MAX_KEPT_VALUES:
             raise ConfigError(
                 f"run would hold {samples} values of U(s), of the sampled "
                 f"horizon or of the period tables, more than {MAX_KEPT_VALUES}")
+        if (self.experiment == "sweep-min-pop"
+                and (steps + 1) * self.periods > MAX_SAMPLES_PER_POINT):
+            raise ConfigError(f"run would sample {(steps + 1) * self.periods} "
+                              f"values per grid point, more than {MAX_SAMPLES_PER_POINT}")
         if self.ratio_grid is not None:
             grid = np.asarray(self.ratio_grid, dtype=float)
             if grid.ndim != 1 or len(grid) == 0 or np.any(~np.isfinite(grid)):
@@ -250,25 +260,25 @@ def run_effective_compare(config: ExperimentConfig) -> Path:
     """CSV pairing driven quasi-energies with effective-model eigenvalues,
     branch-matched by eigenvector overlap."""
     ratios = config.ratio_or_default()
-    sweep = quasi_energy_sweep(config.n, config.v, config.omega, ratios,
-                               config.settings)
-    lams = np.empty_like(sweep.quasi_energies)
+    eps, vecs = quasi_energy_branches(config.n, config.v, config.omega, ratios,
+                                      config.settings)
+    lams = np.empty_like(eps)
     for i, r in enumerate(ratios):
         system = DrivenSystem(config.n, config.v, float(r) * config.omega,
                               config.omega)
         dec = hermitian_eigen(effective_model(system).matrix)
         # overlap pairing: monodromy eigenvectors against static eigenvectors
-        pairing = _match_branches(sweep.eigenvectors[i], dec.eigenvectors,
-                                  sweep.quasi_energies[i], dec.eigenvalues)
+        pairing = _match_branches(vecs[i], dec.eigenvectors, eps[i],
+                                  dec.eigenvalues)
         lams[i] = dec.eigenvalues[pairing]
-    devs = np.abs(sweep.quasi_energies - lams)
+    devs = np.abs(eps - lams)
     header = ["ratio", "branch", "quasi_energy", "effective_eigenvalue",
               "abs_deviation"]
     comments = _provenance(config, {"max_abs_deviation": f"{devs.max():.6g}"})
     _write_csv(config.out, comments, header,
                [np.repeat(ratios, config.n),
                 np.tile(np.arange(config.n), len(ratios)),
-                sweep.quasi_energies.ravel(), lams.ravel(), devs.ravel()])
+                eps.ravel(), lams.ravel(), devs.ravel()])
     if config.svg:
         _write_svg(config.out.with_suffix(".svg"), ratios,
                    devs.T,

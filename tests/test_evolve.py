@@ -171,6 +171,50 @@ def test_loop_integrates_half_a_period():
     assert len(ts) == 2001 and w.shape == (1, 3, 3)
 
 
+@pytest.mark.parametrize("n,steps", [(2, 2000), (2, 2002), (11, 2000),
+                                     (11, 2002)])
+def test_quarter_period_maps_match_direct_stepping(n, steps):
+    # U(T) from ceil(N/4) steps against a plain RK4 over the whole period:
+    # N = 2002 has an odd number of steps in half a period, whose middle
+    # step is its own transpose; v != 1 would show a misplaced bond
+    ratios = [0.7, 2.4048, 5.0]
+    systems = [DrivenSystem(n, 0.37, r * 10.0, 10.0) for r in ratios]
+    rows = rk4_rows([s for s in systems for _ in range(n)],
+                    np.tile(np.eye(n), (len(ratios), 1)), 1, steps)
+    direct = rows[-1].reshape(len(ratios), n, n).transpose(0, 2, 1)
+    uts = evolve.period_maps(systems, PropagationSettings(steps_per_period=steps))
+    assert np.max(np.abs(uts - direct)) <= 1e-12
+
+
+def test_period_maps_integrate_a_quarter_period(monkeypatch):
+    # the step loop visits U(k h) for k = 0..ceil(N/4) only
+    seen = []
+    run = evolve._rk4_run
+
+    def counted(systems, n_steps, visit, *last):
+        def count(k, us):
+            seen.append(k)
+            visit(k, us)
+        return run(systems, n_steps, count, *last)
+
+    monkeypatch.setattr(evolve, "_rk4_run", counted)
+    for steps in (2000, 2002):
+        seen.clear()
+        evolve.period_maps([DrivenSystem(3, 1.0, 20.0, 10.0)],
+                           PropagationSettings(steps_per_period=steps))
+        assert seen == list(range(-(-steps // 4) + 1))
+
+
+def test_blown_up_period_maps_raise_without_a_warning():
+    # as for the averages: the overflow reaches the unitarity guard, and no
+    # RuntimeWarning escapes the product of the two quarter-period factors
+    system = DrivenSystem(3, 1.0, 20000.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnitarityError):
+            evolve.period_maps([system], PropagationSettings(steps_per_period=100))
+
+
 def test_monodromy_spectrum_is_closed_under_conjugation():
     # Γ H(t + T/2) Γ = -H(t)* makes U(T) similar to its complex conjugate,
     # so quasi-energies pair as eps <-> -eps

@@ -243,6 +243,19 @@ def test_chunked_sweep_matches_one_chunk(n, monkeypatch):
         assert np.array_equal(getattr(chunked, name), getattr(whole, name))
 
 
+@pytest.mark.parametrize("n", [3, 11])
+def test_branches_without_averages_match_the_sweep(n):
+    # U(T) from the quarter-period maps differs from that of the averaging
+    # loop by rounding only: the same branches in the same order, and each
+    # eigenvector the same up to a phase
+    ratios = np.linspace(0.0, 5.0, 21)
+    sweep = quasi_energy_sweep(n, 1.0, 10.0, ratios)
+    eps, vecs = floquet.quasi_energy_branches(n, 1.0, 10.0, ratios)
+    assert np.max(np.abs(eps - sweep.quasi_energies)) <= 1e-12
+    overlap = np.abs(np.einsum("rjk,rjk->rk", vecs.conj(), sweep.eigenvectors))
+    assert np.min(overlap) >= 1.0 - 1e-12
+
+
 def test_branch_matching_breaks_ties_in_a_fixed_order():
     # with w_prev = 1 the overlaps are |w_next|: the largest overlap wins,
     # equal overlaps go to the smaller |delta eps|, and equal |delta eps| to

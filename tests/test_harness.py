@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import darkfloquet
 from darkfloquet import (ConfigError, DrivenSystem, bessel_j0, min_p1_sweep,
                          propagate)
-from darkfloquet import effective, harness
+from darkfloquet import effective, floquet, harness
 from darkfloquet.cli import main
 from darkfloquet.harness import (ExperimentConfig, run_dynamics,
                                  run_effective_compare, run_floquet_sweep,
@@ -168,6 +168,22 @@ class TestEffectiveCompare:
         assert np.max(data[:, 4]) <= 1e-6
 
 
+    @pytest.mark.parametrize("n", [3, 11])
+    def test_reads_no_period_averages(self, n, tmp_path, monkeypatch):
+        # the comparison reads quasi-energies and eigenvectors only, so it
+        # never sums the Q_j of the averaging loop
+        def refuse(*args, **kwargs):
+            raise AssertionError("effective-compare summed Q_j")
+        monkeypatch.setattr(floquet, "propagator_averages", refuse)
+        config = ExperimentConfig(experiment="effective-compare", n=n,
+                                  ratio_grid=np.linspace(0.0, 5.0, 11),
+                                  out=tmp_path / "e.csv", timestamp=False)
+        run_effective_compare(config)
+        _, _, data = read_csv(config.out)
+        assert data.shape == (11 * n, 5)
+        assert np.max(data[:, 4]) <= 0.05
+
+
 class TestProperties:
     def test_clean_run_writes_reports(self, tmp_path):
         config = ExperimentConfig(experiment="properties",
@@ -225,6 +241,15 @@ class TestConfigValidation:
         assert ExperimentConfig(experiment="dynamics", n=200, periods=1).n == 200
         with pytest.raises(ConfigError, match="would hold 62562500 values"):
             ExperimentConfig(experiment="dynamics", n=250, periods=1)
+
+    def test_min_pop_is_charged_one_block_of_periods(self):
+        # min_p1_sweep samples at most MIN_P1_BLOCK periods of a point at
+        # once, so a long horizon costs no more than a short one
+        config = ExperimentConfig(experiment="sweep-min-pop", periods=30000)
+        assert config.periods == 30000
+        # its work still grows with the horizon, and is bounded per point
+        with pytest.raises(ConfigError, match="would sample 2001000000 values"):
+            ExperimentConfig(experiment="sweep-min-pop", periods=10**6)
 
     def test_periods_default_and_provenance(self, tmp_path):
         assert ExperimentConfig(experiment="dynamics").periods == 20
