@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .floquet import _chunks
-from .linalg import _effective_matrix
 from .model import DrivenSystem
 
 __all__ = [
@@ -71,6 +70,13 @@ class DarkState:
 
     vector: np.ndarray
     localization: float  # |w_1|^2
+
+
+def _effective_matrix(n: int, v_eff: float, v: float) -> np.ndarray:
+    bonds = np.full(n - 1, float(v)) if n > 1 else np.zeros(0)
+    if n > 1:
+        bonds[0] = v_eff
+    return np.diag(bonds, 1) + np.diag(bonds, -1)
 
 
 def effective_model(system: DrivenSystem) -> EffectiveModel:

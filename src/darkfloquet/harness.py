@@ -74,9 +74,12 @@ class ExperimentConfig:
         # a sweep-min-pop point's rows); the horizon (steps+1) periods n values
         # (dynamics) or (steps+1) MIN_P1_BLOCK at most (sweep-min-pop); the
         # spectra (steps+1)-long time tables, Q_j and QJ_BLOCK rows of U(s)
-        # per point (effective-compare, which keeps U(T) alone, no more)
+        # per point (effective-compare, which keeps U(T) alone, no more); the
+        # property suite integrates nothing and stacks at least one matrix
         steps, n = self.steps_per_period, self.n
-        if self.experiment in DEFAULT_PERIODS:
+        if self.experiment == "properties":
+            samples = max(self.property_n_range, default=0) ** 2
+        elif self.experiment in DEFAULT_PERIODS:
             horizon = (self.periods * n if self.experiment == "dynamics"
                        else min(self.periods, MIN_P1_BLOCK))
             samples = max((steps // 2 + 1) * n ** 2, (steps + 1) * horizon)

@@ -2,7 +2,8 @@
 unitary eigendecomposition via the normal-matrix split.
 
 Everything here targets matrices of dimension a few tens at most; the
-emphasis is on orthonormal eigenvectors and deterministic ordering.
+emphasis is on orthonormal eigenvectors. Inside a degenerate eigenspace
+the basis is whichever one LAPACK returns.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-8  # max |U^dag U - 1| that unitary_eigen accepts
+HERMITICITY_TOL = 1e-10  # max |M - M^dag| / max(1, max |M|) of hermitian_eigen
 
 
 @dataclass(frozen=True)
@@ -33,22 +35,19 @@ def _unitarity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
-def hermitian_eigen(m: np.ndarray, hermiticity_tol: float = 1e-10) -> EigenDecomposition:
+def hermitian_eigen(m: np.ndarray) -> EigenDecomposition:
     """Diagonalize a complex Hermitian matrix with LAPACK (``np.linalg.eigh``).
 
     Eigenvalues come out real, sorted ascending; eigenvectors are
-    orthonormal columns, put in a deterministic order inside degenerate
-    groups.
+    orthonormal columns, in LAPACK's basis inside degenerate groups.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not (np.max(np.abs(m - m.conj().T))
-            <= hermiticity_tol * max(1.0, np.max(np.abs(m)))):
+            <= HERMITICITY_TOL * max(1.0, np.max(np.abs(m)))):
         raise ValueError("matrix is not Hermitian within tolerance")
-    a = 0.5 * (m + m.conj().T)  # symmetrize away representation noise
-    eigvals, vecs = np.linalg.eigh(a)
-    vecs = _order_degenerate(eigvals, vecs, 1e-8 * max(1.0, np.linalg.norm(a)))
+    eigvals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
     return EigenDecomposition(eigvals, vecs)
 
 
@@ -65,21 +64,6 @@ def _groups(keys: np.ndarray, tol: float):
         start = stop
 
 
-def _order_degenerate(keys: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
-    """Deterministic ordering inside degenerate groups: sort by descending
-    magnitude of the first nonzero component, ties by its site index."""
-    vecs = vecs.copy()
-
-    def rank(col):
-        w = vecs[:, col]
-        nz = np.flatnonzero(np.abs(w) > 1e-9)
-        j = nz[0] if len(nz) else 0
-        return (-abs(w[j]), j)
-    for start, stop in _groups(keys, tol):
-        vecs[:, start:stop] = vecs[:, sorted(range(start, stop), key=rank)]
-    return vecs
-
-
 def unitary_eigen(u: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a unitary matrix.
 
@@ -91,15 +75,15 @@ def unitary_eigen(u: np.ndarray) -> EigenDecomposition:
     u = np.asarray(u, dtype=complex)
     if not (_unitarity_defect(u) <= UNITARITY_TOL):  # NaN fails too
         raise ValueError("matrix is not unitary within tolerance")
+    # A is Hermitian as built: a[j, i] is the exact conjugate of a[i, j]
     a = 0.5 * (u + u.conj().T)
     b = (u - u.conj().T) / 2j
-    dec = hermitian_eigen(a, hermiticity_tol=1e-8)
-    vecs = dec.eigenvectors.astype(complex)
+    a_vals, vecs = np.linalg.eigh(a)
     # resolve each degenerate eigenspace of A against B
-    for start, stop in _groups(dec.eigenvalues, 1e-8):
+    for start, stop in _groups(a_vals, 1e-8):
         block = vecs[:, start:stop]
-        sub = hermitian_eigen(block.conj().T @ b @ block, hermiticity_tol=1e-8)
-        vecs[:, start:stop] = block @ sub.eigenvectors
+        s = block.conj().T @ b @ block
+        vecs[:, start:stop] = block @ np.linalg.eigh(0.5 * (s + s.conj().T))[1]
     lambdas = np.einsum("ik,ij,jk->k", vecs.conj(), u, vecs)
     if np.max(np.abs(np.abs(lambdas) - 1.0)) > 1e-7:
         raise ValueError("eigenvalues left the unit circle; input too far "
@@ -107,13 +91,4 @@ def unitary_eigen(u: np.ndarray) -> EigenDecomposition:
     phases = np.angle(lambdas)
     phases[phases <= -np.pi] = np.pi
     order = np.argsort(phases, kind="stable")
-    vecs = _order_degenerate(np.sort(phases), vecs[:, order], 1e-8)
-    return EigenDecomposition(lambdas[order], vecs)
-
-
-def _effective_matrix(n: int, v_eff: float, v: float) -> np.ndarray:
-    bonds = np.full(n - 1, float(v)) if n > 1 else np.zeros(0)
-    if n > 1:
-        bonds[0] = v_eff
-    return np.diag(bonds, 1) + np.diag(bonds, -1)
-
+    return EigenDecomposition(lambdas[order], vecs[:, order])

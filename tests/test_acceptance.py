@@ -12,7 +12,7 @@ from darkfloquet import (DrivenSystem, PropagationSettings, bessel_j0,
                          floquet_spectrum, hermitian_eigen, min_p1_floor,
                          min_p1_sweep, monodromy, propagate, quasi_energy_sweep,
                          verify_properties)
-from darkfloquet.linalg import _effective_matrix
+from darkfloquet.effective import _effective_matrix
 
 from conftest import FULL_GRID
 from oracles import j0_series_oracle, tridiag_det_sequence

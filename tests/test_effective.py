@@ -12,7 +12,7 @@ from darkfloquet import (ConfigError, DrivenSystem, J0_FIRST_ZERO,
                          hermitian_eigen, localization, min_p1_floor,
                          min_p1_oracle, min_p1_sweep, verify_properties)
 from darkfloquet import effective, floquet
-from darkfloquet.linalg import _effective_matrix
+from darkfloquet.effective import _effective_matrix
 
 from oracles import expm_scaling_squaring, j0_first_zero_oracle, j0_series_oracle
 

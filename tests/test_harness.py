@@ -363,6 +363,8 @@ class TestCli:
         assert main(["sweep-min-pop", "--ratio-grid", "0:inf:2"]) == 2
         assert main(["sweep-min-pop", "--omega", "1e300",
                      "--ratio-grid", "1e300:1e300:1"]) == 2
+        # properties holds one stack of its largest matrices and nothing else
+        assert main(["properties", "--n-list", "100000"]) == 2
 
     def test_numerical_blowup_exit_code(self, tmp_path):
         # RK4 overflows to NaN at this step size; the guards must trip on it,
@@ -444,6 +446,10 @@ class TestCli:
                      "--out", str(out)])
         assert code == 0
         assert out.exists() and out.with_suffix(".txt").exists()
+        # flags that size integration do not charge the property suite
+        for extra in ([], ["--steps-per-period", "100000000"]):
+            assert main(["properties", "--n", "400", "--trials", "1",
+                         "--n-list", "2", "--out", str(out), *extra]) == 0
 
 
 def test_min_p1_measured_matches_direct_propagation():

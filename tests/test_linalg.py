@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkfloquet import bessel_j0, hermitian_eigen, unitary_eigen
-from darkfloquet.linalg import _effective_matrix
+from darkfloquet.effective import _effective_matrix
 
 from oracles import (expm_scaling_squaring, j0_series_oracle,
                      tridiag_det_sequence)
@@ -13,6 +13,19 @@ from oracles import (expm_scaling_squaring, j0_series_oracle,
 def random_hermitian(rng, n):
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return x + x.conj().T
+
+
+def random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def assert_exact_eigenpairs(m, dec):
+    # eigenvalues repeated exactly: LAPACK's basis of each eigenspace must
+    # still be orthonormal and solve the eigenproblem to rounding
+    vecs = dec.eigenvectors
+    assert np.max(np.abs(m @ vecs - vecs * dec.eigenvalues)) <= 1e-12
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(len(m)))) <= 1e-12
 
 
 class TestHermitianEigen:
@@ -54,6 +67,13 @@ class TestHermitianEigen:
         assert np.max(np.abs(residual)) <= 1e-8 * scale
         assert np.all(np.diff(dec.eigenvalues) >= -1e-12)
 
+    def test_repeated_eigenvalues(self):
+        q = random_unitary(np.random.default_rng(3), 4)
+        m = q @ np.diag([1.0, 1.0, -1.0, 2.0]) @ q.conj().T
+        dec = hermitian_eigen(m)
+        assert np.allclose(dec.eigenvalues, [-1, 1, 1, 2], atol=1e-12)
+        assert_exact_eigenpairs(m, dec)
+
     def test_agrees_with_numpy(self):
         rng = np.random.default_rng(7)
         for n in (2, 3, 5, 9):
@@ -83,6 +103,15 @@ class TestUnitaryEigen:
         expected = np.sort(-np.array([-np.sqrt(2), 0, np.sqrt(2)]) * t_period)
         assert np.allclose(np.sort(np.angle(dec.eigenvalues)), expected,
                            atol=1e-7)
+
+    def test_repeated_eigenvalues(self):
+        q = random_unitary(np.random.default_rng(5), 5)
+        phases = np.array([0.7, 0.7, -0.7, 2.0, 2.0])
+        u = q @ np.diag(np.exp(1j * phases)) @ q.conj().T
+        dec = unitary_eigen(u)
+        assert np.allclose(np.angle(dec.eigenvalues), np.sort(phases),
+                           atol=1e-12)
+        assert_exact_eigenpairs(u, dec)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,16 @@
 import importlib
+import os
 import pkgutil
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import darkfloquet
 
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("0*.py"))
 MODULES = ["darkfloquet"] + [f"darkfloquet.{info.name}"
                              for info in pkgutil.iter_modules(darkfloquet.__path__)]
 
@@ -23,3 +28,14 @@ def test_readme_library_tour_runs(capsys):
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    # a copy, because a demo may write next to its own file
+    demos = shutil.copytree(demo.parent, tmp_path / "demos")
+    src = str(Path(darkfloquet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, str(demos / demo.name)],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
