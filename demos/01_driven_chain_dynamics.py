@@ -10,7 +10,7 @@ not just at one point.
 
 import numpy as np
 
-from darkfloquet import DrivenSystem, bessel_j0, min_p1_oracle, propagate
+from darkfloquet import DrivenSystem, bessel_j0, min_p1_floor, propagate
 
 
 def main():
@@ -20,7 +20,7 @@ def main():
         c0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         traj = propagate(system, c0, periods)
         floor = traj.populations[:, 0].min()
-        predicted = min_p1_oracle(v, v * bessel_j0(ratio))
+        predicted = min_p1_floor(3, v, v * bessel_j0(ratio))
         print(f"A/omega = {ratio:5.3f}: min P1 over {periods} periods "
               f"= {floor:.4f} (averaged-model prediction {predicted:.4f})")
 

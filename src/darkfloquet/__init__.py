@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .effective import (DarkState, EffectiveModel, PropertyReport, bessel_j0,
                         dark_state_closed_form, effective_model, localization,
-                        min_p1_floor, min_p1_oracle, verify_properties,
-                        J0_FIRST_ZERO)
+                        min_p1_floor, verify_properties, J0_FIRST_ZERO)
 from .errors import (ConfigError, NumericalQualityError, StepSizeError,
                      UnitarityError)
 from .evolve import PropagationSettings, Trajectory, monodromy, propagate
@@ -31,6 +30,6 @@ __all__ = [
     "fold_quasi_energy",
     "EffectiveModel", "DarkState", "PropertyReport", "bessel_j0",
     "J0_FIRST_ZERO", "effective_model", "dark_state_closed_form",
-    "localization", "min_p1_floor", "min_p1_oracle", "verify_properties",
+    "localization", "min_p1_floor", "verify_properties",
     "ConfigError", "NumericalQualityError", "StepSizeError", "UnitarityError",
 ]

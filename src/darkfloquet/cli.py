@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, NumericalQualityError
+from .evolve import _hold
 from .harness import (ExperimentConfig, run_dynamics, run_effective_compare,
                       run_floquet_sweep, run_min_pop_sweep, run_properties)
 
@@ -25,12 +26,14 @@ EXIT_NUMERICAL = 3
 def _parse_ratio_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, count = spec.split(":")
-        lo, hi = float(lo), float(hi)
-        if np.isfinite(hi - lo):  # not NaN, inf, or a span past float range
-            return np.linspace(lo, hi, int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
-        pass
-    raise ConfigError(f"bad --ratio-grid {spec!r}, expected lo:hi:count")
+        count = -1
+    # a negative count, NaN, inf, or a span past float range
+    if count < 0 or not np.isfinite(hi - lo):
+        raise ConfigError(f"bad --ratio-grid {spec!r}, expected lo:hi:count")
+    _hold(count, "the ratio grid")
+    return np.linspace(lo, hi, count)
 
 
 def _add_shared(parser: argparse.ArgumentParser) -> None:

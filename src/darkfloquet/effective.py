@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .evolve import _hold
 from .floquet import _chunks
 from .model import DrivenSystem
 
@@ -28,7 +29,6 @@ __all__ = [
     "dark_state_closed_form",
     "localization",
     "min_p1_floor",
-    "min_p1_oracle",
     "verify_properties",
     "PropertyReport",
     "PropertyCheck",
@@ -36,6 +36,8 @@ __all__ = [
 
 # first positive root of J0, to double precision
 J0_FIRST_ZERO = 2.404825557695773
+# bound on the matrices the property suite draws, each kept as ~3.5 checks
+MAX_DRAWS = 10**5
 
 
 def bessel_j0(x: float) -> float:
@@ -140,24 +142,11 @@ def min_p1_floor(n: int, v: float, v_eff: float) -> float:
     Chiral symmetry gives the +/-lambda modes equal weight on site 1, so
     with |w_1|^2 the zero mode's weight there (``localization``) the site-1
     amplitude never drops below 2|w_1|^2 - 1:
-    F_n = max(0, 2|w_1|^2 - 1)^2. At n = 3 and |v_eff| <= |v| this is
-    ``min_p1_oracle``.
+    F_n = max(0, 2|w_1|^2 - 1)^2. At n = 3 and |v_eff| <= |v| this is the
+    three-level minimum ((v^2 - v_eff^2) / (v^2 + v_eff^2))^2.
     """
     w1sq, _ = localization(n, v, v_eff)
     return max(0.0, 2.0 * w1sq - 1.0) ** 2
-
-
-def min_p1_oracle(v: float, v_eff: float) -> float:
-    """Long-time minimum of the site-1 population for the three-level
-    effective model started in (1, 0, 0).
-
-    Eigen-decomposing the 3x3 chain (eigenvalues 0, +/-sqrt(v^2 + v_eff^2))
-    gives P_1(t) = (v^2 + v_eff^2 cos(st))^2 / s^4, minimized at cos = -1.
-    """
-    s2 = v**2 + v_eff**2
-    if s2 == 0.0:
-        return 1.0
-    return ((v**2 - v_eff**2) / s2) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +217,17 @@ def verify_properties(n_range=range(2, 12), trials: int = 100,
     nonzero bonds but for the pinned v_eff = 0, so their spectra are simple
     except for the double zero of even n there; no check depends on the
     basis inside that pair, so degenerate eigenvectors need no ordering.
+    A run of more than MAX_DRAWS draws is refused before the first.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if rng_seed < 0:
         raise ConfigError(f"seed must be >= 0, got {rng_seed}")
+    n_range = tuple(n_range)
+    if (trials + 1) * len(n_range) > MAX_DRAWS:
+        raise ConfigError(f"run would draw {(trials + 1) * len(n_range)} "
+                          f"effective matrices, more than {MAX_DRAWS}")
+    _hold(max(n_range, default=0) ** 2, "an effective matrix")
     checks: list[PropertyCheck] = []
     for n in n_range:
         if n < 2:

@@ -15,6 +15,8 @@ One step loop advances the propagators of a grid of drive amplitudes that
 share n, v and omega. The hop of the chain is two shifted slice-adds, so a
 point's arithmetic is that of a one-point grid. Callers keep what they read:
 U(s), its row 0, or the site averages Q_j, summed QJ_BLOCK steps at a time.
+Each array sized from a caller's input is first charged to `_hold`, which
+refuses a run past MAX_KEPT_VALUES.
 
 No re-normalization is ever applied mid-trajectory: norm drift is kept as a
 quality diagnostic, and propagation aborts if it exceeds its bound.
@@ -42,6 +44,15 @@ __all__ = [
 
 NORM_DRIFT_ABORT = 1e-4
 QJ_BLOCK = 50  # steps of U(s) that propagator_averages adds in one product
+# complex values (800 MB) one array sized from a caller's input may hold
+MAX_KEPT_VALUES = 5 * 10**7
+
+
+def _hold(values: int, what: str) -> None:
+    """Refuse a run that would hold more than MAX_KEPT_VALUES values of what."""
+    if values > MAX_KEPT_VALUES:
+        raise ConfigError(f"run would hold {values} values of {what}, "
+                          f"more than {MAX_KEPT_VALUES}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,9 @@ class Trajectory:
         return float(np.max(np.abs(norms - 1.0)))
 
 
+# inf/NaN from a too coarse step, or from a period so long that the tables
+# overflow, is left to the callers' guards to report
+@np.errstate(over="ignore", invalid="ignore")
 def _rk4_run(systems, n_steps: int, visit, last: int | None = None):
     """RK4 on i dU/dt = H(t) U from U(0) = 1 to U(last h), last = n_steps/2
     unless given, for a grid of systems that share n, v and omega; H(t) is
@@ -84,6 +98,8 @@ def _rk4_run(systems, n_steps: int, visit, last: int | None = None):
     n, omega = first.n, first.omega
     if any((s.n, s.v, s.omega) != (n, first.v, omega) for s in systems):
         raise ConfigError("a propagator grid must share n, v and omega")
+    _hold(max(n_steps + 1, 4 * (n + 2) * len(systems) * n),
+          "the step loop's time tables and state")
     h, last = first.period / n_steps, n_steps // 2 if last is None else last
     signs = np.array([1.0] + [-1.0] * (n - 1))  # site 1 against the rest
     half_amp = 0.5 * np.array([s.amplitude for s in systems])
@@ -108,20 +124,18 @@ def _rk4_run(systems, n_steps: int, visit, last: int | None = None):
         return np.add(slope, d * mid, out=slope)
 
     d1 = drive * sin_full[0]
-    # inf/NaN from a too coarse step is left to the callers' guards to report
-    with np.errstate(over="ignore", invalid="ignore"):
-        visit(0, ut)
-        for k in range(last):
-            d0, dh, d1 = d1, drive * sin_half[k], drive * sin_full[k + 1]
-            rk_slope(d0, y[:-2], y[2:], u)
-            np.add(u, np.multiply(slope, 0.5, out=acc), out=zc)  # acc = K1/2
-            acc += rk_slope(dh)
-            np.add(u, 0.5 * slope, out=zc)
-            acc += rk_slope(dh)
-            np.add(u, slope, out=zc)
-            # y += (K1 + 2 K2 + 2 K3 + K4) / 6
-            u += (acc + 0.5 * rk_slope(d1)) / 3.0
-            visit(k + 1, ut)
+    visit(0, ut)
+    for k in range(last):
+        d0, dh, d1 = d1, drive * sin_half[k], drive * sin_full[k + 1]
+        rk_slope(d0, y[:-2], y[2:], u)
+        np.add(u, np.multiply(slope, 0.5, out=acc), out=zc)  # acc = K1/2
+        acc += rk_slope(dh)
+        np.add(u, 0.5 * slope, out=zc)
+        acc += rk_slope(dh)
+        np.add(u, slope, out=zc)
+        # y += (K1 + 2 K2 + 2 K3 + K4) / 6
+        u += (acc + 0.5 * rk_slope(d1)) / 3.0
+        visit(k + 1, ut)
     return ts, ut
 
 
@@ -165,6 +179,8 @@ def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
     if abs(nrm - 1.0) > 1e-9:
         raise ConfigError(f"initial state norm is {nrm}, expected 1")
     n_steps, half = settings.steps_per_period, settings.steps_per_period // 2
+    _hold(max((half + 1) * system.n ** 2, (periods * n_steps + 1) * system.n),
+          "U(s) up to T/2 or of the trajectory")
     us = np.empty((half + 1, system.n, system.n), dtype=complex)
 
     def keep(k, y):
@@ -180,8 +196,8 @@ def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
             # U(s + T/2) psi = Γ conj(U(s) Γ conj(W psi)), W psi = states[mid]
             states[mid + 1:mid + half + 1] = gamma * (
                 us[1:] @ (gamma * states[mid].conj())).conj()
-    traj = Trajectory(times=(system.period / n_steps) * np.arange(len(states)),
-                      states=states)
+        traj = Trajectory(times=(system.period / n_steps) * np.arange(len(states)),
+                          states=states)
     drift = traj.norm_drift
     if not drift <= NORM_DRIFT_ABORT:  # also trips on NaN
         raise StepSizeError(
@@ -214,6 +230,8 @@ def propagator_site1(systems,
                      settings: PropagationSettings = PropagationSettings()):
     """(times, rows, uts) over one period for a grid of systems that share
     n, v and omega: rows[g, k] = <1|U(times[k]), uts[g] = U(T)."""
+    _hold(len(systems) * (settings.steps_per_period + 1) * systems[0].n,
+          "row 0 of U(s)")
     rows = np.empty((len(systems), settings.steps_per_period + 1,
                      systems[0].n), dtype=complex)
 
@@ -233,6 +251,7 @@ def propagator_averages(systems,
     a state c(0) spends c^dag q[g, j] c of the period on site j; uts[g] =
     U(T). The loop sums the first half, S; the second is W^dag Γ S* Γ W."""
     n, half = systems[0].n, settings.steps_per_period // 2
+    _hold(len(systems) * (n ** 3 + QJ_BLOCK * n ** 2), "Q_j and its block of U(s)")
     q = np.zeros((len(systems), n, n, n), dtype=complex)
     # the loop's U(k h) are summed into q QJ_BLOCK at a time: block[g, j, b]
     # is row j of U(k h) of point g for the b-th step k of a block

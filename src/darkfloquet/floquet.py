@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .evolve import (QJ_BLOCK, PropagationSettings, period_maps,
+from .evolve import (QJ_BLOCK, PropagationSettings, _hold, period_maps,
                      propagator_averages, propagator_site1)
 from .linalg import unitary_eigen
 from .model import DrivenSystem
@@ -33,6 +33,8 @@ __all__ = [
 # property-suite stack, n^2 each
 MAX_CHUNK_VALUES = 5 * 10**5
 MIN_P1_BLOCK = 100  # periods per block of the min-P1 evaluation
+# bound on the site-1 samples of one min_p1_sweep point: a few seconds' work
+MAX_SAMPLES_PER_POINT = 10**9
 DARK_EPS_TOL, DARK_POP_TOL = 1e-4, 0.02  # dark mode: |eps|/omega, even-site <P>
 
 
@@ -144,6 +146,7 @@ def _grid_systems(n: int, v: float, omega: float, ratios):
         raise ConfigError("ratios must be a non-empty 1-D sequence")
     if np.any(~np.isfinite(ratios)) or np.any(ratios < 0):
         raise ConfigError("ratios must be finite and >= 0")
+    _hold(len(ratios) * (2 * n * n + n), "the grid's spectra")
     # float(r): an overflowing amplitude is inf, which DrivenSystem rejects
     return ratios, [DrivenSystem(n, v, float(r) * omega, omega)
                     for r in ratios]
@@ -200,6 +203,12 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
     _, systems = _grid_systems(n, v, omega, ratios)
     if not isinstance(periods, (int, np.integer)) or periods < 1:
         raise ConfigError(f"periods must be a positive integer, got {periods!r}")
+    samples = (settings.steps_per_period + 1) * periods
+    if samples > MAX_SAMPLES_PER_POINT:
+        raise ConfigError(f"run would sample {samples} values per grid point, "
+                          f"more than {MAX_SAMPLES_PER_POINT}")
+    _hold((settings.steps_per_period + 1) * min(periods, MIN_P1_BLOCK),
+          "the sampled block of periods")
     out = []
     for chunk in _chunks(systems, (settings.steps_per_period + 1) * n):
         _, rows, uts = propagator_site1(chunk, settings)

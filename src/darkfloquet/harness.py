@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .effective import (bessel_j0, effective_model, min_p1_oracle,
+from .effective import (bessel_j0, effective_model, min_p1_floor,
                         verify_properties)
 from .errors import ConfigError
-from .evolve import QJ_BLOCK, PropagationSettings, propagate
-from .floquet import (MIN_P1_BLOCK, _match_branches, min_p1_sweep,
-                      quasi_energy_branches, quasi_energy_sweep)
+from .evolve import PropagationSettings, propagate
+from .floquet import (_match_branches, min_p1_sweep, quasi_energy_branches,
+                      quasi_energy_sweep)
 from .linalg import hermitian_eigen
 from .model import DrivenSystem
 
@@ -37,10 +37,6 @@ EXPERIMENTS = ("dynamics", "sweep-min-pop", "floquet-sweep",
                "effective-compare", "properties")
 # default horizon in driving periods of the experiments that take one
 DEFAULT_PERIODS = {"dynamics": 20, "sweep-min-pop": 400}
-# bound on the complex values of U(s) or of the sampled horizon (800 MB)
-MAX_KEPT_VALUES = 5 * 10**7
-# bound on the site-1 samples of one sweep-min-pop point: a few seconds' work
-MAX_SAMPLES_PER_POINT = 10**9
 # table rows formatted per '%' call, which bounds the text held at once
 WRITE_BLOCK_ROWS = 4096
 
@@ -70,29 +66,6 @@ class ExperimentConfig:
                                DEFAULT_PERIODS.get(self.experiment))
         if self.experiment == "sweep-min-pop" and self.periods < 10:
             raise ConfigError(f"periods must be >= 10, got {self.periods}")
-        # U(s), s <= T/2, holds (steps/2 + 1) n^2 values (dynamics; more than
-        # a sweep-min-pop point's rows); the horizon (steps+1) periods n values
-        # (dynamics) or (steps+1) MIN_P1_BLOCK at most (sweep-min-pop); the
-        # spectra (steps+1)-long time tables, Q_j and QJ_BLOCK rows of U(s)
-        # per point (effective-compare, which keeps U(T) alone, no more); the
-        # property suite integrates nothing and stacks at least one matrix
-        steps, n = self.steps_per_period, self.n
-        if self.experiment == "properties":
-            samples = max(self.property_n_range, default=0) ** 2
-        elif self.experiment in DEFAULT_PERIODS:
-            horizon = (self.periods * n if self.experiment == "dynamics"
-                       else min(self.periods, MIN_P1_BLOCK))
-            samples = max((steps // 2 + 1) * n ** 2, (steps + 1) * horizon)
-        else:
-            samples = max(steps + 1, n ** 3 + QJ_BLOCK * n ** 2)
-        if samples > MAX_KEPT_VALUES:
-            raise ConfigError(
-                f"run would hold {samples} values of U(s), of the sampled "
-                f"horizon or of the period tables, more than {MAX_KEPT_VALUES}")
-        if (self.experiment == "sweep-min-pop"
-                and (steps + 1) * self.periods > MAX_SAMPLES_PER_POINT):
-            raise ConfigError(f"run would sample {(steps + 1) * self.periods} "
-                              f"values per grid point, more than {MAX_SAMPLES_PER_POINT}")
         if self.ratio_grid is not None:
             grid = np.asarray(self.ratio_grid, dtype=float)
             if grid.ndim != 1 or len(grid) == 0 or np.any(~np.isfinite(grid)):
@@ -226,7 +199,7 @@ def run_min_pop_sweep(config: ExperimentConfig) -> Path:
                                       config.periods, config.settings)}
     if config.n == 3:
         columns["min_P1_effective"] = np.array([
-            min_p1_oracle(config.v, config.v * bessel_j0(r)) for r in ratios])
+            min_p1_floor(3, config.v, config.v * bessel_j0(r)) for r in ratios])
     _write_csv(config.out, _provenance(config), ["ratio", *columns],
                [ratios, *columns.values()])
     if config.svg:

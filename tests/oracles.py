@@ -5,8 +5,9 @@ fixed-length series in exact rational arithmetic, the matrix exponential
 is scaling-and-squaring on the raw series, the time evolution is a plain
 RK4 over every step on a stack of state vectors, with H(t) built from the
 systems' fields rather than from darkfloquet, the chain determinants come
-from their two-term recursion, and the CSV text is formatted one value at a
-time.
+from their two-term recursion, the three-level tunneling minimum is the
+closed form of the 3x3 chain rather than the odd-n floor, and the CSV text
+is formatted one value at a time.
 """
 
 from fractions import Fraction
@@ -94,6 +95,19 @@ def rk4_rows(systems, states, periods: int, steps_per_period: int) -> np.ndarray
 def rk4_states(system, c0, periods: int, steps_per_period: int) -> np.ndarray:
     """The one-row case of `rk4_rows`: row k is the state at t = k h."""
     return rk4_rows([system], [c0], periods, steps_per_period)[:, 0]
+
+
+def min_p1_oracle(v: float, v_eff: float) -> float:
+    """Long-time minimum of the site-1 population for the three-level
+    effective model started in (1, 0, 0).
+
+    Eigen-decomposing the 3x3 chain (eigenvalues 0, +/-sqrt(v^2 + v_eff^2))
+    gives P_1(t) = (v^2 + v_eff^2 cos(st))^2 / s^4, minimized at cos = -1.
+    """
+    s2 = v**2 + v_eff**2
+    if s2 == 0.0:
+        return 1.0
+    return ((v**2 - v_eff**2) / s2) ** 2
 
 
 def tridiag_det_sequence(v_eff: float, v: float, n_max: int) -> np.ndarray:

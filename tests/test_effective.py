@@ -10,11 +10,12 @@ from darkfloquet import (ConfigError, DrivenSystem, J0_FIRST_ZERO,
                          PropagationSettings, bessel_j0,
                          dark_state_closed_form, effective_model,
                          hermitian_eigen, localization, min_p1_floor,
-                         min_p1_oracle, min_p1_sweep, verify_properties)
+                         min_p1_sweep, verify_properties)
 from darkfloquet import effective, floquet
 from darkfloquet.effective import _effective_matrix
 
-from oracles import expm_scaling_squaring, j0_first_zero_oracle, j0_series_oracle
+from oracles import (expm_scaling_squaring, j0_first_zero_oracle,
+                     j0_series_oracle, min_p1_oracle)
 
 
 class TestBesselJ0:
@@ -228,6 +229,19 @@ class TestVerifyProperties:
         chunked = verify_properties([5], trials=20, rng_seed=4).to_json()
         assert len(sizes) > 1 and max(sizes) <= max(budget, 25)
         assert chunked == whole
+
+    def test_largest_matrix_is_charged(self, charged):
+        # one stack holds at least one matrix of the largest size, n^2
+        charged(lambda: verify_properties([3, 40], trials=1), 40**2)
+
+    def test_draws_are_bounded_before_the_first(self, monkeypatch):
+        # each draw keeps about 3.5 checks; 10^9 of them would not fit
+        with pytest.raises(ConfigError, match="would draw 1000000001 "):
+            verify_properties([2], trials=10**9)
+        monkeypatch.setattr(effective, "MAX_DRAWS", 4)
+        assert len(verify_properties([2, 3], trials=1).checks) > 0
+        with pytest.raises(ConfigError, match="would draw 6 effective"):
+            verify_properties([2, 3], trials=2)
 
     def test_reproducible(self):
         r1 = verify_properties([3, 4], trials=5, rng_seed=9)

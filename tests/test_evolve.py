@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from darkfloquet import (ConfigError, DrivenSystem, PropagationSettings,
-                         UnitarityError, monodromy, propagate)
+                         StepSizeError, UnitarityError, monodromy, propagate)
 from darkfloquet import evolve
 
 from oracles import j0_first_zero_oracle, rk4_rows, rk4_states
@@ -215,6 +215,20 @@ def test_blown_up_period_maps_raise_without_a_warning():
             evolve.period_maps([system], PropagationSettings(steps_per_period=100))
 
 
+def test_overflowing_period_raises_without_a_warning():
+    # at the smallest normal omega the period overflows, and with it the
+    # step loop's drive and time tables: the guards report the NaN, and no
+    # RuntimeWarning escapes the tables or the trajectory's times
+    system = DrivenSystem(2, 1.0, 0.0, 2.2250738585072014e-308)
+    settings = PropagationSettings(steps_per_period=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSizeError):
+            propagate(system, basis_state(2), 1, settings)
+        with pytest.raises(UnitarityError):
+            evolve.period_maps([system], settings)
+
+
 def test_monodromy_spectrum_is_closed_under_conjugation():
     # Γ H(t + T/2) Γ = -H(t)* makes U(T) similar to its complex conjugate,
     # so quasi-energies pair as eps <-> -eps
@@ -228,3 +242,27 @@ def test_monodromy_spectrum_is_closed_under_conjugation():
             gap = np.abs(lam.conj()[:, None] - lam[None, :])
             assert np.max(gap.min(axis=1)) <= 1e-12
             assert np.max(gap.min(axis=0)) <= 1e-12
+
+
+@pytest.mark.parametrize("periods, values", [(1, 51 * 3**2), (2, 201 * 3)])
+def test_propagate_is_charged_half_a_period_of_propagators(charged, periods,
+                                                           values):
+    # propagate keeps U(s) for s <= T/2 only, (N/2 + 1) n^2 values, and
+    # the trajectory, (periods N + 1) n; the step loop's N + 1 is less
+    system = DrivenSystem(3, 1.0, 5.0, 10.0)
+    charged(lambda: propagate(system, basis_state(3), periods,
+                              PropagationSettings(steps_per_period=100)),
+            values)
+
+
+@pytest.mark.parametrize("run, points, values", [
+    (evolve.period_maps, 1, 101),  # the step loop's time tables, N + 1
+    (evolve.period_maps, 2, 4 * 5 * 2 * 3),  # its state, 4 (n + 2) G n
+    (evolve.propagator_site1, 2, 2 * 101 * 3),  # row 0 of U(s), G (N + 1) n
+    (evolve.propagator_averages, 2,
+     2 * (3**3 + evolve.QJ_BLOCK * 3**2)),  # Q_j and its block of U(s) rows
+], ids=["tables", "state", "site1", "averages"])
+def test_grid_propagators_are_charged(charged, run, points, values):
+    systems = [DrivenSystem(3, 1.0, 0.1 * g, 10.0) for g in range(points)]
+    charged(lambda: run(systems, PropagationSettings(steps_per_period=100)),
+            values)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkfloquet import (DrivenSystem, PropagationSettings, dark_mode,
-                         floquet_spectrum, fold_quasi_energy, hermitian_eigen,
-                         min_p1_sweep, propagate, quasi_energy_sweep)
+from darkfloquet import (ConfigError, DrivenSystem, PropagationSettings,
+                         dark_mode, floquet_spectrum, fold_quasi_energy,
+                         hermitian_eigen, min_p1_sweep, propagate,
+                         quasi_energy_sweep)
 from darkfloquet import evolve, floquet
 
 from oracles import j0_first_zero_oracle, rk4_rows
@@ -275,3 +276,50 @@ def test_branch_matching_breaks_ties_in_a_fixed_order():
                       np.array([0.0, 5.0, 0.0]))) == [0, 2, 1]
     assert list(match(eye, w_next, e_prev,
                       np.array([0.9, 5.0, -0.9]))) == [2, 0, 1]
+
+
+COARSE = PropagationSettings(steps_per_period=100)
+
+
+def test_min_p1_sweep_is_charged_one_block_of_periods(charged, monkeypatch):
+    # min_p1_sweep samples at most MIN_P1_BLOCK periods of a point at once,
+    # (N + 1) MIN_P1_BLOCK values, so a long horizon costs no more than a
+    # short one
+    charged(lambda: min_p1_sweep(3, 1.0, 10.0, [0.5], 30000, COARSE),
+            101 * floquet.MIN_P1_BLOCK)
+    # its work still grows with the horizon, and is bounded per point
+    with pytest.raises(ConfigError, match="would sample 2001000000 values"):
+        min_p1_sweep(3, 1.0, 10.0, [0.5], 10**6)
+    monkeypatch.setattr(floquet, "MAX_SAMPLES_PER_POINT", 101 * 30000 - 1)
+    with pytest.raises(ConfigError, match="would sample 3030000 values"):
+        min_p1_sweep(3, 1.0, 10.0, [0.5], 30000, COARSE)
+
+
+@pytest.mark.parametrize("sweep, values", [
+    (quasi_energy_sweep, 3**3 + evolve.QJ_BLOCK * 3**2),  # Q_j and its block
+    (floquet.quasi_energy_branches, 101),  # the step loop's time tables
+])
+def test_spectra_are_charged_their_period_tables(charged, sweep, values):
+    # neither keeps U(s), so a long period fits at n = 3
+    charged(lambda: sweep(3, 1.0, 10.0, [0.5], COARSE), values)
+
+
+def test_grid_is_charged_its_spectra(charged, monkeypatch):
+    # one-point chunks charge little; the grid's eigenvectors and
+    # populations, (2 n^2 + n) values a point, outweigh them
+    monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES", 1)
+    charged(lambda: floquet.quasi_energy_branches(
+        3, 1.0, 10.0, np.linspace(0.0, 1.0, 7), COARSE), 7 * (2 * 3**2 + 3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: propagate(DrivenSystem(3, 1.0, 0.0, 10.0), np.eye(3)[0], 10**8),
+    lambda: quasi_energy_sweep(3, 1.0, 10.0, [0.5],
+                               PropagationSettings(10**12)),
+    lambda: floquet.quasi_energy_branches(3, 1.0, 10.0, [0.5],
+                                          PropagationSettings(10**12)),
+], ids=["propagate", "quasi_energy_sweep", "quasi_energy_branches"])
+def test_oversized_calls_are_refused_before_allocating(call):
+    # each asked numpy for terabytes and raised MemoryError
+    with pytest.raises(ConfigError, match="run would hold"):
+        call()

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ import darkfloquet
 from darkfloquet import (ConfigError, DrivenSystem, bessel_j0, min_p1_sweep,
                          propagate)
 from darkfloquet import effective, floquet, harness
-from darkfloquet.cli import main
+from darkfloquet.cli import _parse_ratio_grid, main
 from darkfloquet.harness import (ExperimentConfig, run_dynamics,
                                  run_effective_compare, run_floquet_sweep,
                                  run_min_pop_sweep, run_properties)
@@ -224,33 +225,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="sweep-min-pop", periods=5)
 
-    def test_spectra_are_charged_their_period_tables(self):
-        # floquet-sweep and effective-compare keep no U(s): a long period
-        # at n = 11 fits, while a step count past the bound still does not
-        for experiment in ("floquet-sweep", "effective-compare"):
-            config = ExperimentConfig(experiment=experiment, n=11,
-                                      steps_per_period=500000)
-            assert config.steps_per_period == 500000
-            with pytest.raises(ConfigError):
-                ExperimentConfig(experiment=experiment, n=11,
-                                 steps_per_period=10**8)
-
-    def test_dynamics_is_charged_half_a_period_of_propagators(self):
-        # propagate keeps U(s) for s <= T/2 only: (1000 + 1) n^2 values at
-        # 2000 steps, which fits at n = 200 and not at n = 250
-        assert ExperimentConfig(experiment="dynamics", n=200, periods=1).n == 200
-        with pytest.raises(ConfigError, match="would hold 62562500 values"):
-            ExperimentConfig(experiment="dynamics", n=250, periods=1)
-
-    def test_min_pop_is_charged_one_block_of_periods(self):
-        # min_p1_sweep samples at most MIN_P1_BLOCK periods of a point at
-        # once, so a long horizon costs no more than a short one
-        config = ExperimentConfig(experiment="sweep-min-pop", periods=30000)
-        assert config.periods == 30000
-        # its work still grows with the horizon, and is bounded per point
-        with pytest.raises(ConfigError, match="would sample 2001000000 values"):
-            ExperimentConfig(experiment="sweep-min-pop", periods=10**6)
-
     def test_periods_default_and_provenance(self, tmp_path):
         assert ExperimentConfig(experiment="dynamics").periods == 20
         assert ExperimentConfig(experiment="sweep-min-pop").periods == 400
@@ -365,6 +339,21 @@ class TestCli:
                      "--ratio-grid", "1e300:1e300:1"]) == 2
         # properties holds one stack of its largest matrices and nothing else
         assert main(["properties", "--n-list", "100000"]) == 2
+        assert "an effective matrix" in capsys.readouterr().err
+        # linspace was asked for 8 GB and raised MemoryError
+        assert main(["sweep-min-pop", "--ratio-grid", "0:5:1000000000"]) == 2
+
+    def test_oversized_run_exit_code(self, capsys):
+        # the library function that would allocate refuses the run
+        assert main(["dynamics", "--n", "250", "--periods", "1"]) == 2
+        assert re.search(r"would hold 62562500 values .*U\(s\)",
+                         capsys.readouterr().err)
+        for command in ("floquet-sweep", "effective-compare"):
+            assert main([command, "--n", "11",
+                         "--steps-per-period", "100000000"]) == 2
+
+    def test_ratio_grid_count_is_charged(self, charged):
+        charged(lambda: _parse_ratio_grid("0:1:7"), 7)
 
     def test_numerical_blowup_exit_code(self, tmp_path):
         # RK4 overflows to NaN at this step size; the guards must trip on it,
