@@ -37,21 +37,20 @@ def _parse_ratio_grid(spec: str) -> np.ndarray:
 
 
 def _add_shared(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=3, help="number of levels")
-    parser.add_argument("--v", type=float, default=1.0, help="coupling constant")
-    parser.add_argument("--omega", type=float, default=10.0, help="drive frequency")
-    parser.add_argument("--amplitude", type=float, default=None,
-                        help="drive amplitude A")
-    parser.add_argument("--ratio-grid", type=str, default=None, metavar="LO:HI:COUNT",
+    parser.add_argument("--n", type=int, help="number of levels")
+    parser.add_argument("--v", type=float, help="coupling constant")
+    parser.add_argument("--omega", type=float, help="drive frequency")
+    parser.add_argument("--amplitude", type=float, help="drive amplitude A")
+    parser.add_argument("--ratio-grid", type=str, metavar="LO:HI:COUNT",
                         help="grid of A/omega values (default 0:5:201 for sweeps)")
-    parser.add_argument("--periods", type=int, default=None,
+    parser.add_argument("--periods", type=int,
                         help="horizon in driving periods (dynamics, sweep-min-pop)")
-    parser.add_argument("--steps-per-period", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=str, default=None, help="output CSV path")
+    parser.add_argument("--steps-per-period", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out", type=str, help="output CSV path")
     parser.add_argument("--svg", action="store_true",
                         help="also write an SVG line plot next to the CSV")
-    parser.add_argument("--no-timestamp", action="store_true",
+    parser.add_argument("--no-timestamp", dest="timestamp", action="store_false",
                         help="omit the timestamp comment (byte-reproducible output)")
 
 
@@ -68,60 +67,43 @@ def build_parser() -> argparse.ArgumentParser:
         ("effective-compare", "quasi-energies versus effective eigenvalues"),
         ("properties", "verify the effective-matrix spectral properties"),
     ]:
-        p = sub.add_parser(name, help=descr)
+        # a flag left out stays unset; a flag's dest is its config field
+        p = sub.add_parser(name, help=descr,
+                           argument_default=argparse.SUPPRESS)
         _add_shared(p)
         if name == "properties":
-            p.add_argument("--trials", type=int, default=100)
-            p.add_argument("--n-list", type=str, default="2,3,4,5,6,7,8,9,10,11",
-                           help="comma-separated matrix sizes")
+            p.add_argument("--trials", type=int, dest="property_trials",
+                           metavar="TRIALS")
+            p.add_argument("--n-list", type=str, dest="property_n_range",
+                           metavar="N_LIST", help="comma-separated matrix sizes")
     return parser
 
 
-_DEFAULT_OUT = {
-    "dynamics": "dynamics.csv",
-    "sweep-min-pop": "min_pop.csv",
-    "floquet-sweep": "floquet.csv",
-    "effective-compare": "effective_compare.csv",
-    "properties": "properties.json",
-}
-
-
 def _config_from_args(args) -> ExperimentConfig:
-    kwargs = dict(
-        experiment=args.command,
-        n=args.n, v=args.v, omega=args.omega,
-        amplitude=args.amplitude,
-        steps_per_period=args.steps_per_period,
-        seed=args.seed,
-        out=args.out or _DEFAULT_OUT[args.command],
-        svg=args.svg,
-        timestamp=not args.no_timestamp,
-    )
-    if args.ratio_grid is not None:
-        kwargs["ratio_grid"] = _parse_ratio_grid(args.ratio_grid)
-    if args.periods is not None:
-        kwargs["periods"] = args.periods
-    if args.command == "properties":
-        kwargs["property_trials"] = args.trials
+    kwargs = vars(args)
+    experiment = kwargs.pop("command")
+    if "ratio_grid" in kwargs:
+        kwargs["ratio_grid"] = _parse_ratio_grid(kwargs["ratio_grid"])
+    if "property_n_range" in kwargs:
+        spec = kwargs["property_n_range"]
         try:
-            kwargs["property_n_range"] = tuple(
-                int(x) for x in args.n_list.split(","))
+            kwargs["property_n_range"] = tuple(int(x) for x in spec.split(","))
         except ValueError as exc:
-            raise ConfigError(f"bad --n-list {args.n_list!r}") from exc
-    return ExperimentConfig(**kwargs)
+            raise ConfigError(f"bad --n-list {spec!r}") from exc
+    return ExperimentConfig(experiment, **kwargs)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        if args.command == "dynamics":
+        if config.experiment == "dynamics":
             path = run_dynamics(config)
-        elif args.command == "sweep-min-pop":
+        elif config.experiment == "sweep-min-pop":
             path = run_min_pop_sweep(config)
-        elif args.command == "floquet-sweep":
+        elif config.experiment == "floquet-sweep":
             path = run_floquet_sweep(config)
-        elif args.command == "effective-compare":
+        elif config.experiment == "effective-compare":
             path = run_effective_compare(config)
         else:
             code = run_properties(config)

@@ -42,13 +42,12 @@ DARK_EPS_TOL, DARK_POP_TOL = 1e-4, 0.02  # dark mode: |eps|/omega, even-site <P>
 class FloquetSpectrum:
     """Floquet modes of one driven system, sorted by quasi-energy.
 
-    Mode k has quasi-energy quasi_energies[k] in the first Brillouin zone,
-    eigenvalue multipliers[k] of the monodromy matrix U(T), t=0 vector
-    eigenvectors[:, k] and period-averaged populations avg_populations[k].
+    Mode k has quasi-energy eps_k = quasi_energies[k] in the first Brillouin
+    zone, t=0 vector w = eigenvectors[:, k] with U(T) w = exp(-i eps_k T) w,
+    and period-averaged populations avg_populations[k].
     """
 
     quasi_energies: np.ndarray      # (n,)
-    multipliers: np.ndarray         # (n,)
     eigenvectors: np.ndarray        # (n, n), column k = mode k
     avg_populations: np.ndarray     # (n, n), row k = mode k
     system: DrivenSystem
@@ -73,12 +72,12 @@ def _chunks(systems, values_per_point: int):
 
 
 def _modes(system: DrivenSystem, u: np.ndarray):
-    """Quasi-energies, multipliers and eigenvectors of U(T), by quasi-energy."""
+    """Quasi-energies and eigenvectors of U(T), by quasi-energy."""
     dec = unitary_eigen(u)
     eps = fold_quasi_energy(-np.angle(dec.eigenvalues) / system.period,
                             system.omega)
     order = np.argsort(eps, kind="stable")
-    return eps[order], dec.eigenvalues[order], dec.eigenvectors[:, order]
+    return eps[order], dec.eigenvectors[:, order]
 
 
 def _spectra(systems, settings: PropagationSettings) -> list[FloquetSpectrum]:
@@ -89,11 +88,11 @@ def _spectra(systems, settings: PropagationSettings) -> list[FloquetSpectrum]:
     for chunk in _chunks(systems, n ** 3 + QJ_BLOCK * n ** 2):
         _, q, uts = propagator_averages(chunk, settings)
         for system, u, q_j in zip(chunk, uts, q):
-            eps, lam, vecs = _modes(system, u)
+            eps, vecs = _modes(system, u)
             pops = np.einsum("ak,jab,bk->kj", vecs.conj(), q_j, vecs).real
             spectra.append(FloquetSpectrum(
-                quasi_energies=eps, multipliers=lam, eigenvectors=vecs,
-                avg_populations=pops, system=system))
+                quasi_energies=eps, eigenvectors=vecs, avg_populations=pops,
+                system=system))
     return spectra
 
 
@@ -183,7 +182,7 @@ def quasi_energy_branches(n: int, v: float, omega: float, ratios,
     """(quasi_energies, eigenvectors) of `quasi_energy_sweep`, without the
     period averages: U(T) comes from the quarter-period `period_maps`."""
     _, systems = _grid_systems(n, v, omega, ratios)
-    eps, _, vecs = map(np.array, zip(*[
+    eps, vecs = map(np.array, zip(*[
         _modes(system, u) for chunk in _chunks(systems, n * n)
         for system, u in zip(chunk, period_maps(chunk, settings))]))
     _track(eps, vecs)

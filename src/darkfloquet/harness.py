@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import datetime
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +19,8 @@ from .effective import (bessel_j0, effective_model, min_p1_floor,
                         verify_properties)
 from .errors import ConfigError
 from .evolve import PropagationSettings, propagate
-from .floquet import (_match_branches, min_p1_sweep, quasi_energy_branches,
-                      quasi_energy_sweep)
-from .linalg import hermitian_eigen
+from .floquet import (_grid_systems, _match_branches, min_p1_sweep,
+                      quasi_energy_branches, quasi_energy_sweep)
 from .model import DrivenSystem
 
 __all__ = [
@@ -33,8 +32,11 @@ __all__ = [
     "run_properties",
 ]
 
-EXPERIMENTS = ("dynamics", "sweep-min-pop", "floquet-sweep",
-               "effective-compare", "properties")
+# each experiment and the file it writes when given no output path
+EXPERIMENTS = {"dynamics": "dynamics.csv", "sweep-min-pop": "min_pop.csv",
+               "floquet-sweep": "floquet.csv",
+               "effective-compare": "effective_compare.csv",
+               "properties": "properties.json"}
 # default horizon in driving periods of the experiments that take one
 DEFAULT_PERIODS = {"dynamics": 20, "sweep-min-pop": 400}
 # table rows formatted per '%' call, which bounds the text held at once
@@ -52,7 +54,7 @@ class ExperimentConfig:
     periods: int | None = None  # None: the experiment's DEFAULT_PERIODS
     steps_per_period: int = 2000
     seed: int = 0
-    out: Path = field(default_factory=lambda: Path("out.csv"))
+    out: Path | None = None  # None or "": the experiment's EXPERIMENTS file
     svg: bool = False
     timestamp: bool = True
     property_n_range: tuple[int, ...] = tuple(range(2, 12))
@@ -73,16 +75,16 @@ class ExperimentConfig:
             if np.any(np.diff(grid) < 0):
                 raise ConfigError("ratio grid must be sorted ascending")
             object.__setattr__(self, "ratio_grid", grid)
-        object.__setattr__(self, "out", Path(self.out))
+        object.__setattr__(self, "out",
+                           Path(self.out or EXPERIMENTS[self.experiment]))
 
     @property
     def settings(self) -> PropagationSettings:
         return PropagationSettings(steps_per_period=self.steps_per_period)
 
     def ratio_or_default(self) -> np.ndarray:
-        if self.ratio_grid is not None:
-            return self.ratio_grid
-        return np.linspace(0.0, 5.0, 201)
+        return (np.linspace(0.0, 5.0, 201) if self.ratio_grid is None
+                else self.ratio_grid)
 
 
 def _provenance(config: ExperimentConfig, extra: dict | None = None) -> list[str]:
@@ -173,41 +175,52 @@ def _write_svg(path: Path, x: np.ndarray, ys: np.ndarray,
     _write(path, ["\n".join(parts)])
 
 
+def _emit(config: ExperimentConfig, header: list[str], columns, plot,
+          extra: dict | None = None) -> Path:
+    """The CSV under its provenance lines, then with --svg the plot (x, ys,
+    labels, title) next to it; returns the CSV path."""
+    _write_csv(config.out, _provenance(config, extra), header, columns)
+    if config.svg:
+        _write_svg(config.out.with_suffix(".svg"), *plot)
+    return config.out
+
+
+def _branch_rows(ratios: np.ndarray, n: int) -> list[np.ndarray]:
+    """Ratio and branch columns: one row per (ratio, branch), ratio-major."""
+    return [np.repeat(ratios, n), np.tile(np.arange(n), len(ratios))]
+
+
 def run_dynamics(config: ExperimentConfig) -> Path:
     """Trajectory CSV (t, P_1..P_n) from the initial state (1, 0, ..., 0)."""
     amplitude = config.amplitude if config.amplitude is not None else 0.0
     system = DrivenSystem(config.n, config.v, amplitude, config.omega)
     traj = propagate(system, np.eye(config.n, dtype=complex)[0],
                      config.periods, config.settings)
-    pops = traj.populations
-    header = ["t"] + [f"P{j+1}" for j in range(config.n)]
-    comments = _provenance(config, {"norm_drift": f"{traj.norm_drift:.3e}"})
-    _write_csv(config.out, comments, header, [traj.times, *pops.T])
-    if config.svg:
-        _write_svg(config.out.with_suffix(".svg"), traj.times,
-                   pops.T,
-                   [f"P{j+1}" for j in range(config.n)],
-                   f"populations, n={config.n}, A/w={amplitude/config.omega:.3g}")
-    return config.out
+    labels = [f"P{j+1}" for j in range(config.n)]
+    pops = traj.populations.T
+    return _emit(config, ["t", *labels], [traj.times, *pops],
+                 (traj.times, pops, labels, f"populations, n={config.n}, "
+                  f"A/w={amplitude/config.omega:.3g}"),
+                 {"norm_drift": f"{traj.norm_drift:.3e}"})
 
 
 def run_min_pop_sweep(config: ExperimentConfig) -> Path:
     """CSV of (A/omega, min P_1) over the ratio grid, with the three-level
     effective-model prediction as a companion column where defined."""
     ratios = config.ratio_or_default()
+    # the grid checked and the J0 column built before the sweep, so that a
+    # ratio J0 refuses costs no integration
+    _grid_systems(config.n, config.v, config.omega, ratios)
+    effective = ([min_p1_floor(3, config.v, config.v * bessel_j0(r))
+                  for r in ratios] if config.n == 3 else None)
     columns = {"min_P1": min_p1_sweep(config.n, config.v, config.omega, ratios,
                                       config.periods, config.settings)}
-    if config.n == 3:
-        columns["min_P1_effective"] = np.array([
-            min_p1_floor(3, config.v, config.v * bessel_j0(r)) for r in ratios])
-    _write_csv(config.out, _provenance(config), ["ratio", *columns],
-               [ratios, *columns.values()])
-    if config.svg:
-        _write_svg(config.out.with_suffix(".svg"), ratios,
-                   list(columns.values()),
-                   ["min P1", "effective"][:len(columns)],
-                   f"minimum P1, n={config.n}")
-    return config.out
+    if effective is not None:
+        columns["min_P1_effective"] = np.array(effective)
+    return _emit(config, ["ratio", *columns], [ratios, *columns.values()],
+                 (ratios, list(columns.values()),
+                  ["min P1", "effective"][:len(columns)],
+                  f"minimum P1, n={config.n}"))
 
 
 def run_floquet_sweep(config: ExperimentConfig) -> Path:
@@ -218,49 +231,35 @@ def run_floquet_sweep(config: ExperimentConfig) -> Path:
                                config.settings)
     header = (["ratio", "branch", "quasi_energy"]
               + [f"avgP{j+1}" for j in range(config.n)])
-    # one row per (ratio, branch), ratio-major
-    columns = [np.repeat(ratios, config.n),
-               np.tile(np.arange(config.n), len(ratios)),
-               sweep.quasi_energies.ravel(),
+    columns = [*_branch_rows(ratios, config.n), sweep.quasi_energies.ravel(),
                *sweep.avg_populations.reshape(-1, config.n).T]
-    _write_csv(config.out, _provenance(config), header, columns)
-    if config.svg:
-        _write_svg(config.out.with_suffix(".svg"), ratios,
-                   sweep.quasi_energies.T,
-                   [f"eps{k+1}" for k in range(config.n)],
-                   f"quasi-energies, n={config.n}")
-    return config.out
+    return _emit(config, header, columns,
+                 (ratios, sweep.quasi_energies.T,
+                  [f"eps{k+1}" for k in range(config.n)],
+                  f"quasi-energies, n={config.n}"))
 
 
 def run_effective_compare(config: ExperimentConfig) -> Path:
     """CSV pairing driven quasi-energies with effective-model eigenvalues,
     branch-matched by eigenvector overlap."""
     ratios = config.ratio_or_default()
+    # the effective grid first, so that a ratio J0 refuses costs no integration
+    _, systems = _grid_systems(config.n, config.v, config.omega, ratios)
+    lam, w = np.linalg.eigh(np.array(
+        [effective_model(system).matrix for system in systems]))
     eps, vecs = quasi_energy_branches(config.n, config.v, config.omega, ratios,
                                       config.settings)
-    lams = np.empty_like(eps)
-    for i, r in enumerate(ratios):
-        system = DrivenSystem(config.n, config.v, float(r) * config.omega,
-                              config.omega)
-        dec = hermitian_eigen(effective_model(system).matrix)
-        # overlap pairing: monodromy eigenvectors against static eigenvectors
-        pairing = _match_branches(vecs[i], dec.eigenvectors, eps[i],
-                                  dec.eigenvalues)
-        lams[i] = dec.eigenvalues[pairing]
+    # overlap pairing: monodromy eigenvectors against static eigenvectors
+    lams = np.array([lam[i][_match_branches(vecs[i], w[i], eps[i], lam[i])]
+                     for i in range(len(ratios))])
     devs = np.abs(eps - lams)
     header = ["ratio", "branch", "quasi_energy", "effective_eigenvalue",
               "abs_deviation"]
-    comments = _provenance(config, {"max_abs_deviation": f"{devs.max():.6g}"})
-    _write_csv(config.out, comments, header,
-               [np.repeat(ratios, config.n),
-                np.tile(np.arange(config.n), len(ratios)),
-                eps.ravel(), lams.ravel(), devs.ravel()])
-    if config.svg:
-        _write_svg(config.out.with_suffix(".svg"), ratios,
-                   devs.T,
-                   [f"|eps-lam| {k+1}" for k in range(config.n)],
-                   f"effective-model deviation, n={config.n}")
-    return config.out
+    return _emit(config, header, [*_branch_rows(ratios, config.n), eps.ravel(),
+                                  lams.ravel(), devs.ravel()],
+                 (ratios, devs.T, [f"|eps-lam| {k+1}" for k in range(config.n)],
+                  f"effective-model deviation, n={config.n}"),
+                 {"max_abs_deviation": f"{devs.max():.6g}"})
 
 
 def run_properties(config: ExperimentConfig) -> int:

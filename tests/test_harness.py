@@ -299,13 +299,23 @@ class TestCli:
         assert code == 0
         assert out.exists()
 
-    def test_svg_written(self, tmp_path):
-        out = tmp_path / "dyn.csv"
-        code = main(["dynamics", "--amplitude", "0", "--periods", "5",
-                     "--out", str(out), "--svg", "--no-timestamp"])
-        assert code == 0
+    @pytest.mark.parametrize("argv, series, title", [
+        (["dynamics", "--amplitude", "0", "--periods", "5"], 3,
+         "populations, n=3, A/w=0"),
+        (["sweep-min-pop", "--periods", "10", "--ratio-grid", "0:2:3"], 2,
+         "minimum P1, n=3"),
+        (["floquet-sweep", "--ratio-grid", "0:2:3"], 3, "quasi-energies, n=3"),
+        (["effective-compare", "--ratio-grid", "0:2:3"], 3,
+         "effective-model deviation, n=3"),
+    ], ids=["dynamics", "sweep-min-pop", "floquet-sweep", "effective-compare"])
+    def test_svg_written(self, tmp_path, argv, series, title):
+        # every table goes through the one writer: CSV, then its plot
+        out = tmp_path / "t.csv"
+        assert main([*argv, "--out", str(out), "--svg", "--no-timestamp"]) == 0
         svg = out.with_suffix(".svg").read_text()
-        assert svg.startswith("<svg") and "polyline" in svg
+        assert svg.startswith("<svg") and svg.endswith("</svg>")
+        assert svg.count("<polyline") == series
+        assert f">{title}</text>" in svg
 
     def test_ratio_grid_flag(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -342,6 +352,13 @@ class TestCli:
         assert "an effective matrix" in capsys.readouterr().err
         # linspace was asked for 8 GB and raised MemoryError
         assert main(["sweep-min-pop", "--ratio-grid", "0:5:1000000000"]) == 2
+        capsys.readouterr()
+        # J0 refuses A/omega > 1e4 before any integration, which at this
+        # step size would end in a numerical-quality failure (exit 3)
+        for command in ("effective-compare", "sweep-min-pop"):
+            assert main([command, "--n", "3", "--ratio-grid", "20000:20000:1",
+                         "--steps-per-period", "100"]) == 2
+            assert "|x| <= 1e4" in capsys.readouterr().err
 
     def test_oversized_run_exit_code(self, capsys):
         # the library function that would allocate refuses the run
@@ -362,7 +379,8 @@ class TestCli:
                   "--out", str(tmp_path / "out.csv")]
         src = str(Path(darkfloquet.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        for args in (["effective-compare", "--ratio-grid", "20000:20001:2"],
+        # A/omega = 5000 stays inside the range of the effective model's J0
+        for args in (["effective-compare", "--ratio-grid", "5000:5001:2"],
                      ["dynamics", "--amplitude", "20000", "--periods", "1"]):
             run = subprocess.run(
                 [sys.executable, "-m", "darkfloquet.cli", *args, *coarse],

@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import shlex
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import darkfloquet
+from darkfloquet.cli import main
 
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("0*.py"))
 MODULES = ["darkfloquet"] + [f"darkfloquet.{info.name}"
@@ -28,6 +30,21 @@ def test_readme_library_tour_runs(capsys):
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_command_lines_run(tmp_path):
+    # each darkfloquet line of the README's CLI block, on a 3-point grid for
+    # the sweeps and writing under tmp_path: argparse keeps a flag's last value
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line)[1:] for line in block.splitlines()
+             if line.startswith("darkfloquet ")]
+    assert len(lines) == 5
+    for i, argv in enumerate(lines):
+        if argv[0] in ("sweep-min-pop", "floquet-sweep", "effective-compare"):
+            argv += ["--ratio-grid", "0:5:3"]
+        assert main([*argv, "--out", str(tmp_path / f"{i}.csv")]) == 0, argv
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
