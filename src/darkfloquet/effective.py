@@ -10,8 +10,10 @@ effective matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,11 +76,20 @@ class DarkState:
     localization: float  # |w_1|^2
 
 
+def _effective_matrices(n: int, v_eff, v) -> np.ndarray:
+    """Stack of averaged-chain matrices, one per entry of the 1-D v_eff:
+    zero diagonal, first bond v_eff, the other bonds v (one value per
+    matrix, or one for all)."""
+    v_eff = np.asarray(v_eff, dtype=float)
+    h = np.zeros((len(v_eff), n, n))
+    flat = h.reshape(len(v_eff), n * n)  # super- and subdiagonal: step n + 1
+    flat[:, 1::n + 1] = flat[:, n::n + 1] = np.asarray(v, dtype=float)[..., None]
+    flat[:, 1:2] = flat[:, n:n + 1] = v_eff[:, None]  # none when n = 1
+    return h
+
+
 def _effective_matrix(n: int, v_eff: float, v: float) -> np.ndarray:
-    bonds = np.full(n - 1, float(v)) if n > 1 else np.zeros(0)
-    if n > 1:
-        bonds[0] = v_eff
-    return np.diag(bonds, 1) + np.diag(bonds, -1)
+    return _effective_matrices(n, [v_eff], v)[0]
 
 
 def effective_model(system: DrivenSystem) -> EffectiveModel:
@@ -94,6 +105,23 @@ def effective_model(system: DrivenSystem) -> EffectiveModel:
                           matrix=_effective_matrix(system.n, v_eff, system.v))
 
 
+def _zero_modes(n: int, v, v_eff) -> np.ndarray:
+    """Rows: `dark_state_closed_form`'s vectors for the 1-D arrays v and
+    v_eff, each normalized by its BLAS dot product, as np.linalg.norm is."""
+    v, v_eff = np.asarray(v, dtype=float), np.asarray(v_eff, dtype=float)
+    # scale so the largest component is O(1); the unscaled first component
+    # v/v_eff overflows for subnormal v_eff
+    small = np.abs(v_eff) <= np.abs(v)
+    odd = np.arange(2, n, 2)  # sites 3, 5, ..., n
+    w = np.zeros((len(v), n))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w[:, 0] = (-1) ** ((n - 1) // 2) * np.where(small, 1.0, v / v_eff)
+        w[:, odd] = ((-1.0) ** ((n - odd - 1) // 2)
+                     * np.where(small, v_eff / v, 1.0)[:, None])
+    w[v_eff == 0.0] = np.eye(1, n)  # the decoupled limit
+    return w / np.sqrt(w[:, None, :] @ w[:, :, None])[:, 0]
+
+
 def dark_state_closed_form(n: int, v: float, v_eff: float) -> DarkState:
     """Closed-form null vector of the effective chain.
 
@@ -103,21 +131,19 @@ def dark_state_closed_form(n: int, v: float, v_eff: float) -> DarkState:
     """
     if n % 2 == 0:
         raise ConfigError(f"no unique zero mode for even n (got n={n})")
-    w = np.zeros(n)
-    if v_eff == 0.0:
-        w[0] = 1.0
-        return DarkState(vector=w, localization=1.0)
-    # scale so the largest component is O(1); the unscaled first component
-    # v/v_eff overflows for subnormal v_eff
-    odd = np.arange(2, n, 2)  # sites 3, 5, ..., n
-    if abs(v_eff) <= abs(v):
-        w[0] = (-1) ** ((n - 1) // 2)
-        w[odd] = (-1.0) ** ((n - odd - 1) // 2) * (v_eff / v)
-    else:
-        w[0] = (-1) ** ((n - 1) // 2) * v / v_eff
-        w[odd] = (-1.0) ** ((n - odd - 1) // 2)
-    w /= np.linalg.norm(w)
+    w = _zero_modes(n, [v], [v_eff])[0]
     return DarkState(vector=w, localization=float(w[0] ** 2))
+
+
+def _localizations(n: int, v, v_eff) -> tuple[np.ndarray, np.ndarray]:
+    """`localization` of each entry of the 1-D arrays v and v_eff."""
+    v, v_eff = np.asarray(v, dtype=float), np.asarray(v_eff, dtype=float)
+    half = (n - 1) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # float_power squares through libm's pow, as a Python float's ** does
+        r = np.float_power(v / v_eff, 2)
+        w1sq = np.where((v_eff == 0.0) | (r == np.inf), 1.0, r / (r + half))
+    return w1sq, (v_eff == 0.0) | (r > half)
 
 
 def localization(n: int, v: float, v_eff: float) -> tuple[float, bool]:
@@ -128,11 +154,8 @@ def localization(n: int, v: float, v_eff: float) -> tuple[float, bool]:
     """
     if n % 2 == 0:
         raise ConfigError(f"localization is defined for odd n (got n={n})")
-    if v_eff == 0.0:
-        return 1.0, True
-    r = (v / v_eff) ** 2
-    w1sq = r / (r + (n - 1) / 2.0)
-    return w1sq, r > (n - 1) / 2.0
+    w1sq, localized = _localizations(n, [v], [v_eff])
+    return float(w1sq[0]), bool(localized[0])
 
 
 def min_p1_floor(n: int, v: float, v_eff: float) -> float:
@@ -153,8 +176,7 @@ def min_p1_floor(n: int, v: float, v_eff: float) -> float:
 # Spectral properties of the effective matrix
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(NamedTuple):
     """Outcome of one property check on one sampled matrix."""
 
     property_id: str
@@ -167,12 +189,32 @@ class PropertyCheck:
     detail: str = ""
 
 
+# one check of `PropertyReport.to_json`, laid out as json.dumps(indent=2) does
+_CHECK_JSON = ('\n    {\n      "property": %s,\n      "n": %d,\n      "trial": %d,'
+               '\n      "v": %s,\n      "v_eff": %s,\n      "pass": %s,'
+               '\n      "residual": %s,\n      "detail": %s\n    }')
+# json.dumps's spellings of the floats whose repr is not JSON, and of bools
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_BOOLS = {True: "true", False: "false"}
+
+
+def _json_floats(values):
+    """json.dumps's text of each float: float.__repr__, but NaN, Infinity
+    and -Infinity for the non-finite. Each float object is spelled once:
+    the records of one matrix share its v and v_eff."""
+    ids = list(map(id, values))
+    unique = dict(zip(ids, values))
+    texts = list(map(float.__repr__, unique.values()))
+    spelled = dict(zip(unique, map(_JSON_FLOATS.get, texts, texts)))
+    return map(spelled.__getitem__, ids)
+
+
 @dataclass(frozen=True)
 class PropertyReport:
     seed: int
     checks: list[PropertyCheck]
 
-    @property
+    @cached_property
     def violations(self) -> list[PropertyCheck]:
         return [c for c in self.checks if not c.passed]
 
@@ -192,17 +234,20 @@ class PropertyReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "seed": self.seed,
-            "n_checks": len(self.checks),
-            "n_violations": len(self.violations),
-            "checks": [
-                {"property": c.property_id, "n": c.n, "trial": c.trial,
-                 "v": c.v, "v_eff": c.v_eff, "pass": c.passed,
-                 "residual": c.residual, "detail": c.detail}
-                for c in self.checks
-            ],
-        }, indent=2)
+        """The text json.dumps(..., indent=2) gives the report's dict (seed,
+        n_checks, n_violations, checks), written one fixed-layout check at a
+        time: floats by float.__repr__, strings by json's ASCII escaper."""
+        checks = "[]"
+        if self.checks:
+            pid, n, trial, v, v_eff, passed, residual, detail = zip(*self.checks)
+            text = encode_basestring_ascii
+            checks = "[%s\n  ]" % ",".join(map(_CHECK_JSON.__mod__, zip(
+                map(text, pid), n, trial, _json_floats(v), _json_floats(v_eff),
+                map(_JSON_BOOLS.__getitem__, passed), _json_floats(residual),
+                map(text, detail))))
+        return (f'{{\n  "seed": {self.seed},\n  "n_checks": {len(self.checks)},'
+                f'\n  "n_violations": {len(self.violations)},'
+                f'\n  "checks": {checks}\n}}')
 
 
 def verify_properties(n_range=range(2, 12), trials: int = 100,
@@ -218,6 +263,11 @@ def verify_properties(n_range=range(2, 12), trials: int = 100,
     except for the double zero of even n there; no check depends on the
     basis inside that pair, so degenerate eigenvectors need no ordering.
     A run of more than MAX_DRAWS draws is refused before the first.
+
+    Each stack is built, solved and checked as arrays, the closed-form zero
+    modes and localization thresholds included, and a Python loop only
+    emits the records. The per-trial generators are what remains: at the
+    default size they take about as long as everything else together.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -249,49 +299,55 @@ def verify_properties(n_range=range(2, 12), trials: int = 100,
 def _check_stack(n: int, draws) -> list[PropertyCheck]:
     """The spectral checks on the effective matrices of (trial, v, v_eff)
     draws of one size n, from one eigensolve of their stack."""
-    h = np.stack([_effective_matrix(n, v_eff, v) for _, v, v_eff in draws])
+    _, v, v_eff = zip(*draws)
+    h = _effective_matrices(n, v_eff, v)
     lam, vecs = np.linalg.eigh(h)
     scale = np.maximum(np.max(np.abs(h), axis=(1, 2)), 1e-300)
     zero = np.abs(lam) <= 1e-9 * scale[:, None]
-    n_zero = np.sum(zero, axis=1)
-    smallest = np.min(np.abs(lam), axis=1)
     # P3: parity partner (-1)^j w_j is an eigenvector for -lambda
     wp = (-1.0) ** np.arange(1, n + 1)[:, None] * vecs
     partner = np.max(np.abs(h @ wp + wp * lam[:, None, :]), axis=(1, 2))
     # P4: nonzero-eigenvalue modes carry at most half weight on any site
     worst = np.max(np.where(zero[:, None, :], 0.0, vecs**2), axis=(1, 2))
+    # P1 and the P4 threshold (odd n): the zero mode against its closed
+    # form up to sign, min(a, b) taken as Python does, and its site-1 weight
     zero_mode = vecs[np.arange(len(draws)), :, np.argmax(zero, axis=1)]
+    ref = _zero_modes(n, v, v_eff)
+    plus = np.max(np.abs(zero_mode - ref), axis=1)
+    minus = np.max(np.abs(zero_mode + ref), axis=1)
+    columns = (np.sum(zero, axis=1), np.min(np.abs(lam), axis=1), scale,
+               partner, worst, np.where(minus < plus, minus, plus),
+               np.float_power(zero_mode[:, 0], 2),
+               *_localizations(n, v, v_eff))
     checks = []
-    for i, (trial, v, v_eff) in enumerate(draws):
-        def add(pid, passed, residual, detail):
-            checks.append(PropertyCheck(pid, n, trial, v, v_eff, bool(passed),
-                                        float(residual), detail))
-
+    for ((trial, v, v_eff), found, least, size, r3, r4, mismatch, w1sq,
+         expected_w1sq, expected_loc) in zip(
+            draws, *(c.tolist() for c in columns)):
+        row = (n, trial, v, v_eff)
         if n % 2 == 0:
             # P2: no zero eigenvalue unless v_eff = 0, then exactly two
             expected = 2 if v_eff == 0.0 else 0
-            add("P2", n_zero[i] == expected, smallest[i],
-                f"expected {expected} zero eigenvalues, found {n_zero[i]}")
-        elif n_zero[i] != 1:
+            checks.append(PropertyCheck(
+                "P2", *row, found == expected, least,
+                f"expected {expected} zero eigenvalues, found {found}"))
+        elif found != 1:
             # P1: exactly one zero eigenvalue, matching the closed form
-            add("P1", False, smallest[i],
-                f"expected 1 zero eigenvalue, found {n_zero[i]}")
+            checks.append(PropertyCheck(
+                "P1", *row, False, least,
+                f"expected 1 zero eigenvalue, found {found}"))
         else:
-            ref = dark_state_closed_form(n, v, v_eff).vector
-            mismatch = min(np.max(np.abs(zero_mode[i] - ref)),
-                           np.max(np.abs(zero_mode[i] + ref)))
-            add("P1", mismatch <= 1e-7, mismatch,
-                "zero-mode vector vs closed form (up to sign)")
-        add("P3", partner[i] <= 1e-8 * max(1.0, scale[i]), partner[i],
-            "residual of H w' + lambda w'")
-        add("P4", worst[i] <= 0.5 + 1e-9, worst[i],
-            "max |w_j|^2 over nonzero modes")
-        if n % 2 == 1 and n_zero[i] == 1 and v_eff != 0.0:
+            checks.append(PropertyCheck(
+                "P1", *row, mismatch <= 1e-7, mismatch,
+                "zero-mode vector vs closed form (up to sign)"))
+        checks.append(PropertyCheck("P3", *row, r3 <= 1e-8 * max(1.0, size),
+                                    r3, "residual of H w' + lambda w'"))
+        checks.append(PropertyCheck("P4", *row, r4 <= 0.5 + 1e-9, r4,
+                                    "max |w_j|^2 over nonzero modes"))
+        if n % 2 == 1 and found == 1 and v_eff != 0.0:
             # P4 localization threshold for the zero mode
-            w1sq = float(zero_mode[i, 0] ** 2)
-            expected_w1sq, expected_loc = localization(n, v, v_eff)
-            ok = (abs(w1sq - expected_w1sq) <= 1e-9
-                  and (w1sq > 0.5) == expected_loc)
-            add("P4-threshold", ok, abs(w1sq - expected_w1sq),
-                f"|w_1|^2={w1sq:.6f}, threshold predicts {expected_loc}")
+            miss = abs(w1sq - expected_w1sq)
+            checks.append(PropertyCheck(
+                "P4-threshold", *row,
+                miss <= 1e-9 and (w1sq > 0.5) == expected_loc, miss,
+                f"|w_1|^2={w1sq:.6f}, threshold predicts {expected_loc}"))
     return checks

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalQualityError
 from .evolve import (QJ_BLOCK, PropagationSettings, _hold, period_maps,
                      propagator_averages, propagator_site1)
 from .linalg import unitary_eigen
@@ -80,9 +80,24 @@ def _modes(system: DrivenSystem, u: np.ndarray):
     return eps[order], dec.eigenvectors[:, order]
 
 
+def _check_resolution(v: float, omega: float) -> None:
+    """Refuse, before integrating, quasi-energies that U(T) cannot resolve.
+
+    An eigenphase is known to about machine epsilon, so a quasi-energy
+    phase/T to about eps_mach * omega; a spectrum on the scale of a nonzero
+    coupling |v| below that is round-off. At v = 0 the zero spectrum is
+    exact."""
+    floor = np.finfo(float).eps * omega
+    if v != 0 and floor > abs(v):
+        raise NumericalQualityError(
+            f"quasi-energies resolve to about eps*omega = {floor:.3g}, more "
+            f"than the coupling |v| = {abs(v)}; lower omega")
+
+
 def _spectra(systems, settings: PropagationSettings) -> list[FloquetSpectrum]:
     """Spectra of a grid of systems that share n, v and omega; a mode's
     averaged population on site j is vec^dag Q_j vec."""
+    _check_resolution(systems[0].v, systems[0].omega)
     spectra = []
     n = systems[0].n
     for chunk in _chunks(systems, n ** 3 + QJ_BLOCK * n ** 2):
@@ -101,7 +116,8 @@ def floquet_spectrum(system: DrivenSystem,
                      ) -> FloquetSpectrum:
     """Quasi-energies and modes of the driven system: eigenphases of the
     monodromy matrix, and each mode's populations averaged over one period
-    with the trapezoidal rule on the integrator grid."""
+    with the trapezoidal rule on the integrator grid. An omega at which
+    eps_mach * omega exceeds |v| != 0 is refused (NumericalQualityError)."""
     return _spectra([system], settings)[0]
 
 
@@ -166,7 +182,8 @@ def quasi_energy_sweep(n: int, v: float, omega: float, ratios,
                        settings: PropagationSettings = PropagationSettings()
                        ) -> SweepResult:
     """Floquet spectra over a grid of drive ratios A/omega, with mode
-    branches matched across adjacent grid points by eigenvector overlap."""
+    branches matched across adjacent grid points by eigenvector overlap;
+    refused, as by `floquet_spectrum`, when eps_mach * omega > |v| != 0."""
     template = DrivenSystem(n, v, 0.0, omega)  # validates n first
     ratios, systems = _grid_systems(n, v, omega, ratios)
     spectra = _spectra(systems, settings)
@@ -180,8 +197,10 @@ def quasi_energy_sweep(n: int, v: float, omega: float, ratios,
 def quasi_energy_branches(n: int, v: float, omega: float, ratios,
                           settings: PropagationSettings = PropagationSettings()):
     """(quasi_energies, eigenvectors) of `quasi_energy_sweep`, without the
-    period averages: U(T) comes from the quarter-period `period_maps`."""
+    period averages: U(T) comes from the quarter-period `period_maps`.
+    Refused, as `quasi_energy_sweep` is, when eps_mach * omega > |v| != 0."""
     _, systems = _grid_systems(n, v, omega, ratios)
+    _check_resolution(v, omega)
     eps, vecs = map(np.array, zip(*[
         _modes(system, u) for chunk in _chunks(systems, n * n)
         for system, u in zip(chunk, period_maps(chunk, settings))]))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .effective import (bessel_j0, effective_model, min_p1_floor,
+from .effective import (_effective_matrices, bessel_j0, min_p1_floor,
                         verify_properties)
 from .errors import ConfigError
 from .evolve import PropagationSettings, propagate
@@ -88,15 +88,17 @@ class ExperimentConfig:
 
 
 def _provenance(config: ExperimentConfig, extra: dict | None = None) -> list[str]:
+    """The '#' lines naming the package, the experiment and each setting
+    its run read: the drive amplitude only for dynamics, the ratio grid only
+    for the sweeps; no CSV experiment draws, so none prints the seed."""
     periods = (f" periods={config.periods}"
                if config.experiment in DEFAULT_PERIODS else "")
     lines = [f"# darkfloquet {__version__} experiment={config.experiment}",
              f"# n={config.n} v={config.v} omega={config.omega}"
-             f" steps_per_period={config.steps_per_period}{periods}"
-             f" seed={config.seed}"]
-    if config.amplitude is not None:
+             f" steps_per_period={config.steps_per_period}{periods}"]
+    if config.amplitude is not None and config.experiment == "dynamics":
         lines.append(f"# amplitude={config.amplitude}")
-    if config.ratio_grid is not None:
+    if config.ratio_grid is not None and config.experiment != "dynamics":
         g = config.ratio_grid
         lines.append(f"# ratio_grid=[{g[0]}..{g[-1]}] points={len(g)}")
     for key, val in (extra or {}).items():
@@ -245,8 +247,8 @@ def run_effective_compare(config: ExperimentConfig) -> Path:
     ratios = config.ratio_or_default()
     # the effective grid first, so that a ratio J0 refuses costs no integration
     _, systems = _grid_systems(config.n, config.v, config.omega, ratios)
-    lam, w = np.linalg.eigh(np.array(
-        [effective_model(system).matrix for system in systems]))
+    lam, w = np.linalg.eigh(_effective_matrices(
+        config.n, [s.v * bessel_j0(s.ratio) for s in systems], config.v))
     eps, vecs = quasi_energy_branches(config.n, config.v, config.omega, ratios,
                                       config.settings)
     # overlap pairing: monodromy eigenvectors against static eigenvectors

@@ -6,10 +6,13 @@ is scaling-and-squaring on the raw series, the time evolution is a plain
 RK4 over every step on a stack of state vectors, with H(t) built from the
 systems' fields rather than from darkfloquet, the chain determinants come
 from their two-term recursion, the three-level tunneling minimum is the
-closed form of the 3x3 chain rather than the odd-n floor, and the CSV text
-is formatted one value at a time.
+closed form of the 3x3 chain rather than the odd-n floor, the CSV text
+is formatted one value at a time, the property suite checks one matrix at
+a time and its report goes through json.dumps, and the Floquet spectrum
+comes from one static extended-space eigenproblem with no time stepping.
 """
 
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -130,3 +133,147 @@ def csv_text(comments, header, rows) -> str:
         lines.append(",".join(f"{x:.12g}" if isinstance(x, float) else str(x)
                               for x in row))
     return "".join(line + "\n" for line in lines)
+
+
+def _chain(n: int, v_eff: float, v: float) -> np.ndarray:
+    """The averaged chain: zero diagonal, first bond v_eff, the others v."""
+    bonds = np.full(n - 1, float(v)) if n > 1 else np.zeros(0)
+    if n > 1:
+        bonds[0] = v_eff
+    return np.diag(bonds, 1) + np.diag(bonds, -1)
+
+
+def _zero_mode(n: int, v: float, v_eff: float) -> np.ndarray:
+    """Closed-form null vector of the odd chain, one component at a time."""
+    w = np.zeros(n)
+    if v_eff == 0.0:
+        w[0] = 1.0
+        return w
+    odd = np.arange(2, n, 2)
+    if abs(v_eff) <= abs(v):
+        w[0] = (-1) ** ((n - 1) // 2)
+        w[odd] = (-1.0) ** ((n - odd - 1) // 2) * (v_eff / v)
+    else:
+        w[0] = (-1) ** ((n - 1) // 2) * v / v_eff
+        w[odd] = (-1.0) ** ((n - odd - 1) // 2)
+    return w / np.linalg.norm(w)
+
+
+def property_checks_oracle(n_range, trials: int, seed: int, perturb=None):
+    """The property suite's (property, n, trial, v, v_eff, passed, residual,
+    detail) records, one eigensolve and one scalar closed form per matrix;
+    perturb, if given, edits each matrix in place before it is solved."""
+    checks = []
+    for n in n_range:
+        draws = []
+        for trial in range(trials):
+            rng = np.random.default_rng([seed, n, trial])
+            v_eff = 0.0
+            while v_eff == 0.0:
+                v_eff = rng.uniform(-2.0, 2.0)
+            draws.append((trial, rng.uniform(0.5, 2.0), v_eff))
+        draws.append((-1, 1.0, 0.0))
+        for trial, v, v_eff in draws:
+            h = _chain(n, v_eff, v)
+            if perturb is not None:
+                perturb(h)
+            lam, vecs = np.linalg.eigh(h)
+            scale = max(float(np.max(np.abs(h))), 1e-300)
+            zero = np.abs(lam) <= 1e-9 * scale
+            n_zero = int(np.sum(zero))
+            smallest = float(np.min(np.abs(lam)))
+            wp = (-1.0) ** np.arange(1, n + 1)[:, None] * vecs
+            partner = float(np.max(np.abs(h @ wp + wp * lam[None, :])))
+            worst = float(np.max(np.where(zero[None, :], 0.0, vecs**2)))
+            zero_mode = vecs[:, int(np.argmax(zero))]
+
+            def add(pid, passed, residual, detail):
+                checks.append((pid, n, trial, v, v_eff, bool(passed),
+                               float(residual), detail))
+
+            if n % 2 == 0:
+                expected = 2 if v_eff == 0.0 else 0
+                add("P2", n_zero == expected, smallest,
+                    f"expected {expected} zero eigenvalues, found {n_zero}")
+            elif n_zero != 1:
+                add("P1", False, smallest,
+                    f"expected 1 zero eigenvalue, found {n_zero}")
+            else:
+                ref = _zero_mode(n, v, v_eff)
+                mismatch = min(np.max(np.abs(zero_mode - ref)),
+                               np.max(np.abs(zero_mode + ref)))
+                add("P1", mismatch <= 1e-7, mismatch,
+                    "zero-mode vector vs closed form (up to sign)")
+            add("P3", partner <= 1e-8 * max(1.0, scale), partner,
+                "residual of H w' + lambda w'")
+            add("P4", worst <= 0.5 + 1e-9, worst,
+                "max |w_j|^2 over nonzero modes")
+            if n % 2 == 1 and n_zero == 1 and v_eff != 0.0:
+                w1sq = float(zero_mode[0] ** 2)
+                r = (v / v_eff) ** 2
+                expected_w1sq = r / (r + (n - 1) / 2.0)
+                expected_loc = r > (n - 1) / 2.0
+                ok = (abs(w1sq - expected_w1sq) <= 1e-9
+                      and (w1sq > 0.5) == expected_loc)
+                add("P4-threshold", ok, abs(w1sq - expected_w1sq),
+                    f"|w_1|^2={w1sq:.6f}, threshold predicts {expected_loc}")
+    return checks
+
+
+def property_report_oracle(seed: int, checks) -> tuple[str, str]:
+    """(text, JSON) reports of property records: the text line by line, the
+    JSON through json.dumps(indent=2)."""
+    failed = [c for c in checks if not c[5]]
+    lines = [f"effective-matrix property report (seed={seed})",
+             f"checks: {len(checks)}, violations: {len(failed)}"]
+    for pid, n, trial, v, v_eff, _, residual, detail in failed:
+        lines.append(f"  FAIL {pid} n={n} trial={trial} v={v!r} "
+                     f"v_eff={v_eff!r} residual={residual:.3e} {detail}")
+    if not failed:
+        lines.append("  all properties hold")
+    keys = ("property", "n", "trial", "v", "v_eff", "pass", "residual",
+            "detail")
+    body = json.dumps({"seed": seed, "n_checks": len(checks),
+                       "n_violations": len(failed),
+                       "checks": [dict(zip(keys, c)) for c in checks]},
+                      indent=2)
+    return "\n".join(lines) + "\n", body
+
+
+def sambe_floquet(n: int, v: float, amplitude: float, omega: float,
+                  m_max: int | None = None):
+    """Quasi-energies (ascending, folded into (-omega/2, omega/2]) and
+    period-averaged site populations (row k = mode k) of the driven chain,
+    from its truncated extended-space (Sambe) Hamiltonian.
+
+    H(t) = H0 + D sin(omega t), with H0 the bare chain and D = (A/2)
+    diag(1, -1, ..., -1), has the Fourier blocks H0 and +/-D/(2i). The
+    static Hermitian matrix with blocks H_{m-m'} + m omega delta_{mm'},
+    |m| <= m_max (default ceil(A/omega) + 10), holds a Floquet mode
+    e^{-i eps t} sum_m phi_m e^{i m omega t} as the eigenvector (phi_m) for
+    eigenvalue eps; of each mode's copies, shifted by multiples of omega,
+    the one whose weight is centred on m = 0 is kept. The mode averages
+    sum_m |phi_{m,j}|^2 on site j.
+    """
+    if m_max is None:
+        m_max = int(np.ceil(amplitude / omega)) + 10
+    blocks = 2 * m_max + 1
+    h0 = v * (np.eye(n, k=1) + np.eye(n, k=-1))
+    d = 0.5 * amplitude * np.diag([1.0] + [-1.0] * (n - 1))
+    big = np.zeros((blocks * n, blocks * n), dtype=complex)
+    for b in range(blocks):
+        rows = slice(b * n, (b + 1) * n)
+        big[rows, rows] = h0 + (b - m_max) * omega * np.eye(n)
+        if b + 1 < blocks:  # block (m, m - 1) is H_{+1} = D / (2i)
+            below = slice((b + 1) * n, (b + 2) * n)
+            big[below, rows] = d / 2j
+            big[rows, below] = -d / 2j
+    eps, phi = np.linalg.eigh(big)
+    weight = (np.abs(phi) ** 2).reshape(blocks, n, -1)  # [m, site, mode]
+    centre = np.einsum("m,mk->k", np.arange(-m_max, m_max + 1),
+                       weight.sum(axis=1))
+    keep = np.argsort(np.abs(centre), kind="stable")[:n]
+    folded = np.mod(eps[keep], omega)
+    folded = folded - omega * (folded > 0.5 * omega)
+    order = np.argsort(folded, kind="stable")
+    return folded[order], weight[:, :, keep].sum(axis=0).T[order]

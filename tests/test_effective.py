@@ -12,10 +12,12 @@ from darkfloquet import (ConfigError, DrivenSystem, J0_FIRST_ZERO,
                          hermitian_eigen, localization, min_p1_floor,
                          min_p1_sweep, verify_properties)
 from darkfloquet import effective, floquet
-from darkfloquet.effective import _effective_matrix
+from darkfloquet.effective import (PropertyCheck, PropertyReport,
+                                   _effective_matrix)
 
 from oracles import (expm_scaling_squaring, j0_first_zero_oracle,
-                     j0_series_oracle, min_p1_oracle)
+                     j0_series_oracle, min_p1_oracle, property_checks_oracle,
+                     property_report_oracle)
 
 
 class TestBesselJ0:
@@ -127,6 +129,12 @@ class TestLocalization:
         assert w1sq == pytest.approx(1.0 / 3.0)
         assert loc is False
 
+    def test_tiny_bond_is_the_decoupled_limit(self):
+        # (v / v_eff)^2 overflows; the weight is then 1, as at v_eff = 0
+        for v_eff in (1e-200, -5e-324, 0.0):
+            assert localization(3, 1.0, v_eff) == (1.0, True)
+        assert min_p1_floor(5, 1.0, 1e-200) == 1.0
+
 
 class TestMinP1Oracle:
     def test_limits(self):
@@ -194,12 +202,14 @@ class TestVerifyProperties:
         assert np.sum(np.abs(dec.eigenvalues) <= 1e-9) == 2
 
     def test_perturbed_matrix_is_flagged(self, monkeypatch):
+        effective_matrices = effective._effective_matrices
+
         def corrupt(n, v_eff, v):
-            m = _effective_matrix(n, v_eff, v)
+            m = effective_matrices(n, v_eff, v)
             if n >= 3:
-                m[0, 2] = m[2, 0] = 0.35  # breaks the tridiagonal structure
+                m[:, 0, 2] = m[:, 2, 0] = 0.35  # breaks the tridiagonal structure
             return m
-        monkeypatch.setattr(effective, "_effective_matrix", corrupt)
+        monkeypatch.setattr(effective, "_effective_matrices", corrupt)
         report = verify_properties([5], trials=3, rng_seed=0)
         assert not report.ok
         assert {c.property_id for c in report.violations} == {"P1", "P3", "P4"}
@@ -247,6 +257,55 @@ class TestVerifyProperties:
         r1 = verify_properties([3, 4], trials=5, rng_seed=9)
         r2 = verify_properties([3, 4], trials=5, rng_seed=9)
         assert r1.to_json() == r2.to_json()
+
+
+class TestPropertyReportOracle:
+    # the stacked suite and its fixed-layout JSON writer must give the bytes
+    # of one eigensolve per matrix and of json.dumps(indent=2)
+    @staticmethod
+    def _assert_reports_match(report, checks):
+        text, body = property_report_oracle(report.seed, checks)
+        assert report.to_text() == text
+        assert report.to_json() == body
+
+    @pytest.mark.parametrize("n_range, trials, seed", [
+        (range(2, 12), 100, 0), ([5], 20, 4), ([3, 4], 5, 9), ([], 3, 0)])
+    def test_matches_per_matrix_loop(self, n_range, trials, seed):
+        report = verify_properties(n_range, trials, seed)
+        checks = property_checks_oracle(n_range, trials, seed)
+        assert [tuple(c) for c in report.checks] == checks
+        # plain Python values, as the per-matrix loop records them
+        assert {type(x) for c in report.checks for x in c} <= {str, int,
+                                                               float, bool}
+        self._assert_reports_match(report, checks)
+
+    def test_corrupted_stack_fails_alike(self, monkeypatch):
+        effective_matrices = effective._effective_matrices
+
+        def perturb(m):
+            m[..., 0, 2] = m[..., 2, 0] = 0.35
+
+        def corrupt(n, v_eff, v):
+            m = effective_matrices(n, v_eff, v)
+            perturb(m)
+            return m
+        monkeypatch.setattr(effective, "_effective_matrices", corrupt)
+        report = verify_properties([3, 5, 6], 4, 2)
+        checks = property_checks_oracle([3, 5, 6], 4, 2, perturb)
+        assert [tuple(c) for c in report.checks] == checks
+        assert "  FAIL P1 n=3 " in report.to_text()
+        self._assert_reports_match(report, checks)
+
+    def test_non_finite_values_and_escaped_details(self):
+        nan, inf = float("nan"), float("inf")
+        checks = [PropertyCheck("P3", 4, 1, nan, inf, False, nan, "x"),
+                  PropertyCheck("P4", 4, -1, -inf, -0.0, True, inf),
+                  PropertyCheck("P1", 3, 0, 1.0, 5e-324, False, -inf,
+                                'say "hi" \u2014 \u00fc\\\n\t'),
+                  PropertyCheck("P4-threshold", 3, 2, 0.1, 1e300, True,
+                                1e-17, "\u00e9\U0001d11e")]
+        self._assert_reports_match(PropertyReport(seed=7, checks=checks),
+                                   checks)
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkfloquet import (ConfigError, DrivenSystem, PropagationSettings,
-                         dark_mode, floquet_spectrum, fold_quasi_energy,
-                         hermitian_eigen, min_p1_sweep, propagate,
-                         quasi_energy_sweep)
+from darkfloquet import (ConfigError, DrivenSystem, NumericalQualityError,
+                         PropagationSettings, dark_mode, floquet_spectrum,
+                         fold_quasi_energy, hermitian_eigen, min_p1_sweep,
+                         propagate, quasi_energy_sweep)
 from darkfloquet import evolve, floquet
 
-from oracles import j0_first_zero_oracle, rk4_rows
+from oracles import j0_first_zero_oracle, rk4_rows, sambe_floquet
 
 
 def test_undriven_spectrum():
@@ -321,3 +321,55 @@ def test_oversized_calls_are_refused_before_allocating(call):
     # each asked numpy for terabytes and raised MemoryError
     with pytest.raises(ConfigError, match="run would hold"):
         call()
+
+
+def _sambe_errors(n: int, steps: int):
+    """Largest |quasi-energy| and |averaged population| differences between
+    quasi_energy_sweep at `steps` per period and the Sambe oracle, modes
+    paired by quasi-energy, on 13 ratios in [0.2, 5] at v = 1, omega = 10."""
+    ratios = np.linspace(0.2, 5.0, 13)
+    sweep = quasi_energy_sweep(n, 1.0, 10.0, ratios, PropagationSettings(steps))
+    eps_err = pop_err = 0.0
+    for ratio, eps, pops in zip(ratios, sweep.quasi_energies,
+                                sweep.avg_populations):
+        ref_eps, ref_pops = sambe_floquet(n, 1.0, ratio * 10.0, 10.0)
+        order = np.argsort(eps)
+        eps_err = max(eps_err, np.max(np.abs(eps[order] - ref_eps)))
+        pop_err = max(pop_err, np.max(np.abs(pops[order] - ref_pops)))
+    return eps_err, pop_err
+
+
+@pytest.mark.parametrize("n", [3, 5, 11])
+def test_sweep_matches_integration_free_oracle(n):
+    # no time stepping in the oracle: this bounds RK4's own error, about
+    # 1.2e-10 in the quasi-energies at n = 11
+    eps_err, pop_err = _sambe_errors(n, 2000)
+    assert eps_err <= 5e-10
+    assert pop_err <= 5e-10
+
+
+def test_quasi_energy_error_is_fourth_order():
+    # RK4: halving the step divides the quasi-energy error by 16
+    coarse, _ = _sambe_errors(3, 1000)
+    fine, _ = _sambe_errors(3, 2000)
+    assert coarse / fine >= 12
+
+
+def test_unresolved_quasi_energies_are_refused_before_integrating(monkeypatch):
+    # eps_mach * omega above |v|: refused before any step is taken
+    def never(*args, **kwargs):
+        raise AssertionError("integrated")
+    monkeypatch.setattr(floquet, "propagator_averages", never)
+    monkeypatch.setattr(floquet, "period_maps", never)
+    for omega in (1e16, 1e300):
+        with pytest.raises(NumericalQualityError, match="eps\\*omega"):
+            floquet_spectrum(DrivenSystem(3, 1.0, 0.0, omega))
+        with pytest.raises(NumericalQualityError):
+            quasi_energy_sweep(3, 1.0, omega, [0.0, 1.0])
+        with pytest.raises(NumericalQualityError):
+            floquet.quasi_energy_branches(3, -1.0, omega, [0.0, 1.0])
+    monkeypatch.undo()
+    # at v = 0 the zero spectrum is exact
+    spec = floquet_spectrum(DrivenSystem(3, 0.0, 0.0, 1e300),
+                            PropagationSettings(100))
+    assert np.all(spec.quasi_energies == 0.0)

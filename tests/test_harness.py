@@ -197,14 +197,14 @@ class TestProperties:
         assert "all properties hold" in (tmp_path / "props.txt").read_text()
 
     def test_negative_control(self, tmp_path, monkeypatch):
-        effective_matrix = effective._effective_matrix
+        effective_matrices = effective._effective_matrices
 
         def corrupt(n, v_eff, v):
-            m = effective_matrix(n, v_eff, v)
+            m = effective_matrices(n, v_eff, v)
             if n >= 3:
-                m[0, 2] = m[2, 0] = 0.2
+                m[:, 0, 2] = m[:, 2, 0] = 0.2
             return m
-        monkeypatch.setattr(effective, "_effective_matrix", corrupt)
+        monkeypatch.setattr(effective, "_effective_matrices", corrupt)
         config = ExperimentConfig(experiment="properties",
                                   property_n_range=(5,), property_trials=3,
                                   seed=0, out=tmp_path / "props.json")
@@ -228,21 +228,32 @@ class TestConfigValidation:
     def test_periods_default_and_provenance(self, tmp_path):
         assert ExperimentConfig(experiment="dynamics").periods == 20
         assert ExperimentConfig(experiment="sweep-min-pop").periods == 400
-        grid = ["--ratio-grid", "0:1:2", "--no-timestamp"]
+        # every run is given every flag; provenance names only what it read:
+        # the amplitude for dynamics, the grid for the sweeps, no seed
+        shared = ["--ratio-grid", "0:1:2", "--amplitude", "7", "--seed", "5",
+                  "--no-timestamp"]
         runs = {"dynamics": ["--periods", "2"],
-                "sweep-min-pop": ["--periods", "10", *grid],
-                "floquet-sweep": ["--periods", "10", *grid],
-                "effective-compare": ["--periods", "10", *grid]}
+                "sweep-min-pop": ["--periods", "10"],
+                "floquet-sweep": ["--periods", "10"],
+                "effective-compare": ["--periods", "10"]}
         for command, extra in runs.items():
             out = tmp_path / f"{command}.csv"
-            assert main([command, "--out", str(out), *extra]) == 0
+            assert main([command, "--out", str(out), *extra, *shared]) == 0
             comments, _, _ = read_csv(out)
             printed = [c for c in comments if "periods=" in c]
             if command in ("floquet-sweep", "effective-compare"):
                 assert printed == []
             else:
                 assert len(printed) == 1
-                assert f" periods={extra[1]} " in printed[0]
+                assert printed[0].endswith(f" periods={extra[1]}")
+            assert not any("seed=" in c for c in comments)
+            amplitude = [c for c in comments if c.startswith("# amplitude=")]
+            grid = [c for c in comments if c.startswith("# ratio_grid=")]
+            if command == "dynamics":
+                assert amplitude == ["# amplitude=7.0"] and grid == []
+            else:
+                assert amplitude == []
+                assert grid == ["# ratio_grid=[0.0..1.0] points=2"]
 
 
 class TestDeterminism:
@@ -359,6 +370,24 @@ class TestCli:
             assert main([command, "--n", "3", "--ratio-grid", "20000:20000:1",
                          "--steps-per-period", "100"]) == 2
             assert "|x| <= 1e4" in capsys.readouterr().err
+
+    def test_unresolved_quasi_energies_exit_code(self, tmp_path, capsys):
+        # eps_mach * omega above |v|: U(T) cannot resolve the spectrum, and
+        # at omega = 1e300 it rounds to the identity, so the run stops
+        # before integrating; the default omega = 10 stays silent
+        out = ["--out", str(tmp_path / "out.csv")]
+        for command in ("effective-compare", "floquet-sweep"):
+            for omega in ("1e16", "1e300"):
+                assert main([command, "--n", "3", "--ratio-grid", "0:1:3",
+                             "--omega", omega, *out]) == 3
+                assert "eps*omega" in capsys.readouterr().err
+            assert main([command, "--n", "3", "--ratio-grid", "0:1:3",
+                         "--steps-per-period", "100", *out]) == 0
+            assert capsys.readouterr().err == ""
+        # at v = 0 the zero spectrum is exact
+        assert main(["floquet-sweep", "--n", "3", "--v", "0", "--omega",
+                     "1e300", "--ratio-grid", "0:1:3", "--steps-per-period",
+                     "100", *out]) == 0
 
     def test_oversized_run_exit_code(self, capsys):
         # the library function that would allocate refuses the run
