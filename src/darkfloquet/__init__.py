@@ -17,13 +17,13 @@ from .evolve import PropagationSettings, Trajectory, monodromy, propagate
 from .floquet import (DarkModeResult, FloquetSpectrum, SweepResult, dark_mode,
                       floquet_spectrum, fold_quasi_energy, min_p1_sweep,
                       quasi_energy_sweep)
-from .linalg import EigenDecomposition, hermitian_eigen, unitary_eigen
+from .linalg import EigenDecomposition, unitary_eigen
 from .model import DrivenSystem
 
 __all__ = [
     "__version__",
     "DrivenSystem",
-    "EigenDecomposition", "hermitian_eigen", "unitary_eigen",
+    "EigenDecomposition", "unitary_eigen",
     "PropagationSettings", "Trajectory", "propagate", "monodromy",
     "FloquetSpectrum", "DarkModeResult", "SweepResult",
     "floquet_spectrum", "dark_mode", "quasi_energy_sweep", "min_p1_sweep",

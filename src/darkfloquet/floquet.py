@@ -94,9 +94,10 @@ def _check_resolution(v: float, omega: float) -> None:
             f"than the coupling |v| = {abs(v)}; lower omega")
 
 
-def _spectra(systems, settings: PropagationSettings) -> list[FloquetSpectrum]:
-    """Spectra of a grid of systems that share n, v and omega; a mode's
-    averaged population on site j is vec^dag Q_j vec."""
+def _spectra(systems, settings: PropagationSettings):
+    """(quasi-energies, eigenvectors, averaged populations) stacks of a grid
+    of systems that share n, v and omega, each point's modes by quasi-energy;
+    a mode's averaged population on site j is vec^dag Q_j vec."""
     _check_resolution(systems[0].v, systems[0].omega)
     spectra = []
     n = systems[0].n
@@ -105,10 +106,8 @@ def _spectra(systems, settings: PropagationSettings) -> list[FloquetSpectrum]:
         for system, u, q_j in zip(chunk, uts, q):
             eps, vecs = _modes(system, u)
             pops = np.einsum("ak,jab,bk->kj", vecs.conj(), q_j, vecs).real
-            spectra.append(FloquetSpectrum(
-                quasi_energies=eps, eigenvectors=vecs, avg_populations=pops,
-                system=system))
-    return spectra
+            spectra.append((eps, vecs, pops))
+    return tuple(map(np.array, zip(*spectra)))
 
 
 def floquet_spectrum(system: DrivenSystem,
@@ -118,7 +117,9 @@ def floquet_spectrum(system: DrivenSystem,
     monodromy matrix, and each mode's populations averaged over one period
     with the trapezoidal rule on the integrator grid. An omega at which
     eps_mach * omega exceeds |v| != 0 is refused (NumericalQualityError)."""
-    return _spectra([system], settings)[0]
+    (eps,), (vecs,), (pops,) = _spectra([system], settings)
+    return FloquetSpectrum(quasi_energies=eps, eigenvectors=vecs,
+                           avg_populations=pops, system=system)
 
 
 def dark_mode(spectrum: FloquetSpectrum) -> DarkModeResult:
@@ -154,14 +155,15 @@ class SweepResult:
     system_template: DrivenSystem
 
 
-def _grid_systems(n: int, v: float, omega: float, ratios):
-    """(ratios, systems) of a sweep, all validated before any integration."""
+def _grid_systems(n: int, v: float, omega: float, ratios, kept: int):
+    """(ratios, systems) of a sweep, all validated before any integration;
+    the caller keeps `kept` values per grid point."""
     ratios = np.asarray(ratios, dtype=float)
     if ratios.ndim != 1 or len(ratios) == 0:
         raise ConfigError("ratios must be a non-empty 1-D sequence")
     if np.any(~np.isfinite(ratios)) or np.any(ratios < 0):
         raise ConfigError("ratios must be finite and >= 0")
-    _hold(len(ratios) * (2 * n * n + n), "the grid's spectra")
+    _hold(len(ratios) * kept, "the grid's results")
     # float(r): an overflowing amplitude is inf, which DrivenSystem rejects
     return ratios, [DrivenSystem(n, v, float(r) * omega, omega)
                     for r in ratios]
@@ -185,10 +187,8 @@ def quasi_energy_sweep(n: int, v: float, omega: float, ratios,
     branches matched across adjacent grid points by eigenvector overlap;
     refused, as by `floquet_spectrum`, when eps_mach * omega > |v| != 0."""
     template = DrivenSystem(n, v, 0.0, omega)  # validates n first
-    ratios, systems = _grid_systems(n, v, omega, ratios)
-    spectra = _spectra(systems, settings)
-    eps, pops, vecs = (np.array([getattr(s, f) for s in spectra]) for f in
-                       ("quasi_energies", "avg_populations", "eigenvectors"))
+    ratios, systems = _grid_systems(n, v, omega, ratios, 2 * n * n + n)
+    eps, vecs, pops = _spectra(systems, settings)
     _track(eps, vecs, pops)
     return SweepResult(ratios=ratios, quasi_energies=eps, avg_populations=pops,
                        eigenvectors=vecs, system_template=template)
@@ -199,7 +199,7 @@ def quasi_energy_branches(n: int, v: float, omega: float, ratios,
     """(quasi_energies, eigenvectors) of `quasi_energy_sweep`, without the
     period averages: U(T) comes from the quarter-period `period_maps`.
     Refused, as `quasi_energy_sweep` is, when eps_mach * omega > |v| != 0."""
-    _, systems = _grid_systems(n, v, omega, ratios)
+    _, systems = _grid_systems(n, v, omega, ratios, 2 * n * n + n)
     _check_resolution(v, omega)
     eps, vecs = map(np.array, zip(*[
         _modes(system, u) for chunk in _chunks(systems, n * n)
@@ -218,7 +218,7 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
     with psi_k = U(T)^k (1, 0, ..., 0): the period starts are chained
     through U(T) as in `propagate`, and row 0 of U(s) gives every sample of
     a period, so the samples are those of direct long propagation."""
-    _, systems = _grid_systems(n, v, omega, ratios)
+    _, systems = _grid_systems(n, v, omega, ratios, 1)
     if not isinstance(periods, (int, np.integer)) or periods < 1:
         raise ConfigError(f"periods must be a positive integer, got {periods!r}")
     samples = (settings.steps_per_period + 1) * periods

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import datetime
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +49,10 @@ class ExperimentConfig:
     n: int = 3
     v: float = 1.0
     omega: float = 10.0
-    amplitude: float | None = None
-    ratio_grid: np.ndarray | None = None
+    amplitude: float = 0.0  # dynamics only
+    # the sweeps' grid of A/omega values
+    ratio_grid: np.ndarray = field(
+        default_factory=lambda: np.linspace(0.0, 5.0, 201))
     periods: int | None = None  # None: the experiment's DEFAULT_PERIODS
     steps_per_period: int = 2000
     seed: int = 0
@@ -68,23 +70,18 @@ class ExperimentConfig:
                                DEFAULT_PERIODS.get(self.experiment))
         if self.experiment == "sweep-min-pop" and self.periods < 10:
             raise ConfigError(f"periods must be >= 10, got {self.periods}")
-        if self.ratio_grid is not None:
-            grid = np.asarray(self.ratio_grid, dtype=float)
-            if grid.ndim != 1 or len(grid) == 0 or np.any(~np.isfinite(grid)):
-                raise ConfigError("ratio grid must be finite and non-empty")
-            if np.any(np.diff(grid) < 0):
-                raise ConfigError("ratio grid must be sorted ascending")
-            object.__setattr__(self, "ratio_grid", grid)
+        grid = np.asarray(self.ratio_grid, dtype=float)
+        if grid.ndim != 1 or len(grid) == 0 or np.any(~np.isfinite(grid)):
+            raise ConfigError("ratio grid must be finite and non-empty")
+        if np.any(np.diff(grid) < 0):
+            raise ConfigError("ratio grid must be sorted ascending")
+        object.__setattr__(self, "ratio_grid", grid)
         object.__setattr__(self, "out",
                            Path(self.out or EXPERIMENTS[self.experiment]))
 
     @property
     def settings(self) -> PropagationSettings:
         return PropagationSettings(steps_per_period=self.steps_per_period)
-
-    def ratio_or_default(self) -> np.ndarray:
-        return (np.linspace(0.0, 5.0, 201) if self.ratio_grid is None
-                else self.ratio_grid)
 
 
 def _provenance(config: ExperimentConfig, extra: dict | None = None) -> list[str]:
@@ -96,9 +93,9 @@ def _provenance(config: ExperimentConfig, extra: dict | None = None) -> list[str
     lines = [f"# darkfloquet {__version__} experiment={config.experiment}",
              f"# n={config.n} v={config.v} omega={config.omega}"
              f" steps_per_period={config.steps_per_period}{periods}"]
-    if config.amplitude is not None and config.experiment == "dynamics":
+    if config.experiment == "dynamics":
         lines.append(f"# amplitude={config.amplitude}")
-    if config.ratio_grid is not None and config.experiment != "dynamics":
+    else:
         g = config.ratio_grid
         lines.append(f"# ratio_grid=[{g[0]}..{g[-1]}] points={len(g)}")
     for key, val in (extra or {}).items():
@@ -194,25 +191,24 @@ def _branch_rows(ratios: np.ndarray, n: int) -> list[np.ndarray]:
 
 def run_dynamics(config: ExperimentConfig) -> Path:
     """Trajectory CSV (t, P_1..P_n) from the initial state (1, 0, ..., 0)."""
-    amplitude = config.amplitude if config.amplitude is not None else 0.0
-    system = DrivenSystem(config.n, config.v, amplitude, config.omega)
+    system = DrivenSystem(config.n, config.v, config.amplitude, config.omega)
     traj = propagate(system, np.eye(config.n, dtype=complex)[0],
                      config.periods, config.settings)
     labels = [f"P{j+1}" for j in range(config.n)]
     pops = traj.populations.T
     return _emit(config, ["t", *labels], [traj.times, *pops],
                  (traj.times, pops, labels, f"populations, n={config.n}, "
-                  f"A/w={amplitude/config.omega:.3g}"),
+                  f"A/w={config.amplitude/config.omega:.3g}"),
                  {"norm_drift": f"{traj.norm_drift:.3e}"})
 
 
 def run_min_pop_sweep(config: ExperimentConfig) -> Path:
     """CSV of (A/omega, min P_1) over the ratio grid, with the three-level
     effective-model prediction as a companion column where defined."""
-    ratios = config.ratio_or_default()
+    ratios = config.ratio_grid
     # the grid checked and the J0 column built before the sweep, so that a
     # ratio J0 refuses costs no integration
-    _grid_systems(config.n, config.v, config.omega, ratios)
+    _grid_systems(config.n, config.v, config.omega, ratios, 1)
     effective = ([min_p1_floor(3, config.v, config.v * bessel_j0(r))
                   for r in ratios] if config.n == 3 else None)
     columns = {"min_P1": min_p1_sweep(config.n, config.v, config.omega, ratios,
@@ -228,7 +224,7 @@ def run_min_pop_sweep(config: ExperimentConfig) -> Path:
 def run_floquet_sweep(config: ExperimentConfig) -> Path:
     """CSV of branch-tracked quasi-energies and period-averaged populations
     over the ratio grid."""
-    ratios = config.ratio_or_default()
+    ratios = config.ratio_grid
     sweep = quasi_energy_sweep(config.n, config.v, config.omega, ratios,
                                config.settings)
     header = (["ratio", "branch", "quasi_energy"]
@@ -244,9 +240,10 @@ def run_floquet_sweep(config: ExperimentConfig) -> Path:
 def run_effective_compare(config: ExperimentConfig) -> Path:
     """CSV pairing driven quasi-energies with effective-model eigenvalues,
     branch-matched by eigenvector overlap."""
-    ratios = config.ratio_or_default()
+    ratios = config.ratio_grid
     # the effective grid first, so that a ratio J0 refuses costs no integration
-    _, systems = _grid_systems(config.n, config.v, config.omega, ratios)
+    _, systems = _grid_systems(config.n, config.v, config.omega, ratios,
+                               2 * config.n**2 + config.n)
     lam, w = np.linalg.eigh(_effective_matrices(
         config.n, [s.v * bessel_j0(s.ratio) for s in systems], config.v))
     eps, vecs = quasi_energy_branches(config.n, config.v, config.omega, ratios,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from darkfloquet import (ConfigError, DrivenSystem, J0_FIRST_ZERO,
                          PropagationSettings, bessel_j0,
                          dark_state_closed_form, effective_model,
-                         hermitian_eigen, localization, min_p1_floor,
+                         localization, min_p1_floor,
                          min_p1_sweep, verify_properties)
 from darkfloquet import effective, floquet
 from darkfloquet.effective import (PropertyCheck, PropertyReport,
@@ -104,9 +104,8 @@ class TestDarkState:
         assert np.linalg.norm(d.vector) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(h @ d.vector)) <= 1e-10 * max(1.0, abs(v), abs(v_eff))
         assert np.all(d.vector[1::2] == 0.0)
-        dec = hermitian_eigen(h)
-        k = int(np.argmin(np.abs(dec.eigenvalues)))
-        w = dec.eigenvectors[:, k].real
+        lam, vecs = np.linalg.eigh(h)
+        w = vecs[:, int(np.argmin(np.abs(lam)))].real
         assert min(np.max(np.abs(w - d.vector)),
                    np.max(np.abs(w + d.vector))) <= 1e-7
 
@@ -151,12 +150,12 @@ class TestMinP1Oracle:
         # P1(t) = (v^2 + v_eff^2 cos(s t))^2 / s^4 from the eigenbasis of
         # the 3x3 chain; the minimum sits at cos = -1
         h = _effective_matrix(3, v_eff, v)
-        dec = hermitian_eigen(h)
+        lam, vecs = np.linalg.eigh(h)
         s = np.sqrt(v**2 + v_eff**2)
-        assert np.allclose(dec.eigenvalues, [-s, 0.0, s], atol=1e-10)
-        b = dec.eigenvectors.conj().T @ np.array([1.0, 0, 0])
+        assert np.allclose(lam, [-s, 0.0, s], atol=1e-10)
+        b = vecs.conj().T @ np.array([1.0, 0, 0])
         t_min = np.pi / s if s > 0 else 0.0
-        amp = dec.eigenvectors @ (np.exp(-1j * dec.eigenvalues * t_min) * b)
+        amp = vecs @ (np.exp(-1j * lam * t_min) * b)
         assert abs(amp[0]) ** 2 == pytest.approx(min_p1_oracle(v, v_eff),
                                                  abs=1e-10)
 
@@ -198,8 +197,8 @@ class TestVerifyProperties:
         assert report.ok
 
     def test_even_n_double_zero_at_veff_zero(self):
-        dec = hermitian_eigen(_effective_matrix(4, 0.0, 1.0))
-        assert np.sum(np.abs(dec.eigenvalues) <= 1e-9) == 2
+        lam = np.linalg.eigvalsh(_effective_matrix(4, 0.0, 1.0))
+        assert np.sum(np.abs(lam) <= 1e-9) == 2
 
     def test_perturbed_matrix_is_flagged(self, monkeypatch):
         effective_matrices = effective._effective_matrices
@@ -311,16 +310,14 @@ class TestPropertyReportOracle:
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 10), v=st.floats(0.5, 2.0), v_eff=st.floats(-2.0, 2.0))
 def test_spectrum_is_symmetric_multiset(n, v, v_eff):
-    dec = hermitian_eigen(_effective_matrix(n, v_eff, v))
-    eigs = np.sort(dec.eigenvalues)
+    eigs = np.linalg.eigvalsh(_effective_matrix(n, v_eff, v))
     assert np.allclose(eigs, -eigs[::-1], atol=1e-9)
 
 
 def test_zero_mode_even_sites_vanish():
     for n in (3, 5, 7, 9):
-        dec = hermitian_eigen(_effective_matrix(n, 0.7, 1.3))
-        k = int(np.argmin(np.abs(dec.eigenvalues)))
-        w = dec.eigenvectors[:, k]
+        lam, vecs = np.linalg.eigh(_effective_matrix(n, 0.7, 1.3))
+        w = vecs[:, int(np.argmin(np.abs(lam)))]
         assert np.max(np.abs(w[1::2])) <= 1e-9
 
 
@@ -332,7 +329,7 @@ def test_effective_spectrum_approaches_quasi_energies():
     for omega in (10.0, 20.0, 40.0):
         system = DrivenSystem(3, 1.0, ratio * omega, omega)
         eps = floquet_spectrum(system).quasi_energies
-        lam = hermitian_eigen(effective_model(system).matrix).eigenvalues
+        lam = np.linalg.eigvalsh(effective_model(system).matrix)
         devs.append(np.max(np.abs(eps - lam)))
     assert devs[1] <= devs[0] / 2 * 1.1
     assert devs[2] <= devs[1] / 2 * 1.1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from darkfloquet import (ConfigError, DrivenSystem, NumericalQualityError,
                          PropagationSettings, dark_mode, floquet_spectrum,
-                         fold_quasi_energy, hermitian_eigen, min_p1_sweep,
+                         fold_quasi_energy, min_p1_sweep,
                          propagate, quasi_energy_sweep)
 from darkfloquet import evolve, floquet
 
@@ -126,9 +126,9 @@ class TestSweep:
     def test_zero_ratio_reproduces_static_eigenvalues(self):
         for n in (2, 3, 4, 5, 6):
             sweep = quasi_energy_sweep(n, 1.0, 10.0, [0.0])
-            static = hermitian_eigen(np.eye(n, k=1) + np.eye(n, k=-1))
-            assert np.allclose(np.sort(sweep.quasi_energies[0]),
-                               static.eigenvalues, atol=1e-7)
+            static = np.linalg.eigvalsh(np.eye(n, k=1) + np.eye(n, k=-1))
+            assert np.allclose(np.sort(sweep.quasi_energies[0]), static,
+                               atol=1e-7)
 
     def test_three_level_zero_branch_persists(self):
         sweep = quasi_energy_sweep(3, 1.0, 10.0, np.linspace(0, 5, 26))
@@ -308,6 +308,15 @@ def test_grid_is_charged_its_spectra(charged, monkeypatch):
     monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES", 1)
     charged(lambda: floquet.quasi_energy_branches(
         3, 1.0, 10.0, np.linspace(0.0, 1.0, 7), COARSE), 7 * (2 * 3**2 + 3))
+
+
+def test_min_p1_grid_is_charged_one_value_a_point(charged, monkeypatch):
+    # min P1 keeps one float a point, so a grid whose spectra would
+    # outweigh its block of samples is charged only that block
+    monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES", 1)
+    ratios = np.linspace(0.0, 1.0, 60)
+    assert len(ratios) * (2 * 3**2 + 3) > 101 * 10
+    charged(lambda: min_p1_sweep(3, 1.0, 10.0, ratios, 10, COARSE), 101 * 10)
 
 
 @pytest.mark.parametrize("call", [

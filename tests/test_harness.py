@@ -254,6 +254,16 @@ class TestConfigValidation:
             else:
                 assert amplitude == []
                 assert grid == ["# ratio_grid=[0.0..1.0] points=2"]
+        # a flag left out is a default the run read, and is named as well
+        for command, extra in runs.items():
+            out = tmp_path / f"default-{command}.csv"
+            assert main([command, "--out", str(out), *extra,
+                         "--steps-per-period", "400", "--no-timestamp"]) == 0
+            comments, _, _ = read_csv(out)
+            named = [c for c in comments
+                     if c.startswith(("# amplitude=", "# ratio_grid="))]
+            assert named == (["# amplitude=0.0"] if command == "dynamics" else
+                             ["# ratio_grid=[0.0..5.0] points=201"])
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import darkfloquet
@@ -56,3 +57,19 @@ def test_demo_runs(demo, tmp_path):
     run = subprocess.run([sys.executable, str(demos / demo.name)],
                          capture_output=True, text=True, env=env, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
+    # what a demo writes into output/ reproduces the checked-in tables: the
+    # same '#' lines and header, data within 1e-12 (12 digits are printed)
+    for checked in sorted(demo.parent.glob("output/*.csv")):
+        ours, theirs = (_csv_parts(p) for p in
+                        (demos / "output" / checked.name, checked))
+        assert ours[:2] == theirs[:2], checked.name
+        np.testing.assert_allclose(ours[2], theirs[2], rtol=1e-12, atol=1e-12,
+                                   err_msg=checked.name)
+
+
+def _csv_parts(path):
+    """('#' lines, header, data rows as an array) of a CSV."""
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    return ([line for line in lines if line.startswith("#")], rows[0],
+            np.array(rows[1:], dtype=float))
