@@ -12,11 +12,16 @@ W = U(floor(N/4) h)^T U(ceil(N/4) h). A sample of U(s) past T/4 would need
 (U^T)^-1, which conj(U) misses by RK4's unitarity defect, so samplers do not.
 
 One step loop advances the propagators of a grid of drive amplitudes that
-share n, v and omega. The hop of the chain is two shifted slice-adds, so a
-point's arithmetic is that of a one-point grid. Callers keep what they read:
-U(s), its row 0, or the site averages Q_j, summed QJ_BLOCK steps at a time.
-Each array sized from a caller's input is first charged to `_hold`, which
-refuses a run past MAX_KEPT_VALUES.
+share n, v and omega. H(t) is linear in sin(omega t), so each RK4 step is a
+matrix P_k whose increment P_k - 1 is a sum of 12 monomials in three sines
+times matrices fixed for the run; the loop forms a block of increments with
+one gemm and applies each with one stacked product. A point's arithmetic is
+that of a one-point grid: its 12 matrices are scaled from grid-free ones,
+each increment entry is one 12-term dot product, and the stacked product's
+layout is chosen by n alone. Callers keep what they read: U(s), its row 0,
+or the site averages Q_j, summed QJ_BLOCK steps at a time. Each array sized
+from a caller's input is first charged to `_hold`, which refuses a run past
+MAX_KEPT_VALUES.
 
 No re-normalization is ever applied mid-trajectory: norm drift is kept as a
 quality diagnostic, and propagation aborts if it exceeds its bound.
@@ -24,7 +29,9 @@ quality diagnostic, and propagation aborts if it exceeds its bound.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,11 +85,52 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    @property
+    @cached_property  # read by propagate's guard and by the provenance line
     def norm_drift(self) -> float:
         with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
             norms = np.linalg.norm(self.states, axis=1)
         return float(np.max(np.abs(norms - 1.0)))
+
+
+# ΔP_k U for every point: a stacked matmul costs 0.3-1 µs a matrix, einsum
+# on a grid-last layout 3-5 ns per n^3 term, so on grids of 31 points and
+# more the grid-last layout wins up to n = 4 and loses from n = 5 (G = 201:
+# 17 against 58 µs at n = 3, 67 against 67 µs at n = 5). The layout follows
+# n alone, so that a point rounds alike in any grid
+GRID_LAST_MAX_N = 4
+# one gemm forms the ΔP_k of STEP_BLOCK steps, enough to spread the block's
+# few table calls thin, or of fewer if they would hold more than
+# STEP_BLOCK_VALUES complex values, so that the block grows with neither the
+# grid nor the step count
+STEP_BLOCK, STEP_BLOCK_VALUES = 16, 2**15
+# powers of (s0, sh, s1) in the 12 monomials of ΔP_k
+POWERS = np.array(list(itertools.product((0, 1), (0, 1, 2), (0, 1))))
+
+
+def _step_terms(systems, h: float):
+    """(w, scale): one RK4 step of length h for grid point g is P = 1 +
+    sum_m s0^a sh^b s1^c scale[m, g] w[m] with (a, b, c) = POWERS[m] and
+    s0, sh, s1 the drive's sin(omega t) at the step's start, middle and end.
+    -i h H = A_x = hop + alpha_g s_x S, with S the drive signs, so a term
+    with a + b + c factors of alpha_g S is scaled by alpha_g^(a + b + c).
+    The stages K1 = A0, K2 = Am (1 + K1/2), K3 = Am (1 + K2/2) and
+    K4 = A1 (1 + K3) are polynomials with (2, 3, 2) matrix coefficients,
+    and P - 1 = (K1 + 2 K2 + 2 K3 + K4)/6."""
+    n = systems[0].n
+    hop = (-1j * h * systems[0].v) * (np.eye(n, k=1) + np.eye(n, k=-1))
+    signs = np.array([1.0] + [-1.0] * (n - 1))[:, None]  # site 1 vs the rest
+    alpha = (-0.5j * h) * np.array([s.amplitude for s in systems])
+    one = np.zeros((2, 3, 2, n, n), dtype=complex)
+    one[0, 0, 0] = np.eye(n)
+    w, stage = np.zeros_like(one), np.zeros_like(one)
+    for x, a, b in ((0, 0.0, 1.0), (1, 0.5, 2.0), (1, 0.5, 2.0), (2, 1.0, 1.0)):
+        arg = one + a * stage
+        stage = hop @ arg
+        # S s_x raises the power of s_x by one; arg's top power is zero
+        np.moveaxis(stage, x, 0)[1:] += signs * np.moveaxis(arg, x, 0)[:-1]
+        w += b * stage
+    return (w.reshape(len(POWERS), n, n) / 6.0,
+            alpha ** POWERS.sum(axis=1)[:, None])
 
 
 # inf/NaN from a too coarse step, or from a period so long that the tables
@@ -93,50 +141,52 @@ def _rk4_run(systems, n_steps: int, visit, last: int | None = None):
     unless given, for a grid of systems that share n, v and omega; H(t) is
     the bare chain plus sign_j (A/2) sin(omega t) on site j. Calls visit(k,
     us) with us[g] = U(k h) of systems[g] for k <= last, a view that the next
-    step overwrites; returns (h k for k <= n_steps, U(last h))."""
+    step overwrites; returns (h k for k <= n_steps, U(last h)).
+
+    Step k adds ΔP_k U(k h) to U(k h), with ΔP_k = P_k - 1 formed from the
+    `_step_terms` a block of steps per gemm: the increment, not P_k U(k h),
+    keeps RK4's round-off floor."""
     first = systems[0]
-    n, omega = first.n, first.omega
+    n, omega, grid = first.n, first.omega, len(systems)
     if any((s.n, s.v, s.omega) != (n, first.v, omega) for s in systems):
         raise ConfigError("a propagator grid must share n, v and omega")
-    _hold(max(n_steps + 1, 4 * (n + 2) * len(systems) * n),
-          "the step loop's time tables and state")
     h, last = first.period / n_steps, n_steps // 2 if last is None else last
-    signs = np.array([1.0] + [-1.0] * (n - 1))  # site 1 against the rest
-    half_amp = 0.5 * np.array([s.amplitude for s in systems])
-    # -i h H(t): bond on every link, drive[i, g] sin(omega t) on site i of g
-    bond = -1j * h * first.v
-    drive = (-1j * h) * signs[:, None, None] * half_amp[:, None]
+    size = grid * n * n
+    block = max(2, min(STEP_BLOCK, STEP_BLOCK_VALUES // size))
+    _hold(max(n_steps + 1, (len(POWERS) + block + 2) * size),
+          "the step loop's time tables, step matrices and state")
+    w, scale = _step_terms(systems, h)
+    eye = np.eye(n, dtype=complex)
+    if n <= GRID_LAST_MAX_N:  # terms[m, i, j, g], u[i, j, g]
+        terms = w[..., None] * scale[:, None, None]
+        u = np.repeat(eye[..., None], grid, axis=2)
+        us = u.transpose(2, 0, 1)
+
+        def step(p, y, out):
+            return np.einsum("ijg,jkg->ikg", p, y, out=out)
+    else:  # terms[m, g, i, j], u[g, i, j]
+        terms = w[:, None] * scale[..., None, None]
+        u = us = np.repeat(eye[None], grid, axis=0)
+        step = np.matmul
+    du, dp = np.empty_like(u), np.empty((block, *u.shape), dtype=complex)
+    flat_terms, flat_dp = (a.view(float).reshape(len(a), -1) for a in (terms, dp))
 
     # sin(omega t) at t and t + h/2 for every step taken
     ts = h * np.arange(n_steps + 1)
     sin_full = np.sin(omega * ts[:last + 1])
     sin_half = np.sin(omega * (ts[:last] + 0.5 * h))
-
-    # y[i + 1, g, :] is row i of point g's propagator, z that of the stage
-    # input; rows 0 and n + 1 stay zero, so the hop is two shifted slices
-    y, z = np.zeros((2, n + 2, len(systems), n), dtype=complex)
-    y[1:-1] = np.eye(n)[:, None, :]
-    slope, acc = np.empty((2, n, len(systems), n), dtype=complex)
-    u, ut, zc = y[1:-1], y[1:-1].transpose(1, 0, 2), z[1:-1]
-
-    def rk_slope(d, below=z[:-2], above=z[2:], mid=zc):  # -i h H mid
-        np.multiply(np.add(below, above, out=slope), bond, out=slope)
-        return np.add(slope, d * mid, out=slope)
-
-    d1 = drive * sin_full[0]
-    visit(0, ut)
-    for k in range(last):
-        d0, dh, d1 = d1, drive * sin_half[k], drive * sin_full[k + 1]
-        rk_slope(d0, y[:-2], y[2:], u)
-        np.add(u, np.multiply(slope, 0.5, out=acc), out=zc)  # acc = K1/2
-        acc += rk_slope(dh)
-        np.add(u, 0.5 * slope, out=zc)
-        acc += rk_slope(dh)
-        np.add(u, slope, out=zc)
-        # y += (K1 + 2 K2 + 2 K3 + K4) / 6
-        u += (acc + 0.5 * rk_slope(d1)) / 3.0
-        visit(k + 1, ut)
-    return ts, ut
+    visit(0, us)
+    for start in range(0, last, block):
+        # a full block even at the end: numpy hands a one-row product to
+        # gemv, which rounds unlike gemm
+        k = np.minimum(np.arange(start, start + block), last - 1)
+        sines = np.stack([sin_full[k], sin_half[k], sin_full[k + 1]], axis=1)
+        np.matmul(np.prod(sines[:, None] ** POWERS, axis=-1), flat_terms,
+                  out=flat_dp)
+        for j in range(min(block, last - start)):
+            u += step(dp[j], u, out=du)
+            visit(start + j + 1, us)
+    return ts, us
 
 
 def _glide(a, w, rows=False):

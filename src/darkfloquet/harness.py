@@ -110,8 +110,11 @@ def _text_blocks(columns, formats: list[str], end: str):
     end; one '%' call per block of WRITE_BLOCK_ROWS rows."""
     row = ",".join(formats) + end
     for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
-        block = [c[start:start + WRITE_BLOCK_ROWS].tolist() for c in columns]
-        yield row * len(block[0]) % tuple(itertools.chain(*zip(*block)))
+        # one block at a time, never the whole table: integer columns stack
+        # as floats, which '%d' prints alike below 2**53
+        values = np.column_stack(
+            [c[start:start + WRITE_BLOCK_ROWS] for c in columns]).ravel().tolist()
+        yield row * (len(values) // len(columns)) % tuple(values)
 
 
 def _write(path: Path, chunks) -> None:

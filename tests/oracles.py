@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: the Bessel oracle is a
 fixed-length series in exact rational arithmetic, the matrix exponential
 is scaling-and-squaring on the raw series, the time evolution is a plain
 RK4 over every step on a stack of state vectors, with H(t) built from the
-systems' fields rather than from darkfloquet, the chain determinants come
+systems' fields rather than from darkfloquet, and one RK4 step of the
+identity goes through the four stages K1..K4, the chain determinants come
 from their two-term recursion, the three-level tunneling minimum is the
 closed form of the 3x3 chain rather than the odd-n floor, the CSV text
 is formatted one value at a time, the property suite checks one matrix at
@@ -93,6 +94,26 @@ def rk4_rows(systems, states, periods: int, steps_per_period: int) -> np.ndarray
         y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = y
     return out[:, :, :, 0]
+
+
+def rk4_step(system, h: float, s0: float, sh: float, s1: float) -> np.ndarray:
+    """P - 1 for one plain RK4 step of length h on the identity, with the
+    drive's sin(omega t) given at the step's start (s0), middle (sh) and end
+    (s1): K1 = f(s0, 1), K2 = f(sh, 1 + K1/2), K3 = f(sh, 1 + K2/2),
+    K4 = f(s1, 1 + K3), P - 1 = (K1 + 2 K2 + 2 K3 + K4)/6, f(s, y) = -i h H y."""
+    n = system.n
+    hop = system.v * (np.eye(n, k=1) + np.eye(n, k=-1))
+    signs = np.array([1.0] + [-1.0] * (n - 1))  # site 1 vs the rest
+
+    def f(s, y):
+        return -1j * h * (hop + np.diag(0.5 * system.amplitude * s * signs)) @ y
+
+    one = np.eye(n, dtype=complex)
+    k1 = f(s0, one)
+    k2 = f(sh, one + 0.5 * k1)
+    k3 = f(sh, one + 0.5 * k2)
+    k4 = f(s1, one + k3)
+    return (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
 def rk4_states(system, c0, periods: int, steps_per_period: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from darkfloquet import (ConfigError, DrivenSystem, PropagationSettings,
                          StepSizeError, UnitarityError, monodromy, propagate)
 from darkfloquet import evolve
 
-from oracles import j0_first_zero_oracle, rk4_rows, rk4_states
+from oracles import j0_first_zero_oracle, rk4_rows, rk4_states, rk4_step
 
 
 def basis_state(n, j=0):
@@ -130,24 +130,48 @@ class TestMonodromy:
 
 def test_drive_tables_do_not_grow_with_the_grid():
     # 201 grid points at 20000 steps: only the 1-D sine tables are sized by
-    # the step count, not a (steps + 1, points) table
-    systems = [DrivenSystem(3, 1.0, float(r) * 10.0, 10.0)
-               for r in np.linspace(0.0, 5.0, 201)]
-
+    # the step count, not a (steps + 1, points) table, and a block of ΔP_k
+    # holds at most STEP_BLOCK_VALUES values, where STEP_BLOCK steps of the
+    # grid would take 6 MiB at n = 11
     class Stop(Exception):
         pass
 
     def stop(k, us):
-        raise Stop
+        if k == 2 * evolve.STEP_BLOCK:
+            raise Stop
 
-    tracemalloc.start()
-    try:
-        with pytest.raises(Stop):
-            evolve._rk4_run(systems, 20000, stop)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    for n in (3, 11):
+        systems = [DrivenSystem(n, 1.0, float(r) * 10.0, 10.0)
+                   for r in np.linspace(0.0, 5.0, 201)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                evolve._rk4_run(systems, 20000, stop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("v", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 11])
+def test_step_terms_match_one_stagewise_rk4_step(n, v):
+    # the 12-term ΔP of each grid point against the four RK4 stages, at
+    # random sines and at s0 = s1, the quarter-period map's middle step,
+    # which is its own transpose
+    rng = np.random.default_rng(n)
+    systems = [DrivenSystem(n, v, a, 10.0) for a in (0.0, 7.0, 24.0, 50.0)]
+    h = systems[0].period / 100
+    w, scale = evolve._step_terms(systems, h)
+    sines = [*rng.uniform(-1.0, 1.0, (4, 3))]
+    sines += [np.array([s[0], s[1], s[0]]) for s in sines]
+    for s in sines:
+        monomials = np.prod(s ** evolve.POWERS, axis=1)
+        for g, system in enumerate(systems):
+            dp = np.tensordot(monomials * scale[:, g], w, axes=1)
+            assert np.max(np.abs(dp - rk4_step(system, h, *s))) <= 1e-15
+            if s[0] == s[2]:
+                assert np.max(np.abs(dp - dp.T)) <= 1e-15
 
 
 def test_blown_up_averages_raise_without_a_warning():
@@ -255,14 +279,16 @@ def test_propagate_is_charged_half_a_period_of_propagators(charged, periods,
             values)
 
 
-@pytest.mark.parametrize("run, points, values", [
-    (evolve.period_maps, 1, 101),  # the step loop's time tables, N + 1
-    (evolve.period_maps, 2, 4 * 5 * 2 * 3),  # its state, 4 (n + 2) G n
-    (evolve.propagator_site1, 2, 2 * 101 * 3),  # row 0 of U(s), G (N + 1) n
-    (evolve.propagator_averages, 2,
+@pytest.mark.parametrize("run, points, steps, values", [
+    (evolve.period_maps, 1, 1000, 1001),  # the step loop's time tables, N + 1
+    # its 12 step matrices, a block of 16 ΔP_k and two state stacks, each
+    # G n^2 values
+    (evolve.period_maps, 2, 100, (12 + evolve.STEP_BLOCK + 2) * 2 * 3**2),
+    (evolve.propagator_site1, 2, 100, 2 * 101 * 3),  # row 0 of U(s), G (N + 1) n
+    (evolve.propagator_averages, 2, 100,
      2 * (3**3 + evolve.QJ_BLOCK * 3**2)),  # Q_j and its block of U(s) rows
 ], ids=["tables", "state", "site1", "averages"])
-def test_grid_propagators_are_charged(charged, run, points, values):
+def test_grid_propagators_are_charged(charged, run, points, steps, values):
     systems = [DrivenSystem(3, 1.0, 0.1 * g, 10.0) for g in range(points)]
-    charged(lambda: run(systems, PropagationSettings(steps_per_period=100)),
+    charged(lambda: run(systems, PropagationSettings(steps_per_period=steps)),
             values)

@@ -295,7 +295,8 @@ def test_min_p1_sweep_is_charged_one_block_of_periods(charged, monkeypatch):
 
 @pytest.mark.parametrize("sweep, values", [
     (quasi_energy_sweep, 3**3 + evolve.QJ_BLOCK * 3**2),  # Q_j and its block
-    (floquet.quasi_energy_branches, 101),  # the step loop's time tables
+    # the step loop's 12 step matrices, block of 16 ΔP_k and state, n^2 each
+    (floquet.quasi_energy_branches, (12 + evolve.STEP_BLOCK + 2) * 3**2),
 ])
 def test_spectra_are_charged_their_period_tables(charged, sweep, values):
     # neither keeps U(s), so a long period fits at n = 3
@@ -303,11 +304,13 @@ def test_spectra_are_charged_their_period_tables(charged, sweep, values):
 
 
 def test_grid_is_charged_its_spectra(charged, monkeypatch):
-    # one-point chunks charge little; the grid's eigenvectors and
-    # populations, (2 n^2 + n) values a point, outweigh them
+    # one-point chunks charge (12 + 16 + 2) n^2 values in the step loop;
+    # the grid's eigenvectors and populations, (2 n^2 + n) values a point,
+    # outweigh them
     monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES", 1)
+    assert 15 * (2 * 3**2 + 3) > (12 + evolve.STEP_BLOCK + 2) * 3**2
     charged(lambda: floquet.quasi_energy_branches(
-        3, 1.0, 10.0, np.linspace(0.0, 1.0, 7), COARSE), 7 * (2 * 3**2 + 3))
+        3, 1.0, 10.0, np.linspace(0.0, 1.0, 15), COARSE), 15 * (2 * 3**2 + 3))
 
 
 def test_min_p1_grid_is_charged_one_value_a_point(charged, monkeypatch):
