@@ -30,9 +30,16 @@ __all__ = [
 # complex values (8 MB) one sweep chunk may keep: per grid point, n^3 for Q_j
 # plus QJ_BLOCK n^2 for the U(s) rows summed into it, n^2 for U(T) alone, or
 # (steps + 1) n for row 0 of every U(s); also the real entries of a
-# property-suite stack, n^2 each
+# property-suite stack, n^2 each. min P1's (steps + 1) n^2 real pair table
+# is built for one point at a time, never for a chunk
 MAX_CHUNK_VALUES = 5 * 10**5
 MIN_P1_BLOCK = 100  # periods per block of the min-P1 evaluation
+# min P1 of a block as a real quadratic form costs a pair table and a real
+# gemm of n^2 terms a sample, the complex product 4n real products and a
+# hypot a sample. min_p1_sweep over 400 periods on 31 points, one BLAS
+# thread: 77 against 123 ms at n = 5, 99 against 126 ms at n = 6, even at
+# n = 7. The form follows n alone, so a point rounds alike in any grid
+QUADRATIC_MAX_N = 6
 # bound on the site-1 samples of one min_p1_sweep point: a few seconds' work
 MAX_SAMPLES_PER_POINT = 10**9
 DARK_EPS_TOL, DARK_POP_TOL = 1e-4, 0.02  # dark mode: |eps|/omega, even-site <P>
@@ -208,16 +215,31 @@ def quasi_energy_branches(n: int, v: float, omega: float, ratios,
     return eps, vecs
 
 
+def _pair_table(x: np.ndarray) -> np.ndarray:
+    """(n^2, m) real table of the pair products of the columns of the
+    (n, m) complex x: |x_i|^2, then Re and Im of x_i conj(x_j) for i < j."""
+    i, j = np.triu_indices(len(x), 1)
+    prod = x[i] * x[j].conj()
+    return np.concatenate([x.real ** 2 + x.imag ** 2, prod.real, prod.imag])
+
+
 def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
                  settings: PropagationSettings = PropagationSettings()
                  ) -> np.ndarray:
     """Sampled minimum of P_1(t) over the given number of driving periods,
     from (1, 0, ..., 0), at each drive ratio A/omega of the grid.
 
-    H is periodic, so the site-1 amplitude at t = kT + s is <1|U(s)|psi_k>
-    with psi_k = U(T)^k (1, 0, ..., 0): the period starts are chained
-    through U(T) as in `propagate`, and row 0 of U(s) gives every sample of
-    a period, so the samples are those of direct long propagation."""
+    H is periodic, so the site-1 amplitude at t = kT + s is r(s) psi_k,
+    with r(s) row 0 of U(s) and psi_k = U(T)^k (1, 0, ..., 0): the period
+    starts are chained through U(T) as in `propagate`, and the samples are
+    those of direct long propagation. Up to n = QUADRATIC_MAX_N, P_1 =
+    |r psi|^2 = sum_{i<=j} w_ij Re[(r_i conj(r_j)) (psi_i conj(psi_j))], w = 1
+    on the diagonal and 2 off it: one real gemm of r's and psi's pair tables
+    per point and block of periods. It rounds in absolute terms, about
+    1e-16, so a minimum below about 1e-15 is noise, and one that rounds
+    below 0 is returned as 0. From n = QUADRATIC_MAX_N + 1, P_1 is |r psi|^2
+    of the complex product. A minimum that is not finite is refused
+    (NumericalQualityError)."""
     _, systems = _grid_systems(n, v, omega, ratios, 1)
     if not isinstance(periods, (int, np.integer)) or periods < 1:
         raise ConfigError(f"periods must be a positive integer, got {periods!r}")
@@ -225,8 +247,21 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
     if samples > MAX_SAMPLES_PER_POINT:
         raise ConfigError(f"run would sample {samples} values per grid point, "
                           f"more than {MAX_SAMPLES_PER_POINT}")
-    _hold((settings.steps_per_period + 1) * min(periods, MIN_P1_BLOCK),
-          "the sampled block of periods")
+    quadratic = n <= QUADRATIC_MAX_N
+    _hold((settings.steps_per_period + 1)
+          * max(min(periods, MIN_P1_BLOCK), n * n // 2 if quadratic else 0),
+          "the sampled block of periods or a point's pair table")
+    if quadratic:
+        pairs = n * (n - 1) // 2
+        weights = np.repeat([1.0, 2.0, -2.0], [n, pairs, pairs])[:, None]
+
+        def block_min(row, start):
+            return ((weights * _pair_table(start)).T
+                    @ _pair_table(row.T)).min()
+    else:
+        def block_min(row, start):
+            amp = np.abs(row @ start).min()  # squared once, not per sample
+            return amp * amp
     out = []
     for chunk in _chunks(systems, (settings.steps_per_period + 1) * n):
         _, rows, uts = propagator_site1(chunk, settings)
@@ -239,10 +274,17 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
                 starts[:, :, k:k + 1] = psi
                 psi = uts @ psi
             for g, (row, start) in enumerate(zip(rows, starts)):
-                # min |a|^2 = (min |a|)^2: rounding a square is monotone
-                least[g] = min(least[g], np.abs(row @ start).min())
-        out.append(least * least)
-    return np.concatenate(out)
+                # np.minimum keeps a NaN, which min(inf, nan) would drop
+                least[g] = np.minimum(least[g], block_min(row, start))
+        out.append(least)
+    p1 = np.maximum(np.concatenate(out), 0.0)
+    bad = np.flatnonzero(~np.isfinite(p1))
+    if len(bad):
+        raise NumericalQualityError(
+            f"min P1 is {p1[bad[0]]} at A/omega={systems[bad[0]].ratio:.6g}; "
+            f"increase steps_per_period (currently "
+            f"{settings.steps_per_period})")
+    return p1
 
 
 def _match_branches(w_prev: np.ndarray, w_next: np.ndarray,

@@ -242,19 +242,25 @@ def run_floquet_sweep(config: ExperimentConfig) -> Path:
 
 def run_effective_compare(config: ExperimentConfig) -> Path:
     """CSV pairing driven quasi-energies with effective-model eigenvalues,
-    branch-matched by eigenvector overlap."""
+    branch-matched by the overlap of each monodromy eigenvector with the
+    Floquet mode g w of an effective eigenvector w (the gauge g of
+    `effective_model`); the deviation is the distance on the quasi-energy
+    circle of circumference omega."""
     ratios = config.ratio_grid
     # the effective grid first, so that a ratio J0 refuses costs no integration
     _, systems = _grid_systems(config.n, config.v, config.omega, ratios,
                                2 * config.n**2 + config.n)
     lam, w = np.linalg.eigh(_effective_matrices(
         config.n, [s.v * bessel_j0(s.ratio) for s in systems], config.v))
+    w = w.astype(complex)
+    w[:, 0] *= np.exp(1j * ratios)[:, None]  # g = diag(e^{iA/omega}, 1, ...)
     eps, vecs = quasi_energy_branches(config.n, config.v, config.omega, ratios,
                                       config.settings)
-    # overlap pairing: monodromy eigenvectors against static eigenvectors
     lams = np.array([lam[i][_match_branches(vecs[i], w[i], eps[i], lam[i])]
                      for i in range(len(ratios))])
-    devs = np.abs(eps - lams)
+    # exact, and |eps - lam| itself, wherever that is below omega/2
+    d = eps - lams
+    devs = np.abs(d - config.omega * np.round(d / config.omega))
     header = ["ratio", "branch", "quasi_energy", "effective_eigenvalue",
               "abs_deviation"]
     return _emit(config, header, [*_branch_rows(ratios, config.n), eps.ravel(),

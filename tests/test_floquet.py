@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,9 +160,10 @@ class TestSweep:
             quasi_energy_sweep(3, 1.0, 10.0, [np.nan])
 
 
-@pytest.mark.parametrize("n,steps", [(2, 2000), (3, 2000), (5, 2000),
-                                     (11, 2000), (3, 500), (11, 500)],
-                         ids=["2", "3", "5", "11", "3-500", "11-500"])
+# n = 6 is the last on the quadratic form, n = 7 the first on the complex one
+@pytest.mark.parametrize("n,steps", [(2, 2000), (3, 2000), (5, 2000), (6, 2000),
+                                     (7, 2000), (11, 2000), (3, 500), (11, 500)],
+                         ids=["2", "3", "5", "6", "7", "11", "3-500", "11-500"])
 def test_batched_min_p1_matches_direct_stepping(n, steps, monkeypatch):
     # a budget of two grid points per chunk: chunks of 2, 2 and 1
     periods = 12
@@ -186,13 +188,54 @@ def test_batched_min_p1_matches_direct_stepping(n, steps, monkeypatch):
         assert abs(got - p1.min()) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 11])
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 11])
 def test_one_point_min_p1_is_the_grid_point(n):
+    assert floquet.QUADRATIC_MAX_N == 6  # the forms on both sides of it
     grid = np.linspace(0.0, 5.0, 7)
     swept = min_p1_sweep(n, 1.0, 10.0, grid, 150)
     for i in (0, 3, 6):
         alone = min_p1_sweep(n, 1.0, 10.0, grid[i:i + 1], 150)
         assert alone[0] == swept[i]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_undriven_min_p1_rounds_to_a_small_non_negative_value(n):
+    # the undriven chain empties site 1 to below 1e-24 at some sample, where
+    # the quadratic form's absolute rounding, about 1e-16, may fall below 0
+    p1 = min_p1_sweep(n, 1.0, 10.0, [0.0], 400)
+    assert 0.0 <= p1[0] <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_non_finite_sample_is_refused(n, monkeypatch):
+    # Python's min(inf, nan) is inf: a NaN sample must not read as inf
+    site1 = floquet.propagator_site1
+
+    def poisoned(systems, settings):
+        ts, rows, uts = site1(systems, settings)
+        rows[1, 17, 0] = np.nan
+        return ts, rows, uts
+
+    monkeypatch.setattr(floquet, "propagator_site1", poisoned)
+    with pytest.raises(NumericalQualityError, match="min P1 is nan"):
+        min_p1_sweep(n, 1.0, 10.0, [0.5, 1.0], 150)
+
+
+def test_min_p1_peak_memory_is_the_propagators():
+    # the pair table is built one point at a time: for the whole grid it
+    # would hold (steps + 1) n^2 reals a point, 12 MB here
+    ratios = np.linspace(0.0, 5.0, 31)
+    systems = [DrivenSystem(5, 1.0, float(r) * 10.0, 10.0) for r in ratios]
+    peaks = []
+    for call in (lambda: floquet.propagator_site1(systems, PropagationSettings()),
+                 lambda: min_p1_sweep(5, 1.0, 10.0, ratios, 200)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 @pytest.mark.parametrize(
@@ -291,6 +334,13 @@ def test_min_p1_sweep_is_charged_one_block_of_periods(charged, monkeypatch):
     monkeypatch.setattr(floquet, "MAX_SAMPLES_PER_POINT", 101 * 30000 - 1)
     with pytest.raises(ConfigError, match="would sample 3030000 values"):
         min_p1_sweep(3, 1.0, 10.0, [0.5], 30000, COARSE)
+
+
+def test_min_p1_sweep_is_charged_its_pair_table(charged):
+    # at n = 6 a point's (N + 1) n^2 real pair table, (N + 1) n^2 / 2
+    # complex values, outweighs a block of 10 periods
+    assert 36 // 2 > 10
+    charged(lambda: min_p1_sweep(6, 1.0, 10.0, [0.5], 10, COARSE), 101 * 18)
 
 
 @pytest.mark.parametrize("sweep, values", [

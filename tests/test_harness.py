@@ -184,6 +184,44 @@ class TestEffectiveCompare:
         assert data.shape == (11 * n, 5)
         assert np.max(data[:, 4]) <= 0.05
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_even_chains_pair_through_the_gauge(self, n, tmp_path):
+        # the Floquet mode of an effective eigenvector w is g w, g =
+        # diag(e^{iA/omega}, 1, ...); paired by w alone, n = 2 swaps its two
+        # modes for A/omega in (pi/2, 3 pi/2) and deviated by 0.958
+        config = ExperimentConfig(experiment="effective-compare", n=n,
+                                  out=tmp_path / "e.csv", timestamp=False)
+        run_effective_compare(config)
+        _, _, data = read_csv(config.out)
+        assert data.shape == (201 * n, 5)
+        assert np.max(data[:, 4]) <= 0.05
+
+    def test_deviation_is_measured_on_the_quasi_energy_circle(self, tmp_path):
+        # at omega = 3 the n = 4 eigenvalues +-1.618 lie past omega/2, so
+        # their quasi-energies fold to -+1.382, omega away from them
+        config = ExperimentConfig(experiment="effective-compare", n=4,
+                                  omega=3.0, ratio_grid=np.linspace(0, 1, 5),
+                                  out=tmp_path / "e.csv", timestamp=False)
+        run_effective_compare(config)
+        _, _, data = read_csv(config.out)
+        assert np.max(np.abs(data[:, 2] - data[:, 3])) > 1.5
+        assert np.max(data[data[:, 0] == 0.0, 4]) <= 1e-9  # undriven: exact
+        assert np.max(data[:, 4]) <= 0.2
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_overlap_pairing_is_the_nearest_eigenvalue(self, n, tmp_path):
+        # at omega = 40 the effective model is good to about 1e-3, far below
+        # the eigenvalue gaps on [0, 2], short of the J0 root at 2.405
+        config = ExperimentConfig(experiment="effective-compare", n=n,
+                                  omega=40.0, ratio_grid=np.linspace(0, 2, 21),
+                                  out=tmp_path / "e.csv", timestamp=False)
+        run_effective_compare(config)
+        _, _, data = read_csv(config.out)
+        for block in data.reshape(21, n, 5):
+            eps, lam = block[:, 2], block[:, 3]
+            nearest = lam[np.argmin(np.abs(eps[:, None] - lam), axis=1)]
+            assert np.array_equal(nearest, lam)
+
 
 class TestProperties:
     def test_clean_run_writes_reports(self, tmp_path):
@@ -429,6 +467,22 @@ class TestCli:
             assert len(lines) == 1, run.stderr
             assert lines[0].startswith("numerical-quality failure: ")
         assert not (tmp_path / "out.csv").exists()
+
+    def test_non_finite_min_p1_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a NaN sample once left min P1 at inf, written with exit 0
+        site1 = floquet.propagator_site1
+
+        def poisoned(systems, settings):
+            ts, rows, uts = site1(systems, settings)
+            rows[1, 17, 0] = np.nan
+            return ts, rows, uts
+
+        monkeypatch.setattr(floquet, "propagator_site1", poisoned)
+        out = tmp_path / "min_pop.csv"
+        assert main(["sweep-min-pop", "--ratio-grid", "0.5:1:2", "--periods",
+                     "150", "--out", str(out)]) == 3
+        assert "min P1 is nan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_coarse_monodromy_exit_code(self, tmp_path):
         # a U(T) unitarity defect above unitary_eigen's tolerance must trip
