@@ -29,17 +29,21 @@ __all__ = [
 
 # complex values (8 MB) one sweep chunk may keep: per grid point, n^3 for Q_j
 # plus QJ_BLOCK n^2 for the U(s) rows summed into it, n^2 for U(T) alone, or
-# (steps + 1) n for row 0 of every U(s); also the real entries of a
-# property-suite stack, n^2 each. min P1's (steps + 1) n^2 real pair table
-# is built for one point at a time, never for a chunk
+# (steps + 1 + span) n for row 0 of every U(s) and a span's period starts;
+# also the real entries of a property-suite stack, n^2 each. min P1's
+# (steps + 1) n^2 real pair table of row 0 is built for one point at a time,
+# once per span of periods, never for a chunk
 MAX_CHUNK_VALUES = 5 * 10**5
+MIN_P1_SPAN = 1000  # periods of psi_k chained at once; pair tables last a span
 MIN_P1_BLOCK = 100  # periods per block of the min-P1 evaluation
-# min P1 of a block as a real quadratic form costs a pair table and a real
-# gemm of n^2 terms a sample, the complex product 4n real products and a
-# hypot a sample. min_p1_sweep over 400 periods on 31 points, one BLAS
-# thread: 77 against 123 ms at n = 5, 99 against 126 ms at n = 6, even at
-# n = 7. The form follows n alone, so a point rounds alike in any grid
-QUADRATIC_MAX_N = 6
+# min P1 as a real quadratic form costs a point's pair table once a span and
+# a real gemm of n^2 terms a sample, the complex product 4n real products
+# and a hypot a sample. min_p1_sweep over 400 periods on 31 points, one BLAS
+# thread, medians of 11 interleaved runs, quadratic against complex: 134
+# against 162 ms at n = 7, 157 against 183 at n = 8, 201 against 203 at
+# n = 9, 297 against 250 at n = 11. The form follows n alone, so a point
+# rounds alike in any grid
+QUADRATIC_MAX_N = 8
 # bound on the site-1 samples of one min_p1_sweep point: a few seconds' work
 MAX_SAMPLES_PER_POINT = 10**9
 DARK_EPS_TOL, DARK_POP_TOL = 1e-4, 0.02  # dark mode: |eps|/omega, even-site <P>
@@ -234,12 +238,13 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
     starts are chained through U(T) as in `propagate`, and the samples are
     those of direct long propagation. Up to n = QUADRATIC_MAX_N, P_1 =
     |r psi|^2 = sum_{i<=j} w_ij Re[(r_i conj(r_j)) (psi_i conj(psi_j))], w = 1
-    on the diagonal and 2 off it: one real gemm of r's and psi's pair tables
-    per point and block of periods. It rounds in absolute terms, about
-    1e-16, so a minimum below about 1e-15 is noise, and one that rounds
-    below 0 is returned as 0. From n = QUADRATIC_MAX_N + 1, P_1 is |r psi|^2
-    of the complex product. A minimum that is not finite is refused
-    (NumericalQualityError)."""
+    on the diagonal and 2 off it. A point's pair tables of r and of psi are
+    built once per span of MIN_P1_SPAN periods, and one real gemm of slices
+    of them gives P_1 on each block of MIN_P1_BLOCK periods. It rounds in
+    absolute terms, about 1e-16, so a minimum below about 1e-15 is noise,
+    and one that rounds below 0 is returned as 0. Above QUADRATIC_MAX_N,
+    P_1 is |r psi|^2 of the complex product, on the same spans and blocks.
+    A minimum that is not finite is refused (NumericalQualityError)."""
     _, systems = _grid_systems(n, v, omega, ratios, 1)
     if not isinstance(periods, (int, np.integer)) or periods < 1:
         raise ConfigError(f"periods must be a positive integer, got {periods!r}")
@@ -248,34 +253,51 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
         raise ConfigError(f"run would sample {samples} values per grid point, "
                           f"more than {MAX_SAMPLES_PER_POINT}")
     quadratic = n <= QUADRATIC_MAX_N
-    _hold((settings.steps_per_period + 1)
-          * max(min(periods, MIN_P1_BLOCK), n * n // 2 if quadratic else 0),
-          "the sampled block of periods or a point's pair table")
+    span = min(periods, MIN_P1_SPAN)
+    chunks = _chunks(systems, (settings.steps_per_period + 1 + span) * n)
+    column = n * n // 2 if quadratic else 0  # complex values a table column
+    _hold(max((settings.steps_per_period + 1)
+              * max(min(periods, MIN_P1_BLOCK), column),
+              max(len(chunks[0]) * n, column) * span),
+          "the sampled block of periods, a point's pair tables or the span's "
+          "starts")
+    # tables(row, start): a point's table of psi_k, a line a period of the
+    # span, and its table of r(s); block_min: least P_1 of a slice of lines
+    # of the first against the second
     if quadratic:
         pairs = n * (n - 1) // 2
         weights = np.repeat([1.0, 2.0, -2.0], [n, pairs, pairs])[:, None]
 
-        def block_min(row, start):
-            return ((weights * _pair_table(start)).T
-                    @ _pair_table(row.T)).min()
+        def tables(row, start):
+            return ((weights * _pair_table(start)).T,
+                    _pair_table(np.ascontiguousarray(row.T)))
+
+        def block_min(psi, row):
+            return (psi @ row).min()
     else:
-        def block_min(row, start):
-            amp = np.abs(row @ start).min()  # squared once, not per sample
+        def tables(row, start):
+            return start.T, row
+
+        def block_min(psi, row):
+            amp = np.abs(row @ psi.T).min()  # squared once, not per sample
             return amp * amp
     out = []
-    for chunk in _chunks(systems, (settings.steps_per_period + 1) * n):
+    for chunk in chunks:
         _, rows, uts = propagator_site1(chunk, settings)
         psi = np.tile(np.eye(n, 1, dtype=complex), (len(chunk), 1, 1))
         least = np.full(len(chunk), np.inf)
-        for k0 in range(0, periods, MIN_P1_BLOCK):
-            starts = np.empty((len(chunk), n, min(MIN_P1_BLOCK, periods - k0)),
+        for k0 in range(0, periods, span):
+            starts = np.empty((len(chunk), n, min(span, periods - k0)),
                               dtype=complex)
             for k in range(starts.shape[2]):
                 starts[:, :, k:k + 1] = psi
                 psi = uts @ psi
             for g, (row, start) in enumerate(zip(rows, starts)):
-                # np.minimum keeps a NaN, which min(inf, nan) would drop
-                least[g] = np.minimum(least[g], block_min(row, start))
+                psi_table, row_table = tables(row, start)
+                for b0 in range(0, len(psi_table), MIN_P1_BLOCK):
+                    # np.minimum keeps a NaN, which min(inf, nan) would drop
+                    least[g] = np.minimum(least[g], block_min(
+                        psi_table[b0:b0 + MIN_P1_BLOCK], row_table))
         out.append(least)
     p1 = np.maximum(np.concatenate(out), 0.0)
     bad = np.flatnonzero(~np.isfinite(p1))

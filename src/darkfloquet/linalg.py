@@ -29,8 +29,10 @@ class EigenDecomposition:
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
-    """max |M^dag M - 1|; NaN if M holds NaN or inf."""
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    """max |M^dag M - 1|; NaN or inf, without a warning, if M holds NaN or
+    inf or M^dag M overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
 def unitary_eigen(u: np.ndarray) -> EigenDecomposition:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkfloquet import (ConfigError, DrivenSystem, NumericalQualityError,
-                         PropagationSettings, dark_mode, floquet_spectrum,
-                         fold_quasi_energy, min_p1_sweep,
+                         PropagationSettings, UnitarityError, dark_mode,
+                         floquet_spectrum, fold_quasi_energy, min_p1_sweep,
                          propagate, quasi_energy_sweep)
 from darkfloquet import evolve, floquet
 
@@ -160,15 +160,13 @@ class TestSweep:
             quasi_energy_sweep(3, 1.0, 10.0, [np.nan])
 
 
-# n = 6 is the last on the quadratic form, n = 7 the first on the complex one
-@pytest.mark.parametrize("n,steps", [(2, 2000), (3, 2000), (5, 2000), (6, 2000),
-                                     (7, 2000), (11, 2000), (3, 500), (11, 500)],
-                         ids=["2", "3", "5", "6", "7", "11", "3-500", "11-500"])
-def test_batched_min_p1_matches_direct_stepping(n, steps, monkeypatch):
-    # a budget of two grid points per chunk: chunks of 2, 2 and 1
-    periods = 12
+def _min_p1_against_direct_stepping(n, steps, periods, monkeypatch):
+    # a budget of two grid points per chunk, row 0 of U(s) and the period
+    # starts of one span each: chunks of 2, 2 and 1
     ratios = np.linspace(0.0, 5.0, 5)
-    monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES", 2 * (steps + 1) * n)
+    span = min(periods, floquet.MIN_P1_SPAN)
+    monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES",
+                        2 * (steps + 1 + span) * n)
     sizes = []
     site1 = floquet.propagator_site1
 
@@ -188,9 +186,50 @@ def test_batched_min_p1_matches_direct_stepping(n, steps, monkeypatch):
         assert abs(got - p1.min()) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 11])
+# n = 8 is the last on the quadratic form, n = 9 the first on the complex one
+@pytest.mark.parametrize("n,steps", [(2, 2000), (3, 2000), (5, 2000), (6, 2000),
+                                     (7, 2000), (8, 2000), (9, 2000),
+                                     (11, 2000), (3, 500), (11, 500)],
+                         ids=["2", "3", "5", "6", "7", "8", "9", "11",
+                              "3-500", "11-500"])
+def test_batched_min_p1_matches_direct_stepping(n, steps, monkeypatch):
+    _min_p1_against_direct_stepping(n, steps, 12, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [3, 6, 7, 8, 9])
+def test_min_p1_across_span_and_block_edges(n, monkeypatch):
+    # neither the span of 7 periods nor the block of 3 divides the 20
+    # periods, nor does the block divide the span: spans of 7, 7 and 6
+    # periods, in blocks of 3, 3 and 1 and of 3 and 3
+    monkeypatch.setattr(floquet, "MIN_P1_SPAN", 7)
+    monkeypatch.setattr(floquet, "MIN_P1_BLOCK", 3)
+    _min_p1_against_direct_stepping(n, 500, 20, monkeypatch)
+
+
+@pytest.mark.parametrize("periods, spans", [(400, 1), (1000, 1), (1001, 2),
+                                            (2500, 3)])
+def test_min_p1_builds_a_row_table_once_per_point_and_span(periods, spans,
+                                                           monkeypatch):
+    # r's pair table is built once a point and span, ψ's once a point and
+    # span too: 2 G ⌈periods / MIN_P1_SPAN⌉ tables, not one a block
+    assert floquet.MIN_P1_SPAN == 1000
+    built = []
+    pair_table = floquet._pair_table
+
+    def spy(x):
+        built.append(x.shape)
+        return pair_table(x)
+
+    monkeypatch.setattr(floquet, "_pair_table", spy)
+    min_p1_sweep(3, 1.0, 10.0, np.linspace(0.0, 1.0, 4), periods, COARSE)
+    rows = [shape for shape in built if shape == (3, 101)]
+    assert len(rows) == 4 * spans
+    assert len(built) == 2 * 4 * spans
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 8, 9, 11])
 def test_one_point_min_p1_is_the_grid_point(n):
-    assert floquet.QUADRATIC_MAX_N == 6  # the forms on both sides of it
+    assert floquet.QUADRATIC_MAX_N == 8  # the forms on both sides of it
     grid = np.linspace(0.0, 5.0, 7)
     swept = min_p1_sweep(n, 1.0, 10.0, grid, 150)
     for i in (0, 3, 6):
@@ -206,7 +245,7 @@ def test_undriven_min_p1_rounds_to_a_small_non_negative_value(n):
     assert 0.0 <= p1[0] <= 1e-15
 
 
-@pytest.mark.parametrize("n", [3, 7])
+@pytest.mark.parametrize("n", [3, 7, 9])
 def test_non_finite_sample_is_refused(n, monkeypatch):
     # Python's min(inf, nan) is inf: a NaN sample must not read as inf
     site1 = floquet.propagator_site1
@@ -219,6 +258,17 @@ def test_non_finite_sample_is_refused(n, monkeypatch):
     monkeypatch.setattr(floquet, "propagator_site1", poisoned)
     with pytest.raises(NumericalQualityError, match="min P1 is nan"):
         min_p1_sweep(n, 1.0, 10.0, [0.5, 1.0], 150)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: min_p1_sweep(3, 1e3, 10.0, [0.0, 0.5], 10, COARSE),
+    lambda: quasi_energy_sweep(3, 1e3, 10.0, [0.0], COARSE),
+], ids=["min_p1_sweep", "quasi_energy_sweep"])
+def test_overflowed_monodromy_trips_the_guard_without_a_warning(call):
+    # U(T) overflows at this step size; the unitarity guard must read its
+    # defect as inf without a RuntimeWarning, which pytest makes an error
+    with pytest.raises(UnitarityError, match="defect inf"):
+        call()
 
 
 def test_min_p1_peak_memory_is_the_propagators():
@@ -334,6 +384,33 @@ def test_min_p1_sweep_is_charged_one_block_of_periods(charged, monkeypatch):
     monkeypatch.setattr(floquet, "MAX_SAMPLES_PER_POINT", 101 * 30000 - 1)
     with pytest.raises(ConfigError, match="would sample 3030000 values"):
         min_p1_sweep(3, 1.0, 10.0, [0.5], 30000, COARSE)
+
+
+def test_min_p1_sweep_is_charged_the_span_starts(charged):
+    # a chunk chains psi_k for a span of MIN_P1_SPAN periods at once, n
+    # values a point and period, here more than a block of samples; a
+    # longer horizon costs no more than one span
+    ratios = np.linspace(0.0, 1.0, 5)
+    assert 5 * 3 * floquet.MIN_P1_SPAN > 101 * floquet.MIN_P1_BLOCK
+    for periods in (floquet.MIN_P1_SPAN, 2500):
+        charged(lambda: min_p1_sweep(3, 1.0, 10.0, ratios, periods, COARSE),
+                5 * 3 * floquet.MIN_P1_SPAN)
+
+
+def test_min_p1_chunk_budget_counts_the_span_starts(monkeypatch):
+    # at 100 steps a span of 1000 period starts, n values each, outweighs
+    # row 0 of U(s): a budget of two points holds both for two points
+    monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES", 2 * (101 + 1000) * 3)
+    sizes = []
+    site1 = floquet.propagator_site1
+
+    def spy(systems, settings):
+        sizes.append(len(systems))
+        return site1(systems, settings)
+
+    monkeypatch.setattr(floquet, "propagator_site1", spy)
+    min_p1_sweep(3, 1.0, 10.0, np.linspace(0.0, 1.0, 5), 1000, COARSE)
+    assert sizes == [2, 2, 1]
 
 
 def test_min_p1_sweep_is_charged_its_pair_table(charged):

@@ -468,6 +468,24 @@ class TestCli:
             assert lines[0].startswith("numerical-quality failure: ")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_overflowed_monodromy_exit_code(self, tmp_path):
+        # U(T) overflows at this step size: the unitarity guard trips with
+        # its one message, and no numpy warning comes before it
+        out = tmp_path / "out.csv"
+        src = str(Path(darkfloquet.__file__).parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "darkfloquet.cli", "sweep-min-pop",
+             "--periods", "10", "--ratio-grid", "0:1:3",
+             "--steps-per-period", "100", "--v", "1e3", "--out", str(out)],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 3
+        assert "RuntimeWarning" not in run.stderr
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1, run.stderr
+        assert lines[0].startswith("numerical-quality failure: ")
+        assert not out.exists()
+
     def test_non_finite_min_p1_exit_code(self, tmp_path, monkeypatch, capsys):
         # a NaN sample once left min P1 at inf, written with exit 0
         site1 = floquet.propagator_site1
