@@ -36,7 +36,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, StepSizeError, UnitarityError
-from .linalg import UNITARITY_TOL, _unitarity_defect
 from .model import DrivenSystem
 
 __all__ = [
@@ -50,6 +49,7 @@ __all__ = [
 ]
 
 NORM_DRIFT_ABORT = 1e-4
+UNITARITY_TOL = 1e-8  # max |U^dag U - 1| of a U(T) handed on
 QJ_BLOCK = 50  # steps of U(s) that propagator_averages adds in one product
 # complex values (800 MB) one array sized from a caller's input may hold
 MAX_KEPT_VALUES = 5 * 10**7
@@ -200,15 +200,17 @@ def _glide(a, w, rows=False):
 
 def _maps_from_half(systems, settings: PropagationSettings, w: np.ndarray):
     """U(T) = Γ conj(W) Γ W of every grid point; aborts unless each is
-    unitary to UNITARITY_TOL, the tolerance of the eigensolver it feeds."""
+    unitary to UNITARITY_TOL, which the Floquet eigensolve relies on."""
     uts = _glide(w, w)
-    for system, u in zip(systems, uts):
-        defect = _unitarity_defect(u)
-        if not defect <= UNITARITY_TOL:  # also trips on NaN
-            raise UnitarityError(
-                f"monodromy unitarity defect {defect:.3e} at A/omega="
-                f"{system.ratio:.6g} exceeds {UNITARITY_TOL}; increase "
-                f"steps_per_period (currently {settings.steps_per_period})")
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
+        defects = np.max(np.abs(uts.conj().swapaxes(-1, -2) @ uts
+                                - np.eye(uts.shape[-1])), axis=(-2, -1))
+        bad = np.flatnonzero(~(defects <= UNITARITY_TOL))
+    if len(bad):
+        raise UnitarityError(
+            f"monodromy unitarity defect {defects[bad[0]]:.3e} at A/omega="
+            f"{systems[bad[0]].ratio:.6g} exceeds {UNITARITY_TOL}; increase "
+            f"steps_per_period (currently {settings.steps_per_period})")
     return uts
 
 

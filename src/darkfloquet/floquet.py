@@ -1,7 +1,8 @@
 """Floquet analysis: quasi-energies and modes from the monodromy matrix,
 period-averaged populations, dark-mode detection, and drive-strength sweeps
 with branch tracking. A sweep integrates its ratio grid in one step loop
-per chunk; a single system is the one-point grid of the same code."""
+per chunk and solves the chunk's stack of U(T) in one stacked eigensolve;
+a single system is the one-point grid of the same code."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import numpy as np
 from .errors import ConfigError, NumericalQualityError
 from .evolve import (QJ_BLOCK, PropagationSettings, _hold, period_maps,
                      propagator_averages, propagator_site1)
-from .linalg import unitary_eigen
 from .model import DrivenSystem
 
 __all__ = [
@@ -82,13 +82,37 @@ def _chunks(systems, values_per_point: int):
     return [systems[i:i + size] for i in range(0, len(systems), size)]
 
 
-def _modes(system: DrivenSystem, u: np.ndarray):
-    """Quasi-energies and eigenvectors of U(T), by quasi-energy."""
-    dec = unitary_eigen(u)
-    eps = fold_quasi_energy(-np.angle(dec.eigenvalues) / system.period,
-                            system.omega)
+def _modes(systems, uts: np.ndarray):
+    """(quasi-energies, eigenvectors) stacks of the U(T) stack of systems
+    that share omega, each point's modes by quasi-energy.
+
+    For z = exp(i theta) off the spectrum, K = i (z - U)^-1 (z + U) is
+    Hermitian for a unitary U, with eigenvalue cot((theta - phi)/2) on an
+    eigenvector of eigenphase phi, monotone in phi on the circle cut at
+    theta: eigh's orthonormal eigenbasis of K, degenerate eigenspaces
+    included, is one of U. theta is the middle of the point's widest
+    eigenphase gap, at least 2 pi/n wide, which keeps z - U well
+    conditioned. A mode's eigenvalue is v^dag U v; one off the unit circle
+    is refused (NumericalQualityError)."""
+    phases = np.sort(np.angle(np.linalg.eigvals(uts)))
+    gaps = np.diff(phases, append=phases[:, :1] + 2 * np.pi)
+    theta = np.take_along_axis(phases + 0.5 * gaps,
+                               np.argmax(gaps, axis=1)[:, None], axis=1)
+    z = np.exp(1j * theta)[..., None] * np.eye(uts.shape[-1])
+    k = 1j * np.linalg.solve(z - uts, z + uts)
+    _, vecs = np.linalg.eigh(0.5 * (k + k.conj().swapaxes(-1, -2)))
+    lambdas = np.einsum("gik,gij,gjk->gk", vecs.conj(), uts, vecs)
+    bad = np.flatnonzero(~(np.max(np.abs(np.abs(lambdas) - 1.0), axis=1)
+                           <= 1e-7))
+    if len(bad):
+        raise NumericalQualityError(
+            f"Floquet eigenvalues left the unit circle at A/omega="
+            f"{systems[bad[0]].ratio:.6g}; U(T) is too far from unitary")
+    eps = fold_quasi_energy(-np.angle(lambdas) / systems[0].period,
+                            systems[0].omega)
     order = np.argsort(eps, kind="stable")
-    return eps[order], dec.eigenvectors[:, order]
+    return (np.take_along_axis(eps, order, axis=1),
+            np.take_along_axis(vecs, order[:, None], axis=2))
 
 
 def _check_resolution(v: float, omega: float) -> None:
@@ -114,11 +138,10 @@ def _spectra(systems, settings: PropagationSettings):
     n = systems[0].n
     for chunk in _chunks(systems, n ** 3 + QJ_BLOCK * n ** 2):
         _, q, uts = propagator_averages(chunk, settings)
-        for system, u, q_j in zip(chunk, uts, q):
-            eps, vecs = _modes(system, u)
-            pops = np.einsum("ak,jab,bk->kj", vecs.conj(), q_j, vecs).real
-            spectra.append((eps, vecs, pops))
-    return tuple(map(np.array, zip(*spectra)))
+        eps, vecs = _modes(chunk, uts)
+        pops = np.einsum("gak,gjab,gbk->gkj", vecs.conj(), q, vecs).real
+        spectra.append((eps, vecs, pops))
+    return tuple(map(np.concatenate, zip(*spectra)))
 
 
 def floquet_spectrum(system: DrivenSystem,
@@ -212,9 +235,9 @@ def quasi_energy_branches(n: int, v: float, omega: float, ratios,
     Refused, as `quasi_energy_sweep` is, when eps_mach * omega > |v| != 0."""
     _, systems = _grid_systems(n, v, omega, ratios, 2 * n * n + n)
     _check_resolution(v, omega)
-    eps, vecs = map(np.array, zip(*[
-        _modes(system, u) for chunk in _chunks(systems, n * n)
-        for system, u in zip(chunk, period_maps(chunk, settings))]))
+    eps, vecs = map(np.concatenate, zip(*[
+        _modes(chunk, period_maps(chunk, settings))
+        for chunk in _chunks(systems, n * n)]))
     _track(eps, vecs)
     return eps, vecs
 

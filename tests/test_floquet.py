@@ -348,6 +348,17 @@ def test_branches_without_averages_match_the_sweep(n):
     assert np.min(overlap) >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 11])
+def test_one_ratio_branches_are_the_grid_row(n):
+    # the eigensolve runs on a chunk's stack of U(T), and a point's modes
+    # round as they do alone
+    ratios = np.linspace(0.3, 5.0, 21)
+    eps, vecs = floquet.quasi_energy_branches(n, 1.0, 10.0, ratios)
+    one_eps, one_vecs = floquet.quasi_energy_branches(n, 1.0, 10.0, ratios[:1])
+    assert np.array_equal(one_eps[0], eps[0])
+    assert np.array_equal(one_vecs[0], vecs[0])
+
+
 def test_branch_matching_breaks_ties_in_a_fixed_order():
     # with w_prev = 1 the overlaps are |w_next|: the largest overlap wins,
     # equal overlaps go to the smaller |delta eps|, and equal |delta eps| to

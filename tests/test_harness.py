@@ -503,8 +503,8 @@ class TestCli:
         assert not out.exists()
 
     def test_coarse_monodromy_exit_code(self, tmp_path):
-        # a U(T) unitarity defect above unitary_eigen's tolerance must trip
-        # the integrator's guard, not reach the eigensolver
+        # a U(T) unitarity defect above UNITARITY_TOL must trip the
+        # integrator's guard, not reach the Floquet eigensolve
         out = tmp_path / "out.csv"
         assert main(["sweep-min-pop", "--n", "2", "--steps-per-period", "100",
                      "--ratio-grid", "0:2:2", "--out", str(out)]) == 3

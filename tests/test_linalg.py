@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkfloquet import bessel_j0, unitary_eigen
+from darkfloquet import DrivenSystem, NumericalQualityError, bessel_j0
 from darkfloquet.effective import _effective_matrix
+from darkfloquet.floquet import _modes
 
 from oracles import (expm_scaling_squaring, j0_series_oracle,
                      tridiag_det_sequence)
@@ -20,12 +21,12 @@ def random_unitary(rng, n):
     return q
 
 
-def assert_exact_eigenpairs(m, dec):
-    # eigenvalues repeated exactly: LAPACK's basis of each eigenspace must
-    # still be orthonormal and solve the eigenproblem to rounding
-    vecs = dec.eigenvectors
-    assert np.max(np.abs(m @ vecs - vecs * dec.eigenvalues)) <= 1e-12
-    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(len(m)))) <= 1e-12
+def unitary_modes(stack):
+    """(eps, vecs) of `floquet._modes` for a stack of unitaries read as U(T)
+    at omega = 2 pi, so T = 1 and mode k has eigenvalue exp(-i eps_k)."""
+    stack = np.asarray(stack, dtype=complex)
+    system = DrivenSystem(stack.shape[-1], 1.0, 0.0, 2 * np.pi)
+    return _modes([system] * len(stack), stack)
 
 
 class TestHermitianEigen:
@@ -44,53 +45,75 @@ class TestHermitianEigen:
         assert s == pytest.approx(1.0247570838908455, abs=1e-12)
 
 
+def with_its_conjugate(u):
+    """A stack of u and q u q^dag, the same spectrum on other eigenvectors."""
+    q = random_unitary(np.random.default_rng(7), len(u))
+    return np.stack([u, q @ u @ q.conj().T])
+
+
+def phases_unitary(phases, seed):
+    q = random_unitary(np.random.default_rng(seed), len(phases))
+    return q @ np.diag(np.exp(1j * np.asarray(phases))) @ q.conj().T
+
+
+def on_circle(phases):
+    """Eigenphases sorted on the circle cut at -2.5, no case's phase."""
+    return np.sort(np.mod(np.asarray(phases) + 2.5, 2 * np.pi))
+
+
+CHAIN_T = 2 * np.pi / 10.0
+STACK_CASES = {
+    "identity": (np.eye(4), [0.0] * 4),
+    "diagonal-phases": (np.diag(np.exp(1j * np.array([0.4, -1.2]))),
+                        [0.4, -1.2]),
+    # U = exp(-i H T) for the bare 3-chain; eigenphases -lambda T
+    "undriven-3-chain": (
+        expm_scaling_squaring(-1j * CHAIN_T * np.array(
+            [[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)),
+        np.sqrt(2) * CHAIN_T * np.array([1.0, 0.0, -1.0])),
+    "repeated-phases": (phases_unitary([0.7, 0.7, -0.7, 2.0, 2.0], 5),
+                        [0.7, 0.7, -0.7, 2.0, 2.0]),
+    # eigenvalue -1 twice: a doubly degenerate quasi-energy at the zone edge
+    "zone-edge-pair": (phases_unitary([np.pi, np.pi, 0.3, -1.1], 6),
+                       [np.pi, np.pi, 0.3, -1.1]),
+}
+
+
 class TestUnitaryEigen:
-    def test_identity(self):
-        dec = unitary_eigen(np.eye(4, dtype=complex))
-        assert np.allclose(dec.eigenvalues, 1.0)
-
-    def test_diagonal_phases(self):
-        u = np.diag(np.exp(1j * np.array([0.4, -1.2])))
-        dec = unitary_eigen(u)
-        assert np.allclose(np.sort(np.angle(dec.eigenvalues)), [-1.2, 0.4],
-                           atol=1e-12)
-
-    def test_undriven_chain_exponential(self):
-        # U = exp(-i H T) for the bare 3-chain; eigenphases -lambda T
-        h = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-        t_period = 2 * np.pi / 10.0
-        u = expm_scaling_squaring(-1j * h * t_period)
-        dec = unitary_eigen(u)
-        expected = np.sort(-np.array([-np.sqrt(2), 0, np.sqrt(2)]) * t_period)
-        assert np.allclose(np.sort(np.angle(dec.eigenvalues)), expected,
-                           atol=1e-7)
-
-    def test_repeated_eigenvalues(self):
-        q = random_unitary(np.random.default_rng(5), 5)
-        phases = np.array([0.7, 0.7, -0.7, 2.0, 2.0])
-        u = q @ np.diag(np.exp(1j * phases)) @ q.conj().T
-        dec = unitary_eigen(u)
-        assert np.allclose(np.sort(np.angle(dec.eigenvalues)), np.sort(phases),
-                           atol=1e-12)
-        assert_exact_eigenpairs(u, dec)
+    @pytest.mark.parametrize("case", STACK_CASES)
+    def test_stack(self, case):
+        # eigenvalues repeated exactly: the basis of each eigenspace must
+        # still be orthonormal and solve the eigenproblem to rounding
+        u, phases = STACK_CASES[case]
+        stack = with_its_conjugate(u)
+        eps, vecs = unitary_modes(stack)
+        lam = np.exp(-1j * eps)[:, None]
+        assert np.max(np.abs(stack @ vecs - vecs * lam)) <= 1e-12
+        assert np.max(np.abs(vecs.conj().swapaxes(1, 2) @ vecs
+                             - np.eye(len(u)))) <= 1e-12
+        assert np.all(np.diff(eps) >= 0)
+        for e in eps:
+            assert np.allclose(on_circle(-e), on_circle(phases), atol=1e-12)
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            unitary_eigen(np.eye(3) * 1.5)
+        stack = [random_unitary(np.random.default_rng(3), 3), np.eye(3) * 1.5]
+        with pytest.raises(NumericalQualityError, match="unit circle"):
+            unitary_modes(stack)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(2, 6), seed=st.integers(0, 10**6),
            tau=st.floats(0.1, 3.0))
     def test_consistent_with_hermitian_exponential(self, n, seed, tau):
-        h = random_hermitian(np.random.default_rng(seed), n)
-        u = expm_scaling_squaring(-1j * h * tau)
-        dec = unitary_eigen(u)
-        residual = u @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
-        assert np.max(np.abs(residual)) <= 1e-7
-        assert np.max(np.abs(np.abs(dec.eigenvalues) - 1.0)) <= 1e-7
-        expected = np.exp(-1j * np.linalg.eigvalsh(h) * tau)
-        assert np.allclose(np.sort(np.angle(dec.eigenvalues)),
-                           np.sort(np.angle(expected)), atol=1e-7)
+        rng = np.random.default_rng(seed)
+        hs = [random_hermitian(rng, n) for _ in range(3)]
+        stack = np.stack([expm_scaling_squaring(-1j * h * tau) for h in hs])
+        eps, vecs = unitary_modes(stack)
+        lam = np.exp(-1j * eps)[:, None]
+        assert np.max(np.abs(stack @ vecs - vecs * lam)) <= 1e-7
+        for h, e in zip(hs, eps):
+            expected = np.exp(-1j * np.linalg.eigvalsh(h) * tau)
+            assert np.allclose(np.sort(np.angle(np.exp(-1j * e))),
+                               np.sort(np.angle(expected)), atol=1e-7)
 
 
 class TestTridiagDetSequence:
