@@ -2,13 +2,14 @@
 quasi-energy sweeps, effective-model comparison, and the property suite.
 
 All drivers emit CSV with '#'-prefixed provenance lines; plots are optional
-single-file SVGs written without any plotting dependency.
+single-file SVGs written without any plotting dependency. The CSV text is
+built a block of rows at a time from numpy byte tables, and is byte for byte
+what '%.12g' (integer columns: '%d') prints for each value.
 """
 
 from __future__ import annotations
 
 import datetime
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,16 +106,88 @@ def _provenance(config: ExperimentConfig, extra: dict | None = None) -> list[str
     return lines
 
 
-def _text_blocks(columns, formats: list[str], end: str):
-    """Rows of 1-D columns, each the joined '%'-formats of its values plus
-    end; one '%' call per block of WRITE_BLOCK_ROWS rows."""
-    row = ",".join(formats) + end
-    for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
-        # one block at a time, never the whole table: integer columns stack
-        # as floats, which '%d' prints alike below 2**53
-        values = np.column_stack(
-            [c[start:start + WRITE_BLOCK_ROWS] for c in columns]).ravel().tolist()
-        yield row * (len(values) // len(columns)) % tuple(values)
+def _format_tables():
+    """The byte tables of `_csv_text`, built with numpy arithmetic. Each
+    table row is a run of 8-byte words read through a uint64 view, never
+    composed by shifts, so that the text does not depend on byte order.
+
+    A cell is 5 words, NUL-padded: the sign and a "0." to "0.000" prefix;
+    12 digits, each followed by a byte for the decimal point; the exponent
+    and a ',' separator. Its template is indexed by the decimal exponent e of
+    the rounded value, the count k of significant digits and the sign."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # of 0000..9999
+    # '%04d' of each group, digits on even bytes, 0xFF to be masked between
+    dig = np.full((10_000, 4, 2), 0xFF, np.uint8)
+    dig[..., 0] = digits.T + ord("0")
+    zeros = (np.maximum.accumulate(digits[::-1]) == 0).sum(0, dtype=np.uint8)
+    # layout[ip, k]: with ip digits before the point and k significant,
+    # digit j is kept if j < ip or j < k, and the point follows digit ip - 1
+    # if a fraction does
+    ip, k, j = np.ix_(np.arange(13), np.arange(13), np.arange(12))
+    layout = np.zeros((13, 13, 12, 2), np.uint8)
+    layout[..., 0] = 0xFF * (j < np.maximum(ip, k))
+    layout[..., 1] = ord(".") * ((j == ip - 1) & (k > ip))
+    cell = np.zeros((46, 13, 2, 40), np.uint8)
+    cell[:, :, 1, 0] = ord("-")
+    cell[..., 39] = ord(",")
+    # e from -11 to 34: |11 - e| <= 22 before a carry adds one
+    for row, e in zip(cell, range(-11, 35)):
+        if -4 <= e < 12:  # C's rule for the fixed form at precision 12
+            prefix = b"0.000"[:1 - e] if e < 0 else b""
+            row[..., 1:1 + len(prefix)] = np.frombuffer(prefix, np.uint8)
+            row[..., 8:32] = layout[max(e + 1, 0)].reshape(13, 1, 24)
+        else:
+            row[..., 8:32] = layout[1].reshape(13, 1, 24)
+            row[..., 32:36] = np.frombuffer(b"e%+03d" % e, np.uint8)
+    return (dig.reshape(-1, 8).view(np.uint64)[:, 0], zeros,
+            cell.reshape(-1, 40).view(np.uint64))
+
+
+_DIGITS, _ZEROS, _CELLS = _format_tables()
+# 10**k for k <= 22 is a double, so one product or quotient scales exactly
+_POW10 = np.array([float(10**k) for k in range(23)])
+
+
+def _csv_text(block: np.ndarray, is_int: np.ndarray, fallback) -> str:
+    """The CSV lines of a (rows, columns) block of float64 values, each
+    cell as '%.12g', or as '%d' where is_int. A cell whose text cannot be
+    decided exactly is fallback(row, column) instead."""
+    x = np.abs(block)
+    live = np.isfinite(x) & (x > 0)
+    a = np.where(live, x, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    shift = 11 - e
+    # one of the two factors is 1, so y is one correctly rounded operation
+    y = (a * _POW10.take(shift, mode="clip")
+         / _POW10.take(-shift, mode="clip"))
+    m = np.rint(y)
+    # y < 2**40, so its rounding error is at most half an ulp < 6.2e-5: a
+    # fraction more than 1e-4 from 1/2 rounds as the exact product would
+    ok = (live & (np.abs(shift) <= 22) & (y >= 1e11) & (y < 1e12)
+          & (np.abs(y - m) < 0.4999)) | (x == 0)
+    for col in np.flatnonzero(is_int):
+        ok[:, col] &= x[:, col] < 1e12  # from there on '%d' is not '%.12g'
+    shown = live & ok  # zeros print as m = 0 at e = 0
+    m = np.where(shown, m, 0.0)
+    carry = m == 1e12  # 999999999999.6 prints as 1e+12
+    e = np.where(shown, e, 0) + carry
+    m = np.where(carry, 1e11, m).astype(np.intp)
+    top, high = m // 10**8, m // 10**4
+    groups = (top, high - 10**4 * top, m - 10**4 * high)
+    z0, z1, z2 = (_ZEROS.take(g) for g in groups)
+    trailing = z2 + (z2 == 4) * (z1 + (z1 == 4) * z0)
+    # the template row (e, k = 12 - trailing, sign)
+    words = _CELLS.take(26 * (e + 11) + 2 * (12 - trailing)
+                        + np.signbit(block), axis=0)
+    for j, g in enumerate(groups):
+        words[..., 1 + j] &= _DIGITS.take(g)
+    cells = words.view(np.uint8).reshape(-1, 40)
+    cells[block.shape[1] - 1::block.shape[1], 39] = ord("\n")
+    for i in np.flatnonzero(~ok):
+        text = fallback(*divmod(int(i), block.shape[1])).encode()
+        cells[i, :39] = 0
+        cells[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write(path: Path, chunks) -> None:
@@ -131,11 +204,24 @@ def _write(path: Path, chunks) -> None:
 def _write_csv(path: Path, comments: list[str], header: list[str],
                columns) -> None:
     """CSV of '#' comment lines, a header and one 1-D array per column:
-    integer columns print as %d, the rest as %.12g."""
-    formats = ["%d" if np.issubdtype(c.dtype, np.integer) else "%.12g"
-               for c in columns]
-    head = "".join(line + "\n" for line in [*comments, ",".join(header)])
-    _write(path, itertools.chain([head], _text_blocks(columns, formats, "\n")))
+    integer columns print as %d, the rest as %.12g. Each block of
+    WRITE_BLOCK_ROWS rows is formatted by `_csv_text` as a whole; values
+    it cannot decide exactly, and those alone, go through '%'."""
+    is_int = np.array([np.issubdtype(c.dtype, np.integer) for c in columns])
+    formats = ["%d" if i else "%.12g" for i in is_int]
+
+    def blocks():
+        yield "".join(line + "\n" for line in [*comments, ",".join(header)])
+        for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+            # integer columns stack as floats, exact below 2**53 and handed
+            # to '%d' from 10**12 on
+            block = np.column_stack([c[start:start + WRITE_BLOCK_ROWS]
+                                     for c in columns])
+            block = block.astype(float, copy=False)
+            yield _csv_text(block, is_int, lambda row, col: formats[col]
+                            % columns[col][start + row].item())
+
+    _write(path, blocks())
 
 
 def _write_svg(path: Path, x: np.ndarray, ys: np.ndarray,
@@ -163,7 +249,7 @@ def _write_svg(path: Path, x: np.ndarray, ys: np.ndarray,
              f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{h-pad}" '
              'stroke="black"/>']
     for i, (y, label) in enumerate(zip(sy, labels)):
-        pts = "".join(_text_blocks([sx, y], ["%.2f", "%.2f"], " "))[:-1]
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(sx.tolist(), y.tolist())))
         color = colors[i % len(colors)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.2"/>')

@@ -317,6 +317,28 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+# finite doubles over every exponent, drawn as bit patterns
+_BITS_DOUBLES = st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.uint64(bits).view(np.float64))).filter(np.isfinite)
+_POWERS = 10.0 ** np.arange(-25, 40)
+# values whose '%.12g' sits at an edge of the block formatter
+_EDGE_FLOATS = np.concatenate([
+    [0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308,
+     2.2250738585072009e-308],
+    _POWERS, np.nextafter(_POWERS, 0), np.nextafter(_POWERS, np.inf),
+    # around the switches to and from exponent form
+    [9.99999999999e-6, 9.999999999995e-6, 1.00000000001e-5, 9.9999999999995e-5,
+     9.99999999999949e-5, 1.00000000000001e-4, 99999999999.95, 99999999999.5,
+     999999999999.4, 999999999999.5, 999999999999.6, 1000000000000.5],
+    # exact decimal ties and their neighbours
+    [123456789012.5, 0.1000000000005, 1.0000000000005, 2.5, 0.5,
+     1234567890125.0, 1234567890135.0, 0.30000000000000004],
+    # below 1e-11 and from 1e34 on
+    [9.99e-12, 1.234e-12, 1e-300, 1.5e34, 1e300, 1.7976931348623157e308]])
+_EDGE_INTS = np.array([0, 1, -1, 7, -7, 10**11, 10**12 - 1, 10**12, -10**12,
+                       -(10**12 - 1), 2**53 + 1, 2**63 - 1, -2**63])
+
+
 class TestCsvWriter:
     # the block writer must print the bytes of the row-by-row formatter
     @staticmethod
@@ -349,6 +371,64 @@ class TestCsvWriter:
         self._assert_matches_oracle(tmp_path / "t.csv",
                                     [traj.times, *traj.populations.T])
 
+    @given(st.lists(st.tuples(st.one_of(st.floats(), _BITS_DOUBLES),
+                              _BITS_DOUBLES, st.integers(-2**63, 2**63 - 1)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_percent_formatting(self, rows):
+        columns = [np.array(c, dtype=d)
+                   for c, d in zip(zip(*rows), [float, float, np.int64])]
+        with tempfile.TemporaryDirectory() as tmp:
+            self._assert_matches_oracle(Path(tmp) / "t.csv", columns)
+
+    def test_edges(self, tmp_path):
+        floats = np.concatenate([_EDGE_FLOATS, -_EDGE_FLOATS])
+        ints = np.resize(np.concatenate([_EDGE_INTS, -_EDGE_INTS[1:-1]]),
+                         len(floats))
+        self._assert_matches_oracle(tmp_path / "t.csv",
+                                    [floats, ints, floats[::-1]])
+
+    @pytest.mark.parametrize("toward", [-np.inf, np.inf])
+    def test_log10_off_by_an_ulp(self, tmp_path, monkeypatch, toward):
+        # a decimal exponent one too small or too large at a power of ten
+        # must send the value to '%', not print wrong digits
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+        self.test_edges(tmp_path)
+
+    def test_benchmark_trajectory(self, tmp_path):
+        # the benchmark's dynamics run: 80001 rows over 20 blocks, of which
+        # the vectorised path formats all but a few cells
+        system = DrivenSystem(3, 1.0, 24.0, 10.0)
+        traj = propagate(system, np.eye(3, dtype=complex)[0], 40)
+        columns = [traj.times, *traj.populations.T]
+        assert len(traj.times) == 80001
+        self._assert_matches_oracle(tmp_path / "t.csv", columns)
+        fallbacks = []
+        block = np.column_stack(columns)
+        harness._csv_text(block, np.zeros(4, bool), lambda row, col:
+                          fallbacks.append(1) or "%.12g" % block[row, col])
+        assert len(fallbacks) < 1e-3 * block.size
+
+    @pytest.mark.parametrize("argv, column", [
+        (["floquet-sweep", "--n", "4"], "avgP4"),
+        (["effective-compare", "--n", "5"], "abs_deviation"),
+        (["sweep-min-pop", "--n", "3"], "min_P1_effective"),
+    ], ids=["floquet-sweep", "effective-compare", "sweep-min-pop"])
+    def test_cli_tables(self, tmp_path, monkeypatch, argv, column):
+        # the CLI's own columns, negative values and integer branch columns
+        # among them, over many blocks
+        monkeypatch.setattr(harness, "WRITE_BLOCK_ROWS", 64)
+        tables, write = [], harness._write_csv
+        monkeypatch.setattr(harness, "_write_csv", lambda *table: (
+            tables.append(table), write(*table)))
+        out = tmp_path / "t.csv"
+        assert main([*argv, "--out", str(out), "--no-timestamp"]) == 0
+        (_, comments, header, columns), = tables
+        assert column in header and len(columns[0]) > 64
+        rows = zip(*(c.tolist() for c in columns))
+        assert out.read_bytes() == csv_text(comments, header, rows).encode()
+
 
 class TestCli:
     def test_dynamics_roundtrip(self, tmp_path):
@@ -374,6 +454,8 @@ class TestCli:
         svg = out.with_suffix(".svg").read_text()
         assert svg.startswith("<svg") and svg.endswith("</svg>")
         assert svg.count("<polyline") == series
+        assert all(re.fullmatch(r"(-?\d+\.\d\d,-?\d+\.\d\d ?)+", pts)
+                   for pts in re.findall(r'points="([^"]*)"', svg))
         assert f">{title}</text>" in svg
 
     def test_ratio_grid_flag(self, tmp_path):
