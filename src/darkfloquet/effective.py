@@ -88,10 +88,6 @@ def _effective_matrices(n: int, v_eff, v) -> np.ndarray:
     return h
 
 
-def _effective_matrix(n: int, v_eff: float, v: float) -> np.ndarray:
-    return _effective_matrices(n, [v_eff], v)[0]
-
-
 def effective_model(system: DrivenSystem) -> EffectiveModel:
     """Time-averaged model of the driven chain.
 
@@ -101,8 +97,8 @@ def effective_model(system: DrivenSystem) -> EffectiveModel:
     g = diag(e^{iA/omega}, 1, ..., 1).
     """
     v_eff = system.v * bessel_j0(system.ratio)
-    return EffectiveModel(n=system.n, v=system.v, v_eff=v_eff,
-                          matrix=_effective_matrix(system.n, v_eff, system.v))
+    matrix = _effective_matrices(system.n, [v_eff], system.v)[0]
+    return EffectiveModel(n=system.n, v=system.v, v_eff=v_eff, matrix=matrix)
 
 
 def _zero_modes(n: int, v, v_eff) -> np.ndarray:

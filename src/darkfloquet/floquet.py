@@ -257,9 +257,11 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
     from (1, 0, ..., 0), at each drive ratio A/omega of the grid.
 
     H is periodic, so the site-1 amplitude at t = kT + s is r(s) psi_k,
-    with r(s) row 0 of U(s) and psi_k = U(T)^k (1, 0, ..., 0): the period
-    starts are chained through U(T) as in `propagate`, and the samples are
-    those of direct long propagation. Up to n = QUADRATIC_MAX_N, P_1 =
+    with r(s) row 0 of U(s) and psi_k = U(T)^k (1, 0, ..., 0): each period
+    start is U(T) times the one before, where `propagate` starts a period
+    from the last state of the one before, reached through the half-period
+    U(s) and the glide. The samples are at the times of direct long
+    propagation. Up to n = QUADRATIC_MAX_N, P_1 =
     |r psi|^2 = sum_{i<=j} w_ij Re[(r_i conj(r_j)) (psi_i conj(psi_j))], w = 1
     on the diagonal and 2 off it. A point's pair tables of r and of psi are
     built once per span of MIN_P1_SPAN periods, and one real gemm of slices

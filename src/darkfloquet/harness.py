@@ -4,12 +4,13 @@ quasi-energy sweeps, effective-model comparison, and the property suite.
 All drivers emit CSV with '#'-prefixed provenance lines; plots are optional
 single-file SVGs written without any plotting dependency. The CSV text is
 built a block of rows at a time from numpy byte tables, and is byte for byte
-what '%.12g' (integer columns: '%d') prints for each value.
+what '%.12g' prints for the float64 value of each cell.
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,7 +41,7 @@ EXPERIMENTS = {"dynamics": "dynamics.csv", "sweep-min-pop": "min_pop.csv",
                "properties": "properties.json"}
 # default horizon in driving periods of the experiments that take one
 DEFAULT_PERIODS = {"dynamics": 20, "sweep-min-pop": 400}
-# table rows formatted per '%' call, which bounds the text held at once
+# table rows formatted per `_csv_text` call, which bounds the text held at once
 WRITE_BLOCK_ROWS = 4096
 
 
@@ -72,9 +73,9 @@ class ExperimentConfig:
         if self.experiment == "sweep-min-pop" and self.periods < 10:
             raise ConfigError(f"periods must be >= 10, got {self.periods}")
         grid = np.asarray(self.ratio_grid, dtype=float)
-        if grid.ndim != 1 or len(grid) == 0 or np.any(~np.isfinite(grid)):
-            raise ConfigError("ratio grid must be finite and non-empty")
-        if np.any(np.diff(grid) < 0):
+        # any shape, NaN and inf pass: `_grid_systems` refuses them in a sweep
+        flat = grid.ravel()
+        if np.any(flat[1:] < flat[:-1]):
             raise ConfigError("ratio grid must be sorted ascending")
         object.__setattr__(self, "ratio_grid", grid)
         object.__setattr__(self, "out",
@@ -106,8 +107,10 @@ def _provenance(config: ExperimentConfig, extra: dict | None = None) -> list[str
     return lines
 
 
+@functools.cache
 def _format_tables():
-    """The byte tables of `_csv_text`, built with numpy arithmetic. Each
+    """The byte tables of `_csv_text`, built with numpy arithmetic on its
+    first call, so that a run which writes no CSV builds none. Each
     table row is a run of 8-byte words read through a uint64 view, never
     composed by shifts, so that the text does not depend on byte order.
 
@@ -143,15 +146,15 @@ def _format_tables():
             cell.reshape(-1, 40).view(np.uint64))
 
 
-_DIGITS, _ZEROS, _CELLS = _format_tables()
 # 10**k for k <= 22 is a double, so one product or quotient scales exactly
 _POW10 = np.array([float(10**k) for k in range(23)])
 
 
-def _csv_text(block: np.ndarray, is_int: np.ndarray, fallback) -> str:
+def _csv_text(block: np.ndarray, fallback) -> str:
     """The CSV lines of a (rows, columns) block of float64 values, each
-    cell as '%.12g', or as '%d' where is_int. A cell whose text cannot be
-    decided exactly is fallback(row, column) instead."""
+    cell as '%.12g'. A cell whose text cannot be decided exactly is
+    fallback(row, column) instead."""
+    digits, zeros, cells = _format_tables()
     x = np.abs(block)
     live = np.isfinite(x) & (x > 0)
     a = np.where(live, x, 1.0)
@@ -165,8 +168,6 @@ def _csv_text(block: np.ndarray, is_int: np.ndarray, fallback) -> str:
     # fraction more than 1e-4 from 1/2 rounds as the exact product would
     ok = (live & (np.abs(shift) <= 22) & (y >= 1e11) & (y < 1e12)
           & (np.abs(y - m) < 0.4999)) | (x == 0)
-    for col in np.flatnonzero(is_int):
-        ok[:, col] &= x[:, col] < 1e12  # from there on '%d' is not '%.12g'
     shown = live & ok  # zeros print as m = 0 at e = 0
     m = np.where(shown, m, 0.0)
     carry = m == 1e12  # 999999999999.6 prints as 1e+12
@@ -174,19 +175,19 @@ def _csv_text(block: np.ndarray, is_int: np.ndarray, fallback) -> str:
     m = np.where(carry, 1e11, m).astype(np.intp)
     top, high = m // 10**8, m // 10**4
     groups = (top, high - 10**4 * top, m - 10**4 * high)
-    z0, z1, z2 = (_ZEROS.take(g) for g in groups)
+    z0, z1, z2 = (zeros.take(g) for g in groups)
     trailing = z2 + (z2 == 4) * (z1 + (z1 == 4) * z0)
     # the template row (e, k = 12 - trailing, sign)
-    words = _CELLS.take(26 * (e + 11) + 2 * (12 - trailing)
-                        + np.signbit(block), axis=0)
+    words = cells.take(26 * (e + 11) + 2 * (12 - trailing)
+                       + np.signbit(block), axis=0)
     for j, g in enumerate(groups):
-        words[..., 1 + j] &= _DIGITS.take(g)
-    cells = words.view(np.uint8).reshape(-1, 40)
-    cells[block.shape[1] - 1::block.shape[1], 39] = ord("\n")
+        words[..., 1 + j] &= digits.take(g)
+    text = words.view(np.uint8).reshape(-1, 40)
+    text[block.shape[1] - 1::block.shape[1], 39] = ord("\n")
     for i in np.flatnonzero(~ok):
-        text = fallback(*divmod(int(i), block.shape[1])).encode()
-        cells[i, :39] = 0
-        cells[i, :len(text)] = np.frombuffer(text, np.uint8)
+        cell = fallback(*divmod(int(i), block.shape[1])).encode()
+        text[i, :39] = 0
+        text[i, :len(cell)] = np.frombuffer(cell, np.uint8)
     return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -203,23 +204,17 @@ def _write(path: Path, chunks) -> None:
 
 def _write_csv(path: Path, comments: list[str], header: list[str],
                columns) -> None:
-    """CSV of '#' comment lines, a header and one 1-D array per column:
-    integer columns print as %d, the rest as %.12g. Each block of
+    """CSV of '#' comment lines, a header and one 1-D array per column,
+    each value printed as '%.12g' of its float64 value. Each block of
     WRITE_BLOCK_ROWS rows is formatted by `_csv_text` as a whole; values
     it cannot decide exactly, and those alone, go through '%'."""
-    is_int = np.array([np.issubdtype(c.dtype, np.integer) for c in columns])
-    formats = ["%d" if i else "%.12g" for i in is_int]
 
     def blocks():
         yield "".join(line + "\n" for line in [*comments, ",".join(header)])
         for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
-            # integer columns stack as floats, exact below 2**53 and handed
-            # to '%d' from 10**12 on
             block = np.column_stack([c[start:start + WRITE_BLOCK_ROWS]
-                                     for c in columns])
-            block = block.astype(float, copy=False)
-            yield _csv_text(block, is_int, lambda row, col: formats[col]
-                            % columns[col][start + row].item())
+                                     for c in columns]).astype(float, copy=False)
+            yield _csv_text(block, lambda row, col: "%.12g" % block[row, col])
 
     _write(path, blocks())
 

@@ -147,12 +147,11 @@ def tridiag_det_sequence(v_eff: float, v: float, n_max: int) -> np.ndarray:
 
 
 def csv_text(comments, header, rows) -> str:
-    """A CSV table written row by row, one value at a time: floats as
-    f"{x:.12g}", everything else through str."""
+    """A CSV table written row by row, one value at a time, each as
+    f"{float(x):.12g}"."""
     lines = [*comments, ",".join(header)]
     for row in rows:
-        lines.append(",".join(f"{x:.12g}" if isinstance(x, float) else str(x)
-                              for x in row))
+        lines.append(",".join(f"{float(x):.12g}" for x in row))
     return "".join(line + "\n" for line in lines)
 
 

@@ -12,7 +12,7 @@ from darkfloquet import (DrivenSystem, PropagationSettings, bessel_j0,
                          floquet_spectrum, min_p1_floor,
                          min_p1_sweep, monodromy, propagate, quasi_energy_sweep,
                          verify_properties)
-from darkfloquet.effective import _effective_matrix
+from darkfloquet.effective import _effective_matrices
 
 from conftest import FULL_GRID
 from oracles import j0_series_oracle, tridiag_det_sequence
@@ -175,7 +175,7 @@ def test_criterion_9_oracle_equivalence():
         v_eff, v = rng.uniform(-2, 2), rng.uniform(0.5, 2)
         seq = tridiag_det_sequence(v_eff, v, 12)
         for n in range(1, 13):
-            dense = np.linalg.det(_effective_matrix(n, v_eff, v))
+            dense = np.linalg.det(_effective_matrices(n, [v_eff], v)[0])
             det_dev = max(det_dev, abs(seq[n - 1] - dense)
                           / max(1.0, abs(dense)))
     dark_resid = dark_match = 0.0
@@ -183,7 +183,7 @@ def test_criterion_9_oracle_equivalence():
         for _ in range(10):
             v_eff, v = rng.uniform(-2, 2), rng.uniform(0.5, 2)
             d = dark_state_closed_form(n, v, v_eff)
-            h = _effective_matrix(n, v_eff, v)
+            h = _effective_matrices(n, [v_eff], v)[0]
             dark_resid = max(dark_resid, np.max(np.abs(h @ d.vector)))
             lam, vecs = np.linalg.eigh(h)
             w = vecs[:, int(np.argmin(np.abs(lam)))].real

@@ -13,7 +13,7 @@ from darkfloquet import (ConfigError, DrivenSystem, J0_FIRST_ZERO,
                          min_p1_sweep, verify_properties)
 from darkfloquet import effective, floquet
 from darkfloquet.effective import (PropertyCheck, PropertyReport,
-                                   _effective_matrix)
+                                   _effective_matrices)
 
 from oracles import (expm_scaling_squaring, j0_first_zero_oracle,
                      j0_series_oracle, min_p1_oracle, property_checks_oracle,
@@ -100,7 +100,7 @@ class TestDarkState:
            v=st.floats(0.5, 2.0), v_eff=st.floats(-2.0, 2.0))
     def test_is_null_vector_and_matches_numerics(self, n, v, v_eff):
         d = dark_state_closed_form(n, v, v_eff)
-        h = _effective_matrix(n, v_eff, v)
+        h = _effective_matrices(n, [v_eff], v)[0]
         assert np.linalg.norm(d.vector) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(h @ d.vector)) <= 1e-10 * max(1.0, abs(v), abs(v_eff))
         assert np.all(d.vector[1::2] == 0.0)
@@ -149,7 +149,7 @@ class TestMinP1Oracle:
     def test_rederived_from_spectral_decomposition(self, v, v_eff):
         # P1(t) = (v^2 + v_eff^2 cos(s t))^2 / s^4 from the eigenbasis of
         # the 3x3 chain; the minimum sits at cos = -1
-        h = _effective_matrix(3, v_eff, v)
+        h = _effective_matrices(3, [v_eff], v)[0]
         lam, vecs = np.linalg.eigh(h)
         s = np.sqrt(v**2 + v_eff**2)
         assert np.allclose(lam, [-s, 0.0, s], atol=1e-10)
@@ -161,7 +161,7 @@ class TestMinP1Oracle:
 
     def test_against_direct_effective_propagation(self):
         v, v_eff = 1.0, bessel_j0(2.0)
-        h = _effective_matrix(3, v_eff, v)
+        h = _effective_matrices(3, [v_eff], v)[0]
         ts = np.linspace(0, 40.0, 8001)
         c0 = np.array([1.0, 0, 0], dtype=complex)
         mins = min(abs((expm_scaling_squaring(-1j * h * t) @ c0)[0]) ** 2
@@ -197,7 +197,7 @@ class TestVerifyProperties:
         assert report.ok
 
     def test_even_n_double_zero_at_veff_zero(self):
-        lam = np.linalg.eigvalsh(_effective_matrix(4, 0.0, 1.0))
+        lam = np.linalg.eigvalsh(_effective_matrices(4, [0.0], 1.0)[0])
         assert np.sum(np.abs(lam) <= 1e-9) == 2
 
     def test_perturbed_matrix_is_flagged(self, monkeypatch):
@@ -310,13 +310,13 @@ class TestPropertyReportOracle:
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 10), v=st.floats(0.5, 2.0), v_eff=st.floats(-2.0, 2.0))
 def test_spectrum_is_symmetric_multiset(n, v, v_eff):
-    eigs = np.linalg.eigvalsh(_effective_matrix(n, v_eff, v))
+    eigs = np.linalg.eigvalsh(_effective_matrices(n, [v_eff], v)[0])
     assert np.allclose(eigs, -eigs[::-1], atol=1e-9)
 
 
 def test_zero_mode_even_sites_vanish():
     for n in (3, 5, 7, 9):
-        lam, vecs = np.linalg.eigh(_effective_matrix(n, 0.7, 1.3))
+        lam, vecs = np.linalg.eigh(_effective_matrices(n, [0.7], 1.3)[0])
         w = vecs[:, int(np.argmin(np.abs(lam)))]
         assert np.max(np.abs(w[1::2])) <= 1e-9
 

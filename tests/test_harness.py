@@ -263,6 +263,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="sweep-min-pop", periods=5)
 
+    @pytest.mark.parametrize("command", ["sweep-min-pop", "floquet-sweep",
+                                         "effective-compare"])
+    def test_sweeps_refuse_empty_and_non_finite_grids(self, capsys, command):
+        # the config checks only the order; each sweep checks the rest of
+        # its grid before it integrates
+        assert main([command, "--ratio-grid", "0:5:0"]) == 2
+        assert "non-empty" in capsys.readouterr().err
+        run = {"sweep-min-pop": run_min_pop_sweep,
+               "floquet-sweep": run_floquet_sweep,
+               "effective-compare": run_effective_compare}[command]
+        with pytest.raises(ConfigError, match="finite"):
+            run(ExperimentConfig(command, ratio_grid=np.array([0.0, np.nan])))
+
     def test_periods_default_and_provenance(self, tmp_path):
         assert ExperimentConfig(experiment="dynamics").periods == 20
         assert ExperimentConfig(experiment="sweep-min-pop").periods == 400
@@ -335,6 +348,8 @@ _EDGE_FLOATS = np.concatenate([
      1234567890125.0, 1234567890135.0, 0.30000000000000004],
     # below 1e-11 and from 1e34 on
     [9.99e-12, 1.234e-12, 1e-300, 1.5e34, 1e300, 1.7976931348623157e308]])
+# integers print as '%.12g' of their float64 value, which from 10**12 on is
+# not their '%d'
 _EDGE_INTS = np.array([0, 1, -1, 7, -7, 10**11, 10**12 - 1, 10**12, -10**12,
                        -(10**12 - 1), 2**53 + 1, 2**63 - 1, -2**63])
 
@@ -406,7 +421,7 @@ class TestCsvWriter:
         self._assert_matches_oracle(tmp_path / "t.csv", columns)
         fallbacks = []
         block = np.column_stack(columns)
-        harness._csv_text(block, np.zeros(4, bool), lambda row, col:
+        harness._csv_text(block, lambda row, col:
                           fallbacks.append(1) or "%.12g" % block[row, col])
         assert len(fallbacks) < 1e-3 * block.size
 
@@ -428,6 +443,28 @@ class TestCsvWriter:
         assert column in header and len(columns[0]) > 64
         rows = zip(*(c.tolist() for c in columns))
         assert out.read_bytes() == csv_text(comments, header, rows).encode()
+
+    def test_tables_are_built_on_the_first_write(self, tmp_path):
+        # a fresh process: neither the import nor a run that writes no CSV
+        # builds the formatter's tables, and two CSV writes build them once
+        script = (
+            "from darkfloquet import harness\n"
+            "from darkfloquet.cli import main\n"
+            "built = harness._format_tables.cache_info\n"
+            "print(built().misses)\n"
+            "main(['properties', '--n-list', '3', '--trials', '2'])\n"
+            "print(built().misses)\n"
+            "for out in ('a.csv', 'b.csv'):\n"
+            "    main(['dynamics', '--periods', '1', '--out', out])\n"
+            "    print(built().misses)\n")
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            cwd=tmp_path, check=True, env={
+                **os.environ,
+                "PYTHONPATH": str(Path(darkfloquet.__file__).parents[1])})
+        assert [line for line in run.stdout.splitlines()
+                if line.isdigit()] == ["0", "0", "1", "1"]
+        assert (tmp_path / "b.csv").exists()
 
 
 class TestCli:

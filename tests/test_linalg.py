@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkfloquet import DrivenSystem, NumericalQualityError, bessel_j0
-from darkfloquet.effective import _effective_matrix
+from darkfloquet.effective import _effective_matrices
 from darkfloquet.floquet import _modes
 
 from oracles import (expm_scaling_squaring, j0_series_oracle,
@@ -40,7 +40,7 @@ class TestHermitianEigen:
         # closed form: 0 and +/- sqrt(v^2 + v_eff^2)
         v_eff = j0_series_oracle(2.0)
         s = np.sqrt(1.0 + v_eff**2)
-        lam, _ = np.linalg.eigh(_effective_matrix(3, v_eff, 1.0))
+        lam, _ = np.linalg.eigh(_effective_matrices(3, [v_eff], 1.0)[0])
         assert np.allclose(lam, [-s, 0.0, s], atol=1e-12)
         assert s == pytest.approx(1.0247570838908455, abs=1e-12)
 
@@ -135,7 +135,7 @@ class TestTridiagDetSequence:
             v = rng.uniform(0.5, 2)
             d = tridiag_det_sequence(v_eff, v, 12)
             for n in range(1, 13):
-                dense = np.linalg.det(_effective_matrix(n, v_eff, v))
+                dense = np.linalg.det(_effective_matrices(n, [v_eff], v)[0])
                 assert d[n - 1] == pytest.approx(
                     dense, rel=1e-9, abs=1e-9 * max(1.0, abs(dense)))
 
