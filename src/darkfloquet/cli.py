@@ -97,19 +97,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        if config.experiment == "dynamics":
-            path = run_dynamics(config)
-        elif config.experiment == "sweep-min-pop":
-            path = run_min_pop_sweep(config)
-        elif config.experiment == "floquet-sweep":
-            path = run_floquet_sweep(config)
-        elif config.experiment == "effective-compare":
-            path = run_effective_compare(config)
-        else:
+        if config.experiment == "properties":
             code = run_properties(config)
             print(f"property report written to {config.out.with_suffix('.txt')} "
                   f"and {config.out.with_suffix('.json')}")
             return EXIT_VIOLATION if code else EXIT_OK
+        # built per call, so each name is the runner this module binds now
+        runners = {"dynamics": run_dynamics,
+                   "sweep-min-pop": run_min_pop_sweep,
+                   "floquet-sweep": run_floquet_sweep,
+                   "effective-compare": run_effective_compare}
+        path = runners[config.experiment](config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -48,6 +48,18 @@ def test_settings_validation():
             propagate(DrivenSystem(3, 1, 0, 10), basis_state(3), periods)
     with pytest.raises(ConfigError):
         propagate(DrivenSystem(3, 1, 0, 10), 2 * basis_state(3), 1)
+    with pytest.raises(ConfigError, match="must have 3 components"):
+        propagate(DrivenSystem(3, 1, 0, 10), basis_state(4), 1)
+
+
+@pytest.mark.parametrize("other", [DrivenSystem(4, 1.0, 5.0, 10.0),
+                                   DrivenSystem(3, 0.5, 5.0, 10.0),
+                                   DrivenSystem(3, 1.0, 5.0, 9.0)],
+                         ids=["n", "v", "omega"])
+def test_propagator_grid_must_share_n_v_and_omega(other):
+    grid = [DrivenSystem(3, 1.0, 0.0, 10.0), other]
+    with pytest.raises(ConfigError, match="must share n, v and omega"):
+        evolve.period_maps(grid)
 
 
 def test_norm_drift_is_tiny_and_monitored():

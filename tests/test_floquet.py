@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -99,6 +100,22 @@ class TestDarkMode:
         result = dark_mode(twin)
         assert result.index is None and result.ambiguous
 
+    def test_population_rule_picks_one_of_three_zero_modes(self):
+        # just above omega = 1 the undriven chain's eigenvalues +-1 fold to
+        # -+5e-5: three modes pass the quasi-energy rule, and only the dark
+        # one keeps its even sites empty (the others carry 0.25 on each).
+        # Not omega = 1 itself: there U(T) is the identity on all three and
+        # any basis of them is a set of Floquet modes.
+        omega = 1.0 + 5e-5
+        spec = floquet_spectrum(DrivenSystem(5, 1.0, 0.0, omega))
+        near_zero = (np.abs(spec.quasi_energies)
+                     <= floquet.DARK_EPS_TOL * omega)
+        assert np.count_nonzero(near_zero) == 3
+        result = dark_mode(spec)
+        assert result.index is not None and not result.ambiguous
+        assert np.allclose(spec.avg_populations[result.index],
+                           [1 / 3, 0, 1 / 3, 0, 1 / 3], rtol=0, atol=1e-6)
+
 
 def test_gauge_invariance_of_populations():
     from darkfloquet.evolve import propagator_averages
@@ -158,6 +175,37 @@ class TestSweep:
             quasi_energy_sweep(3, 1.0, 10.0, [-0.5])
         with pytest.raises(ConfigError):
             quasi_energy_sweep(3, 1.0, 10.0, [np.nan])
+
+
+@pytest.mark.parametrize("omega", [10.0, 3.0])
+def test_tracked_branches_continue_by_overlap(omega, request):
+    # n = 4: sorted by quasi-energy, the modes swap order at about half of
+    # the points, where untracked branches drop to a consecutive overlap of
+    # 0.01
+    ratios = np.linspace(0.0, 5.0, 201)
+    sweep = (request.getfixturevalue("sweep_n4_full") if omega == 10.0
+             else quasi_energy_sweep(4, 1.0, omega, ratios))
+    vecs = sweep.eigenvectors
+    overlaps = np.abs(np.einsum("gik,gik->gk", vecs[:-1].conj(), vecs[1:]))
+    assert overlaps.min() >= 0.99
+    # wherever the best assignment of modes beats every other one by more
+    # than 0.1 in summed overlap, it is the tracked one: the identity
+    optimize = pytest.importorskip("scipy.optimize")
+    perms = list(itertools.permutations(range(4)))
+    for prev, nxt in zip(vecs[:-1], vecs[1:]):
+        overlap = np.abs(prev.conj().T @ nxt)
+        rows, cols = optimize.linear_sum_assignment(-overlap)
+        best = overlap[rows, cols].sum()
+        runner_up = max(overlap[rows, list(p)].sum() for p in perms
+                        if list(p) != list(cols))
+        if best - runner_up > 0.1:
+            assert list(cols) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("periods", [0, 2.5])
+def test_min_p1_sweep_refuses_a_bad_horizon(periods):
+    with pytest.raises(ConfigError, match="periods must be a positive integer"):
+        min_p1_sweep(3, 1.0, 10.0, [0.5], periods)
 
 
 def _min_p1_against_direct_stepping(n, steps, periods, monkeypatch):

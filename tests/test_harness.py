@@ -483,7 +483,11 @@ class TestCli:
         (["floquet-sweep", "--ratio-grid", "0:2:3"], 3, "quasi-energies, n=3"),
         (["effective-compare", "--ratio-grid", "0:2:3"], 3,
          "effective-model deviation, n=3"),
-    ], ids=["dynamics", "sweep-min-pop", "floquet-sweep", "effective-compare"])
+        # one point, one series: the x and the y range are single values
+        (["sweep-min-pop", "--n", "4", "--periods", "10",
+          "--ratio-grid", "1:1:1"], 1, "minimum P1, n=4"),
+    ], ids=["dynamics", "sweep-min-pop", "floquet-sweep", "effective-compare",
+            "one-point"])
     def test_svg_written(self, tmp_path, argv, series, title):
         # every table goes through the one writer: CSV, then its plot
         out = tmp_path / "t.csv"
@@ -494,6 +498,21 @@ class TestCli:
         assert all(re.fullmatch(r"(-?\d+\.\d\d,-?\d+\.\d\d ?)+", pts)
                    for pts in re.findall(r'points="([^"]*)"', svg))
         assert f">{title}</text>" in svg
+
+    @pytest.mark.parametrize("command, runner", [
+        ("dynamics", "run_dynamics"), ("sweep-min-pop", "run_min_pop_sweep"),
+        ("floquet-sweep", "run_floquet_sweep"),
+        ("effective-compare", "run_effective_compare")])
+    def test_main_calls_the_runner_bound_at_call_time(
+            self, monkeypatch, tmp_path, capsys, command, runner):
+        # bench/tracing.py rebinds cli.run_* after import: main must look
+        # each runner up when it runs, not hold the one bound at import
+        calls = []
+        monkeypatch.setattr(f"darkfloquet.cli.{runner}",
+                            lambda config: calls.append(config) or tmp_path)
+        assert main([command]) == 0
+        assert [c.experiment for c in calls] == [command]
+        assert capsys.readouterr().out == f"wrote {tmp_path}\n"
 
     def test_ratio_grid_flag(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -510,6 +529,7 @@ class TestCli:
             for value in ("nan", "inf"):
                 assert main(["dynamics", flag, value]) == 2
         assert main(["properties", "--n-list", "0,3"]) == 2
+        assert main(["properties", "--n-list", "2,x"]) == 2
         # these crashed with a traceback (exit 1) or printed numpy warnings
         assert main(["dynamics", "--periods", "100000000"]) == 2
         assert main(["dynamics", "--periods", "10000"]) == 2

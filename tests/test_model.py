@@ -38,7 +38,10 @@ def test_first_zero_system():
     assert system.ratio == pytest.approx(root, abs=1e-12)
 
 
-@pytest.mark.parametrize("n,omega", [(1, 10.0), (0, 10.0), (3, 0.0), (3, -1.0)])
-def test_invalid_parameters_rejected(n, omega):
+@pytest.mark.parametrize("n,amplitude,omega", [
+    (1, 0.0, 10.0), (0, 0.0, 10.0), (3, 0.0, 0.0), (3, 0.0, -1.0),
+    (3, -1.0, 10.0)],
+    ids=["1-10.0", "0-10.0", "3-0.0", "3--1.0", "negative-amplitude"])
+def test_invalid_parameters_rejected(n, amplitude, omega):
     with pytest.raises(ConfigError):
-        DrivenSystem(n, 1.0, 0.0, omega)
+        DrivenSystem(n, 1.0, amplitude, omega)
