@@ -305,22 +305,16 @@ def propagator_averages(systems,
     n, half = systems[0].n, settings.steps_per_period // 2
     _hold(len(systems) * (n ** 3 + QJ_BLOCK * n ** 2), "Q_j and its block of U(s)")
     q = np.zeros((len(systems), n, n, n), dtype=complex)
-    # the loop's U(k h) are summed into q QJ_BLOCK at a time: block[g, j, b]
-    # is row j of U(k h) of point g for the b-th step k of a block
-    block = np.empty((len(systems), n, QJ_BLOCK, n), dtype=complex)
-
-    def add_gram(x, weight=1.0):  # q[g, j] += weight x[g, j]^dag x[g, j]
-        np.add(q, weight * (x.conj().swapaxes(-1, -2) @ x), out=q)
+    # the loop's U(k h) are summed into q QJ_BLOCK at a time: block[g, b] is
+    # U(k h) of point g for the b-th step k of a block, the trapezoid's ends
+    # k = 0 and N/2 scaled by √½; x[g, j] holds row j of each
+    block = np.empty((len(systems), QJ_BLOCK, n, n), dtype=complex)
 
     def accumulate(k, us):
-        if 0 < k < half:
-            block[:, :, (k - 1) % QJ_BLOCK] = us
-            if k % QJ_BLOCK == 0:
-                add_gram(block)
-            return
-        if k == half:  # the last, partial block
-            add_gram(block[:, :, :(half - 1) % QJ_BLOCK])
-        add_gram(us[:, :, None, :], 0.5)  # trapezoid end weights
+        block[:, k % QJ_BLOCK] = us if k % half else np.sqrt(0.5) * us
+        if k % QJ_BLOCK == QJ_BLOCK - 1 or k == half:  # q[g, j] += x^dag x
+            x = block[:, :k % QJ_BLOCK + 1].transpose(0, 2, 1, 3)
+            np.add(q, x.conj().swapaxes(-1, -2) @ x, out=q)
 
     ts, w = _rk4_run(systems, settings.steps_per_period, accumulate)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips

@@ -162,8 +162,9 @@ def dark_mode(spectrum: FloquetSpectrum) -> DarkModeResult:
 
     Returns the mode's index into the spectrum's arrays; the index is None
     if no mode qualifies, and also if more than one does (even-n degeneracy
-    points), which is then flagged ambiguous.
-    """
+    points), which is then flagged ambiguous. At omega below about 5|v| the
+    odd-n dark mode's even-site average can exceed DARK_POP_TOL (n = 3,
+    omega = 5: 0.02 on site 2 from A/omega = 1.37), and the index is None."""
     eps_tol = DARK_EPS_TOL * spectrum.system.omega
     even_sites = spectrum.avg_populations[:, 1::2]  # sites 2, 4, ... (1-based)
     matches = np.flatnonzero((np.abs(spectrum.quasi_energies) <= eps_tol)
@@ -287,8 +288,8 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
           "the sampled block of periods, a point's pair tables or the span's "
           "starts")
     # tables(row, start): a point's table of psi_k, a line a period of the
-    # span, and its table of r(s); block_min: least P_1 of a slice of lines
-    # of the first against the second
+    # span, and its table of r(s); least_p1: the least P_1 of the product of
+    # a slice of lines of the first with the second
     if quadratic:
         pairs = n * (n - 1) // 2
         weights = np.repeat([1.0, 2.0, -2.0], [n, pairs, pairs])[:, None]
@@ -296,16 +297,13 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
         def tables(row, start):
             return ((weights * _pair_table(start)).T,
                     _pair_table(np.ascontiguousarray(row.T)))
-
-        def block_min(psi, row):
-            return (psi @ row).min()
+        least_p1 = np.min
     else:
         def tables(row, start):
-            return start.T, row
+            return start.T, row.T
 
-        def block_min(psi, row):
-            amp = np.abs(row @ psi.T).min()  # squared once, not per sample
-            return amp * amp
+        def least_p1(amps):  # squared once, not per sample
+            return np.square(np.abs(amps).min())
     out = []
     for chunk in chunks:
         _, rows, uts = propagator_site1(chunk, settings)
@@ -321,8 +319,8 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
                 psi_table, row_table = tables(row, start)
                 for b0 in range(0, len(psi_table), MIN_P1_BLOCK):
                     # np.minimum keeps a NaN, which min(inf, nan) would drop
-                    least[g] = np.minimum(least[g], block_min(
-                        psi_table[b0:b0 + MIN_P1_BLOCK], row_table))
+                    least[g] = np.minimum(least[g], least_p1(
+                        psi_table[b0:b0 + MIN_P1_BLOCK] @ row_table))
         out.append(least)
     p1 = np.maximum(np.concatenate(out), 0.0)
     bad = np.flatnonzero(~np.isfinite(p1))

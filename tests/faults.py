@@ -30,14 +30,15 @@ PKG = "src/darkfloquet"
 
 # (name, file, text, faulty text)
 FAULTS = [
-    ("averages trapezoid end weight 0.5 -> 1", f"{PKG}/evolve.py",
-     "add_gram(us[:, :, None, :], 0.5)", "add_gram(us[:, :, None, :], 1.0)"),
-    ("Q_j last partial block one step short", f"{PKG}/evolve.py",
-     "add_gram(block[:, :, :(half - 1) % QJ_BLOCK])",
-     "add_gram(block[:, :, :(half - 1) % QJ_BLOCK - 1])"),
+    ("Q_j trapezoid ends without the √½ scaling", f"{PKG}/evolve.py",
+     "us if k % half else np.sqrt(0.5) * us", "us"),
+    ("Q_j flushed block one row short", f"{PKG}/evolve.py",
+     "block[:, :k % QJ_BLOCK + 1]", "block[:, :k % QJ_BLOCK]"),
     ("min P1 reads only the first block of each span", f"{PKG}/floquet.py",
      "for b0 in range(0, len(psi_table), MIN_P1_BLOCK):",
      "for b0 in range(0, 1):"),
+    ("min P1 complex form's least |amplitude| unsquared", f"{PKG}/floquet.py",
+     "return np.square(np.abs(amps).min())", "return np.abs(amps).min()"),
     ("CSV tie guard < 0.4999 -> <= 0.5", f"{PKG}/harness.py",
      "(np.abs(y - m) < 0.4999)", "(np.abs(y - m) <= 0.5)"),
     ("_modes unit-circle guard 1e-7 -> 1", f"{PKG}/floquet.py",
