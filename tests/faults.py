@@ -62,6 +62,11 @@ FAULTS = [
     ("DARK_POP_TOL 0.02 -> 0.5", f"{PKG}/floquet.py",
      "DARK_EPS_TOL, DARK_POP_TOL = 1e-4, 0.02",
      "DARK_EPS_TOL, DARK_POP_TOL = 1e-4, 0.5"),
+    ("PCG64's 128-bit add without the carry into the high word",
+     f"{PKG}/effective.py",
+     "return hi + inc_hi + (lo < inc_lo), lo", "return hi + inc_hi, lo"),
+    ("SeedSequence mix constant with its lowest bit cleared",
+     f"{PKG}/effective.py", "0xCA01F9DD", "0xCA01F9DC"),
 ]
 
 

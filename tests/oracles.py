@@ -179,20 +179,26 @@ def _zero_mode(n: int, v: float, v_eff: float) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
+def draws_oracle(n: int, trials: int, seed: int):
+    """The property suite's (trial, v, v_eff) draws at size n, from one
+    numpy generator per trial."""
+    draws = []
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, n, trial])
+        v_eff = 0.0
+        while v_eff == 0.0:
+            v_eff = rng.uniform(-2.0, 2.0)
+        draws.append((trial, rng.uniform(0.5, 2.0), v_eff))
+    return draws
+
+
 def property_checks_oracle(n_range, trials: int, seed: int, perturb=None):
     """The property suite's (property, n, trial, v, v_eff, passed, residual,
     detail) records, one eigensolve and one scalar closed form per matrix;
     perturb, if given, edits each matrix in place before it is solved."""
     checks = []
     for n in n_range:
-        draws = []
-        for trial in range(trials):
-            rng = np.random.default_rng([seed, n, trial])
-            v_eff = 0.0
-            while v_eff == 0.0:
-                v_eff = rng.uniform(-2.0, 2.0)
-            draws.append((trial, rng.uniform(0.5, 2.0), v_eff))
-        draws.append((-1, 1.0, 0.0))
+        draws = draws_oracle(n, trials, seed) + [(-1, 1.0, 0.0)]
         for trial, v, v_eff in draws:
             h = _chain(n, v_eff, v)
             if perturb is not None:

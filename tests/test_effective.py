@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +19,9 @@ from darkfloquet import effective, floquet
 from darkfloquet.effective import (PropertyCheck, PropertyReport,
                                    _effective_matrices)
 
-from oracles import (expm_scaling_squaring, j0_first_zero_oracle,
-                     j0_series_oracle, min_p1_oracle, property_checks_oracle,
-                     property_report_oracle)
+from oracles import (draws_oracle, expm_scaling_squaring,
+                     j0_first_zero_oracle, j0_series_oracle, min_p1_oracle,
+                     property_checks_oracle, property_report_oracle)
 
 
 class TestBesselJ0:
@@ -257,6 +261,38 @@ class TestVerifyProperties:
         r2 = verify_properties([3, 4], trials=5, rng_seed=9)
         assert r1.to_json() == r2.to_json()
 
+    def test_zero_v_eff_is_redrawn_before_v(self, monkeypatch):
+        # a first draw of u = 0.5 gives v_eff = -2 + 4u = 0.0 exactly (chance
+        # 2**-53 per trial, so no seed is known to reach it): v_eff comes
+        # from the second draw and v from the third, as for a Generator
+        draws = np.array([[0.5, 0.75, 0.2, 0.1], [0.25, 0.6, 0.9, 0.1],
+                          [0.5, 0.5, 0.125, 0.7]])
+        v, v_eff = effective._select(draws)
+        assert v.tolist() == [0.5 + 1.5 * 0.2, 0.5 + 1.5 * 0.6, 0.5 + 1.5 * 0.7]
+        assert v_eff.tolist() == [1.0, -1.0, -1.5]
+        # a row with no nonzero v_eff and a v after it needs more draws
+        assert effective._select(draws[:, :2]) is None
+        assert effective._select(draws[:, :3]) is None
+        # the drawing loop asks the stream for as many draws as that takes
+        monkeypatch.setattr(effective, "_uniforms", lambda words: iter(draws.T))
+        assert [x.tolist() for x in effective._draws(0, [2, 3, 4], 1)] == [
+            [[y] for y in v.tolist()], [[y] for y in v_eff.tolist()]]
+
+    def test_properties_run_never_imports_numpy_random(self, tmp_path):
+        # the draws are computed without numpy.random, whose import would
+        # cost set-up time and memory; a fresh interpreter shows the imports
+        src = str(Path(effective.__file__).parents[1])
+        script = ("import sys\n"
+                  "from darkfloquet.cli import main\n"
+                  "assert main(['properties', '--out', 'p.json']) == 0\n"
+                  "print('numpy.random' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "False"
+        assert json.loads((tmp_path / "p.json").read_text())["n_checks"] > 0
+
 
 class TestPropertyReportOracle:
     # the stacked suite and its fixed-layout JSON writer must give the bytes
@@ -267,8 +303,11 @@ class TestPropertyReportOracle:
         assert report.to_text() == text
         assert report.to_json() == body
 
+    # 2**32 + 1 is two entropy words; 2**64 + 5 is three, which with n and
+    # trial overflow SeedSequence's 4-word pool
     @pytest.mark.parametrize("n_range, trials, seed", [
-        (range(2, 12), 100, 0), ([5], 20, 4), ([3, 4], 5, 9), ([], 3, 0)])
+        (range(2, 12), 100, 0), ([5], 20, 4), ([3, 4], 5, 9), ([], 3, 0),
+        (range(2, 7), 10, 2**32 + 1), (range(2, 7), 10, 2**64 + 5)])
     def test_matches_per_matrix_loop(self, n_range, trials, seed):
         report = verify_properties(n_range, trials, seed)
         checks = property_checks_oracle(n_range, trials, seed)
@@ -305,6 +344,16 @@ class TestPropertyReportOracle:
                                 1e-17, "\u00e9\U0001d11e")]
         self._assert_reports_match(PropertyReport(seed=7, checks=checks),
                                    checks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**200), n=st.integers(2, 2**32 - 1))
+def test_draws_equal_one_generator_per_trial(seed, n):
+    # seeds of 1 to 7 entropy words, so up to 9 with n and trial: the pool
+    # holds 4, and the words past it are mixed in afterwards
+    v, v_eff = effective._draws(seed, [n], 4)
+    assert [*zip(range(4), *v.tolist(), *v_eff.tolist())] == draws_oracle(
+        n, 4, seed)
 
 
 @settings(max_examples=30, deadline=None)
