@@ -128,6 +128,8 @@ def dark_state_closed_form(n: int, v: float, v_eff: float) -> DarkState:
     """
     if n % 2 == 0:
         raise ConfigError(f"no unique zero mode for even n (got n={n})")
+    if not np.all(np.isfinite([v, v_eff])):
+        raise ConfigError(f"v and v_eff must be finite, got {v}, {v_eff}")
     w = _zero_modes(n, [v], [v_eff])[0]
     return DarkState(vector=w, localization=float(w[0] ** 2))
 
@@ -151,6 +153,8 @@ def localization(n: int, v: float, v_eff: float) -> tuple[float, bool]:
     """
     if n % 2 == 0:
         raise ConfigError(f"localization is defined for odd n (got n={n})")
+    if not np.all(np.isfinite([v, v_eff])):
+        raise ConfigError(f"v and v_eff must be finite, got {v}, {v_eff}")
     w1sq, localized = _localizations(n, [v], [v_eff])
     return float(w1sq[0]), bool(localized[0])
 

@@ -133,60 +133,61 @@ def _step_terms(systems, h: float):
             alpha ** POWERS.sum(axis=1)[:, None])
 
 
-# inf/NaN from a too coarse step, or from a period so long that the tables
-# overflow, is left to the callers' guards to report
-@np.errstate(over="ignore", invalid="ignore")
-def _rk4_run(systems, n_steps: int, visit, last: int | None = None):
+def _rk4_steps(systems, n_steps: int, last: int | None = None):
     """RK4 on i dU/dt = H(t) U from U(0) = 1 to U(last h), last = n_steps/2
     unless given, for a grid of systems that share n, v and omega; H(t) is
-    the bare chain plus sign_j (A/2) sin(omega t) on site j. Calls visit(k,
-    us) with us[g] = U(k h) of systems[g] for k <= last, a view that the next
-    step overwrites; returns (h k for k <= n_steps, U(last h)).
+    the bare chain plus sign_j (A/2) sin(omega t) on site j. Yields (k, us)
+    for k = 0 ... last, with us[g] = U(k h) of systems[g], a view that the
+    next step overwrites.
 
     Step k adds ΔP_k U(k h) to U(k h), with ΔP_k = P_k - 1 formed from the
     `_step_terms` a block of steps per gemm: the increment, not P_k U(k h),
     keeps RK4's round-off floor."""
-    first = systems[0]
-    n, omega, grid = first.n, first.omega, len(systems)
-    if any((s.n, s.v, s.omega) != (n, first.v, omega) for s in systems):
-        raise ConfigError("a propagator grid must share n, v and omega")
-    h, last = first.period / n_steps, n_steps // 2 if last is None else last
-    size = grid * n * n
-    block = max(2, min(STEP_BLOCK, STEP_BLOCK_VALUES // size))
-    _hold(max(n_steps + 1, (len(POWERS) + block + 2) * size),
-          "the step loop's time tables, step matrices and state")
-    w, scale = _step_terms(systems, h)
-    eye = np.eye(n, dtype=complex)
-    if n <= GRID_LAST_MAX_N:  # terms[m, i, j, g], u[i, j, g]
-        terms = w[..., None] * scale[:, None, None]
-        u = np.repeat(eye[..., None], grid, axis=2)
-        us = u.transpose(2, 0, 1)
+    # inf/NaN from a too coarse step, or from a period so long that the
+    # tables overflow, is left to the callers' guards to report; a decorator
+    # would cover only the call that creates the generator
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = systems[0]
+        n, omega, grid = first.n, first.omega, len(systems)
+        if any((s.n, s.v, s.omega) != (n, first.v, omega) for s in systems):
+            raise ConfigError("a propagator grid must share n, v and omega")
+        h, last = first.period / n_steps, n_steps // 2 if last is None else last
+        size = grid * n * n
+        block = max(2, min(STEP_BLOCK, STEP_BLOCK_VALUES // size))
+        # n_steps + 1 bounds these tables and the samplers' times
+        _hold(max(n_steps + 1, (len(POWERS) + block + 2) * size),
+              "the step loop's time tables, step matrices and state")
+        w, scale = _step_terms(systems, h)
+        eye = np.eye(n, dtype=complex)
+        if n <= GRID_LAST_MAX_N:  # terms[m, i, j, g], u[i, j, g]
+            terms = w[..., None] * scale[:, None, None]
+            u = np.repeat(eye[..., None], grid, axis=2)
+            us = u.transpose(2, 0, 1)
 
-        def step(p, y, out):
-            return np.einsum("ijg,jkg->ikg", p, y, out=out)
-    else:  # terms[m, g, i, j], u[g, i, j]
-        terms = w[:, None] * scale[..., None, None]
-        u = us = np.repeat(eye[None], grid, axis=0)
-        step = np.matmul
-    du, dp = np.empty_like(u), np.empty((block, *u.shape), dtype=complex)
-    flat_terms, flat_dp = (a.view(float).reshape(len(a), -1) for a in (terms, dp))
-
-    # sin(omega t) at t and t + h/2 for every step taken
-    ts = h * np.arange(n_steps + 1)
-    sin_full = np.sin(omega * ts[:last + 1])
-    sin_half = np.sin(omega * (ts[:last] + 0.5 * h))
-    visit(0, us)
-    for start in range(0, last, block):
-        # a full block even at the end: numpy hands a one-row product to
-        # gemv, which rounds unlike gemm
-        k = np.minimum(np.arange(start, start + block), last - 1)
-        sines = np.stack([sin_full[k], sin_half[k], sin_full[k + 1]], axis=1)
-        np.matmul(np.prod(sines[:, None] ** POWERS, axis=-1), flat_terms,
-                  out=flat_dp)
-        for j in range(min(block, last - start)):
-            u += step(dp[j], u, out=du)
-            visit(start + j + 1, us)
-    return ts, us
+            def step(p, y, out):
+                return np.einsum("ijg,jkg->ikg", p, y, out=out)
+        else:  # terms[m, g, i, j], u[g, i, j]
+            terms = w[:, None] * scale[..., None, None]
+            u = us = np.repeat(eye[None], grid, axis=0)
+            step = np.matmul
+        du, dp = np.empty_like(u), np.empty((block, *u.shape), dtype=complex)
+        flat_terms, flat_dp = (a.view(float).reshape(len(a), -1)
+                               for a in (terms, dp))
+        # sin(omega t) at t and t + h/2 for every step taken
+        ts = h * np.arange(last + 1)
+        sin_full = np.sin(omega * ts)
+        sin_half = np.sin(omega * (ts[:last] + 0.5 * h))
+        yield 0, us
+        for start in range(0, last, block):
+            # a full block even at the end: numpy hands a one-row product to
+            # gemv, which rounds unlike gemm
+            k = np.minimum(np.arange(start, start + block), last - 1)
+            sines = np.stack([sin_full[k], sin_half[k], sin_full[k + 1]], axis=1)
+            np.matmul(np.prod(sines[:, None] ** POWERS, axis=-1), flat_terms,
+                      out=flat_dp)
+            for j in range(min(block, last - start)):
+                u += step(dp[j], u, out=du)
+                yield start + j + 1, us
 
 
 def _glide(a, w, rows=False):
@@ -228,17 +229,14 @@ def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
     if initial.shape != (system.n,):
         raise ConfigError(f"initial state must have {system.n} components")
     nrm = np.linalg.norm(initial)
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:  # also trips on NaN
         raise ConfigError(f"initial state norm is {nrm}, expected 1")
     n_steps, half = settings.steps_per_period, settings.steps_per_period // 2
     _hold(max((half + 1) * system.n ** 2, (periods * n_steps + 1) * system.n),
           "U(s) up to T/2 or of the trajectory")
     us = np.empty((half + 1, system.n, system.n), dtype=complex)
-
-    def keep(k, y):
+    for k, y in _rk4_steps([system], n_steps):
         us[k] = y[0]
-
-    _rk4_run([system], n_steps, keep)
     gamma = (-1.0) ** np.arange(system.n)
     states = np.empty((periods * n_steps + 1, system.n), dtype=complex)
     states[0] = initial
@@ -261,15 +259,12 @@ def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
 def period_maps(systems, settings: PropagationSettings = PropagationSettings()):
     """(G, n, n) stack of U(T) for a grid of systems that share n, v and
     omega, from the first ceil(N/4) of the N steps of a period."""
-    n_steps, low = settings.steps_per_period, []
-
-    def keep(k, us):
+    n_steps = settings.steps_per_period
+    for k, high in _rk4_steps(systems, n_steps, -(-n_steps // 4)):
         if k == n_steps // 4:
-            low.append(us.copy())
-
-    _, high = _rk4_run(systems, n_steps, keep, -(-n_steps // 4))
+            low = high.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
-        return _maps_from_half(systems, settings, low[0].swapaxes(-1, -2) @ high)
+        return _maps_from_half(systems, settings, low.swapaxes(-1, -2) @ high)
 
 
 def monodromy(system: DrivenSystem,
@@ -282,18 +277,14 @@ def propagator_site1(systems,
                      settings: PropagationSettings = PropagationSettings()):
     """(times, rows, uts) over one period for a grid of systems that share
     n, v and omega: rows[g, k] = <1|U(times[k]), uts[g] = U(T)."""
-    _hold(len(systems) * (settings.steps_per_period + 1) * systems[0].n,
-          "row 0 of U(s)")
-    rows = np.empty((len(systems), settings.steps_per_period + 1,
-                     systems[0].n), dtype=complex)
-
-    def keep(k, y):
-        rows[:, k] = y[:, 0]
-
-    ts, w = _rk4_run(systems, settings.steps_per_period, keep)
-    half = settings.steps_per_period // 2
+    n_steps, half = settings.steps_per_period, settings.steps_per_period // 2
+    _hold(len(systems) * (n_steps + 1) * systems[0].n, "row 0 of U(s)")
+    rows = np.empty((len(systems), n_steps + 1, systems[0].n), dtype=complex)
+    for k, w in _rk4_steps(systems, n_steps):  # the last w is W = U(T/2)
+        rows[:, k] = w[:, 0]
     rows[:, half + 1:] = _glide(rows[:, 1:half + 1], w, rows=True)
-    return ts, rows, _maps_from_half(systems, settings, w)
+    uts = _maps_from_half(systems, settings, w)
+    return (systems[0].period / n_steps) * np.arange(n_steps + 1), rows, uts
 
 
 def propagator_averages(systems,
@@ -302,21 +293,20 @@ def propagator_averages(systems,
     q[g, j] = (1/T) int_0^T U^dag |j><j| U dt by the trapezoid rule, so that
     a state c(0) spends c^dag q[g, j] c of the period on site j; uts[g] =
     U(T). The loop sums the first half, S; the second is W^dag Γ S* Γ W."""
-    n, half = systems[0].n, settings.steps_per_period // 2
+    n, n_steps = systems[0].n, settings.steps_per_period
+    half = n_steps // 2
     _hold(len(systems) * (n ** 3 + QJ_BLOCK * n ** 2), "Q_j and its block of U(s)")
     q = np.zeros((len(systems), n, n, n), dtype=complex)
     # the loop's U(k h) are summed into q QJ_BLOCK at a time: block[g, b] is
     # U(k h) of point g for the b-th step k of a block, the trapezoid's ends
     # k = 0 and N/2 scaled by √½; x[g, j] holds row j of each
     block = np.empty((len(systems), QJ_BLOCK, n, n), dtype=complex)
-
-    def accumulate(k, us):
-        block[:, k % QJ_BLOCK] = us if k % half else np.sqrt(0.5) * us
+    for k, w in _rk4_steps(systems, n_steps):  # the last w is W = U(T/2)
+        block[:, k % QJ_BLOCK] = w if k % half else np.sqrt(0.5) * w
         if k % QJ_BLOCK == QJ_BLOCK - 1 or k == half:  # q[g, j] += x^dag x
             x = block[:, :k % QJ_BLOCK + 1].transpose(0, 2, 1, 3)
             np.add(q, x.conj().swapaxes(-1, -2) @ x, out=q)
-
-    ts, w = _rk4_run(systems, settings.steps_per_period, accumulate)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
         q += w.conj().swapaxes(-1, -2)[:, None] @ _glide(q, w[:, None])
-    return ts, q / settings.steps_per_period, _maps_from_half(systems, settings, w)
+    uts = _maps_from_half(systems, settings, w)
+    return (systems[0].period / n_steps) * np.arange(n_steps + 1), q / n_steps, uts

@@ -8,11 +8,11 @@ suite that passes without it.
 
     python tests/faults.py
 
-Each fault is an exact text edit of one source file; it raises if its text
-is not found exactly once, so a fault whose line has moved is fixed here
-rather than silently skipped. pytest does not collect this file. Each run of
-the suite takes 10-40 s. Exit status: 0 if every fault was caught, 1
-otherwise.
+Each fault is an exact text edit of one source file, or a tuple of such
+edits applied in order; it raises if a text is not found exactly once, so
+a fault whose line has moved is fixed here rather than silently skipped.
+pytest does not collect this file. Each run of the suite takes 10-40 s.
+Exit status: 0 if every fault was caught, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -23,17 +23,42 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = "src/darkfloquet"
 
-# (name, file, text, faulty text)
+# the step loop's stepping, from its first yield on, as evolve.py writes it
+RK4_STEPPING = """\
+        yield 0, us
+        for start in range(0, last, block):
+            # a full block even at the end: numpy hands a one-row product to
+            # gemv, which rounds unlike gemm
+            k = np.minimum(np.arange(start, start + block), last - 1)
+            sines = np.stack([sin_full[k], sin_half[k], sin_full[k + 1]], axis=1)
+            np.matmul(np.prod(sines[:, None] ** POWERS, axis=-1), flat_terms,
+                      out=flat_dp)
+            for j in range(min(block, last - start)):
+                u += step(dp[j], u, out=du)
+                yield start + j + 1, us
+"""
+RK4_ERRSTATE = 'with np.errstate(over="ignore", invalid="ignore"):\n'
+
+# (name, file, text, faulty text); a fault of several edits gives both
+# texts as tuples
 FAULTS = [
     ("Q_j trapezoid ends without the √½ scaling", f"{PKG}/evolve.py",
-     "us if k % half else np.sqrt(0.5) * us", "us"),
+     "w if k % half else np.sqrt(0.5) * w", "w"),
     ("Q_j flushed block one row short", f"{PKG}/evolve.py",
      "block[:, :k % QJ_BLOCK + 1]", "block[:, :k % QJ_BLOCK]"),
+    ("step loop's set-up outside its errstate block", f"{PKG}/evolve.py",
+     ("    " + RK4_ERRSTATE + "        first = systems[0]", RK4_STEPPING),
+     ("    if True:\n        first = systems[0]",
+      "        " + RK4_ERRSTATE + textwrap.indent(RK4_STEPPING, "    "))),
+    ("step loop's errstate a no-op", f"{PKG}/evolve.py",
+     "    " + RK4_ERRSTATE + "        first = systems[0]",
+     "    with np.errstate():\n        first = systems[0]"),
     ("min P1 reads only the first block of each span", f"{PKG}/floquet.py",
      "for b0 in range(0, len(psi_table), MIN_P1_BLOCK):",
      "for b0 in range(0, 1):"),
@@ -70,11 +95,15 @@ FAULTS = [
 ]
 
 
-def apply(text: str, old: str, new: str, name: str) -> str:
-    if text.count(old) != 1:
-        raise RuntimeError(f"fault {name!r}: its text is found "
-                           f"{text.count(old)} times, not once")
-    return text.replace(old, new)
+def apply(text: str, old, new, name: str) -> str:
+    """text with old replaced by new, or each of the tuple old by its
+    counterpart in new."""
+    for o, n in zip(old, new) if isinstance(old, tuple) else [(old, new)]:
+        if text.count(o) != 1:
+            raise RuntimeError(f"fault {name!r}: its text is found "
+                               f"{text.count(o)} times, not once")
+        text = text.replace(o, n)
+    return text
 
 
 def first_failure(copy: Path) -> str | None:

@@ -11,6 +11,8 @@ closed form of the 3x3 chain rather than the odd-n floor, the CSV text
 is formatted one value at a time, the property suite checks one matrix at
 a time and its report goes through json.dumps, and the Floquet spectrum
 comes from one static extended-space eigenproblem with no time stepping.
+The Floquet floor is the exception: it reads the package's one-period rows
+and modes, so it checks min P1's sampler and horizon, not the step loop.
 """
 
 import json
@@ -18,6 +20,10 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
+
+from darkfloquet import DrivenSystem, PropagationSettings
+from darkfloquet.evolve import propagator_site1
+from darkfloquet.floquet import _modes
 
 
 def j0_series_oracle(x: float, terms: int = 60) -> float:
@@ -303,3 +309,22 @@ def sambe_floquet(n: int, v: float, amplitude: float, omega: float,
     folded = folded - omega * (folded > 0.5 * omega)
     order = np.argsort(folded, kind="stable")
     return folded[order], weight[:, :, keep].sum(axis=0).T[order]
+
+
+def floquet_floor(n: int, v: float, omega: float, ratios,
+                  steps_per_period: int = 2000) -> np.ndarray:
+    """Lower bound on P_1(t) for all t >= 0 from (1, 0, ..., 0), at each
+    drive ratio A/omega, from one period of data.
+
+    At t = kT + s the site-1 amplitude is a = sum_m b_m(s) e^{-i eps_m kT},
+    b_m(s) = <1|U(s)|w_m><w_m|1> with w_m the Floquet modes, so for every k
+    |a| >= 2 max_m |b_m(s)| - sum_m |b_m(s)|. The floor is the least
+    max(0, that)^2 over the s of `propagator_site1`'s rows, and the modes
+    are `floquet._modes` of their U(T)."""
+    systems = [DrivenSystem(n, v, float(r) * omega, omega) for r in ratios]
+    _, rows, uts = propagator_site1(systems,
+                                    PropagationSettings(steps_per_period))
+    vecs = _modes(systems, uts)[1]  # vecs[g, :, m] = w_m
+    b = np.abs((rows @ vecs) * vecs[:, None, 0].conj())
+    bound = np.maximum(2.0 * b.max(axis=-1) - b.sum(axis=-1), 0.0)
+    return np.min(bound ** 2, axis=1)

@@ -15,7 +15,7 @@ from darkfloquet import (DrivenSystem, PropagationSettings, bessel_j0,
 from darkfloquet.effective import _effective_matrices
 
 from conftest import FULL_GRID
-from oracles import j0_series_oracle, tridiag_det_sequence
+from oracles import floquet_floor, j0_series_oracle, tridiag_det_sequence
 
 HORIZON_PERIODS = 400
 
@@ -219,3 +219,45 @@ def test_criterion_10_dark_mode_tends_to_stirap_dark_state():
              at10 < 1e-3 and least >= 12.0,
              "; ".join(f"n={n} A/w={r}: " + ", ".join(f"{x:.2e}" for x in s)
                        for (n, r), s in series.items()))
+
+
+def test_criterion_12_floquet_floor_bounds_min_p1_for_all_time():
+    # one period's rows and modes bound P1 for every later period; the
+    # 400-period minimum must not fall below that floor, which shows wide
+    # suppression for odd n and only a transient one for even n
+    grid = np.linspace(0.0, 5.0, 51)
+    failures, worst, ratios = [], [], []
+    for n in (3, 4, 5, 7):
+        floor = floquet_floor(n, 1.0, 10.0, grid)
+        sampled = min_p1_sweep(n, 1.0, 10.0, grid, HORIZON_PERIODS)
+        excess = floor - sampled
+        k = int(np.argmax(excess))
+        worst.append(f"n={n} {excess[k]:.1e}")
+        if excess[k] > 1e-12:
+            failures.append(f"n={n}: floor {floor[k]:.6g} above sampled min "
+                            f"{sampled[k]:.6g} at ratio {grid[k]:.2f}")
+        if n % 2 == 0:
+            k = int(np.argmax(floor))
+            if floor[k] > 0.05:
+                failures.append(f"n={n}: floor {floor[k]:.4g} at ratio "
+                                f"{grid[k]:.2f} (needs <= 0.05)")
+            continue
+        fn = np.array([min_p1_floor(n, 1.0, bessel_j0(r)) for r in grid])
+        band = fn > 0.05
+        k = int(np.argmin(floor[band]))
+        if floor[band][k] <= 0.05:
+            failures.append(f"n={n}: floor {floor[band][k]:.4g} at ratio "
+                            f"{grid[band][k]:.2f}, where F_n > 0.05")
+        devs = [np.max(np.abs(floquet_floor(n, 1.0, w, grid) - fn))
+                for w in (10.0, 20.0, 40.0)]
+        falls = [a / b for a, b in zip(devs, devs[1:])]
+        ratios.append(f"n={n} " + ", ".join(f"{f:.1f}x" for f in falls))
+        if min(falls) < 3.5:
+            failures.append(f"n={n}: |floor - F_n| = "
+                            + ", ".join(f"{d:.2e}" for d in devs)
+                            + " at omega 10, 20, 40 (needs >= 3.5x a doubling)")
+    _verdict(12, "Floquet floor <= sampled min P1 (worst floor - min: "
+             + "; ".join(worst) + "); odd n floor > 0.05 where F_n > 0.05, "
+             "even n floor <= 0.05; |floor - F_n| falls per doubling of "
+             "omega (" + "; ".join(ratios) + ")", not failures,
+             "; ".join(failures))

@@ -98,6 +98,10 @@ class TestDarkState:
     def test_even_n_rejected(self):
         with pytest.raises(ConfigError):
             dark_state_closed_form(4, 1.0, 1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            for v, v_eff in ((bad, 0.5), (1.0, bad)):
+                with pytest.raises(ConfigError, match="must be finite"):
+                    dark_state_closed_form(3, v, v_eff)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.sampled_from([3, 5, 7, 9, 11]),
@@ -115,6 +119,14 @@ class TestDarkState:
 
 
 class TestLocalization:
+    def test_even_n_rejected(self):
+        with pytest.raises(ConfigError):
+            localization(4, 1.0, 0.5)
+        for bad in (np.nan, np.inf, -np.inf):
+            for v, v_eff in ((bad, 0.5), (1.0, bad)):
+                with pytest.raises(ConfigError, match="must be finite"):
+                    localization(3, v, v_eff)
+
     def test_boundary_case(self):
         w1sq, loc = localization(3, 1.0, 1.0)
         assert w1sq == pytest.approx(0.5)
@@ -187,6 +199,10 @@ class TestMinP1Floor:
     def test_even_n_rejected(self):
         with pytest.raises(ConfigError):
             min_p1_floor(4, 1.0, 0.5)
+        for bad in (np.nan, np.inf, -np.inf):
+            for v, v_eff in ((bad, 0.5), (1.0, bad)):
+                with pytest.raises(ConfigError, match="must be finite"):
+                    min_p1_floor(3, v, v_eff)
 
 
 class TestVerifyProperties:

@@ -39,7 +39,11 @@ def test_suppressed_tunneling_near_first_bessel_zero():
     assert traj.populations[:, 0].min() >= 0.98
 
 
-def test_settings_validation():
+def test_settings_validation(monkeypatch):
+    def never(*args):
+        raise AssertionError("the step loop was entered")
+
+    monkeypatch.setattr(evolve, "_rk4_steps", never)
     for steps in (50, 99, 101, 2001):
         with pytest.raises(ConfigError, match="even"):
             PropagationSettings(steps_per_period=steps)
@@ -50,6 +54,12 @@ def test_settings_validation():
         propagate(DrivenSystem(3, 1, 0, 10), 2 * basis_state(3), 1)
     with pytest.raises(ConfigError, match="must have 3 components"):
         propagate(DrivenSystem(3, 1, 0, 10), basis_state(4), 1)
+    for bad in (np.nan, np.inf, -np.inf):
+        for j in (0, 1):
+            state = basis_state(3)
+            state[j] = bad
+            with pytest.raises(ConfigError, match="norm is"):
+                propagate(DrivenSystem(3, 1.0, 24.0, 10.0), state, 2)
 
 
 @pytest.mark.parametrize("other", [DrivenSystem(4, 1.0, 5.0, 10.0),
@@ -141,20 +151,15 @@ def test_drive_tables_do_not_grow_with_the_grid():
     # the step count, not a (steps + 1, points) table, and a block of ΔP_k
     # holds at most STEP_BLOCK_VALUES values, where STEP_BLOCK steps of the
     # grid would take 6 MiB at n = 11
-    class Stop(Exception):
-        pass
-
-    def stop(k, us):
-        if k == 2 * evolve.STEP_BLOCK:
-            raise Stop
-
     for n in (3, 11):
         systems = [DrivenSystem(n, 1.0, float(r) * 10.0, 10.0)
                    for r in np.linspace(0.0, 5.0, 201)]
         tracemalloc.start()
         try:
-            with pytest.raises(Stop):
-                evolve._rk4_run(systems, 20000, stop)
+            for k, _ in evolve._rk4_steps(systems, 20000):
+                if k == 2 * evolve.STEP_BLOCK:
+                    break
+            assert k == 2 * evolve.STEP_BLOCK
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -195,12 +200,41 @@ def test_blown_up_averages_raise_without_a_warning():
 
 def test_loop_integrates_half_a_period():
     # the second half of the period comes from the time-glide relation, so
-    # the step loop visits U(k h) for k = 0..N/2 only
+    # the step loop yields U(k h) for k = 0..N/2 only
     seen = []
-    ts, w = evolve._rk4_run([DrivenSystem(3, 1.0, 20.0, 10.0)], 2000,
-                            lambda k, us: seen.append(k))
-    assert seen == list(range(1001))
-    assert len(ts) == 2001 and w.shape == (1, 3, 3)
+    for k, us in evolve._rk4_steps([DrivenSystem(3, 1.0, 20.0, 10.0)], 2000):
+        seen.append(k)
+    assert seen == list(range(1001)) and us.shape == (1, 3, 3)
+
+
+@pytest.mark.parametrize("steps", [2000, 2002])
+def test_sampler_times_span_the_period(steps):
+    # the loop builds no times; each sampler's are h k for k = 0..N, bit
+    # for bit
+    systems = [DrivenSystem(3, 1.0, a, 10.0) for a in (20.0, 7.0)]
+    settings = PropagationSettings(steps_per_period=steps)
+    expected = (systems[0].period / steps) * np.arange(steps + 1)
+    for run in (evolve.propagator_site1, evolve.propagator_averages):
+        assert np.array_equal(run(systems, settings)[0], expected)
+
+
+def test_leaving_the_step_loop_restores_the_error_state():
+    # consumers run under the loop's errstate while it yields, and get the
+    # caller's back when it ends, when they break out or when they raise
+    before = np.geterr()
+    system = DrivenSystem(3, 1.0, 20.0, 10.0)
+    for _ in evolve._rk4_steps([system], 100):
+        assert np.geterr() == dict(before, over="ignore", invalid="ignore")
+    assert np.geterr() == before
+    for k, _ in evolve._rk4_steps([system], 100):
+        if k == 3:
+            break
+    assert np.geterr() == before
+    with pytest.raises(ValueError, match="left at k = 3"):
+        for k, _ in evolve._rk4_steps([system], 100):
+            if k == 3:
+                raise ValueError("left at k = 3")
+    assert np.geterr() == before
 
 
 @pytest.mark.parametrize("n,steps", [(2, 2000), (2, 2002), (11, 2000),
@@ -219,17 +253,16 @@ def test_quarter_period_maps_match_direct_stepping(n, steps):
 
 
 def test_period_maps_integrate_a_quarter_period(monkeypatch):
-    # the step loop visits U(k h) for k = 0..ceil(N/4) only
+    # the step loop yields U(k h) for k = 0..ceil(N/4) only
     seen = []
-    run = evolve._rk4_run
+    steps_of = evolve._rk4_steps
 
-    def counted(systems, n_steps, visit, *last):
-        def count(k, us):
+    def counted(*args):
+        for k, us in steps_of(*args):
             seen.append(k)
-            visit(k, us)
-        return run(systems, n_steps, count, *last)
+            yield k, us
 
-    monkeypatch.setattr(evolve, "_rk4_run", counted)
+    monkeypatch.setattr(evolve, "_rk4_steps", counted)
     for steps in (2000, 2002):
         seen.clear()
         evolve.period_maps([DrivenSystem(3, 1.0, 20.0, 10.0)],

@@ -19,16 +19,12 @@ def test_canonical_sign_pattern():
     # v = 0 decouples the sites: U(s) is diagonal with phases
     # -sign_j (A / 2 omega) (1 - cos omega s), and at s = T/4 cos vanishes
     system = DrivenSystem(5, 0.0, 20.0, 10.0)
-    quarter = {}
-
-    def keep(k, us):
+    for k, us in evolve._rk4_steps([system], 2000):
         if k == 500:
-            quarter["u"] = us[0].copy()
-
-    evolve._rk4_run([system], 2000, keep)
+            break
     signs = np.array([1.0, -1.0, -1.0, -1.0, -1.0])
     expected = np.diag(np.exp(-1j * signs * 20.0 / (2 * 10.0)))
-    assert np.max(np.abs(quarter["u"] - expected)) <= 1e-10
+    assert k == 500 and np.max(np.abs(us[0] - expected)) <= 1e-10
     assert DrivenSystem(3, 1.0, 24.0, 10.0).ratio == pytest.approx(2.4)
 
 
