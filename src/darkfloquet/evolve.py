@@ -14,13 +14,14 @@ W = U(floor(N/4) h)^T U(ceil(N/4) h). A sample of U(s) past T/4 would need
 One step loop advances the propagators of a grid of drive amplitudes that
 share n, v and omega. H(t) is linear in sin(omega t), so each RK4 step is a
 matrix P_k whose increment P_k - 1 is a sum of 12 monomials in three sines
-times matrices fixed for the run; the loop forms a block of increments with
-one gemm and applies each with one stacked product. A point's arithmetic is
-that of a one-point grid: its 12 matrices are scaled from grid-free ones,
-each increment entry is one 12-term dot product, and the stacked product's
-layout is chosen by n alone. Callers keep what they read: U(s), its row 0,
-or the site averages Q_j, summed QJ_BLOCK steps at a time. Each array sized
-from a caller's input is first charged to `_hold`, which refuses a run past
+times matrices fixed for the run: five sums by degree, each scaled by a
+power of a point's amplitude. A block of steps takes one gemm to the five
+sums and one to every point's increments, in real images of complex
+matrices, and each step applies its increments with one stacked real
+product; no inner sum of these products spans points, so a point rounds as
+in a one-point grid. Callers keep what they read: U(s), its row 0, or the
+site averages Q_j, summed QJ_BLOCK steps at a time. Each array sized from a
+caller's input is first charged to `_hold`, which refuses a run past
 MAX_KEPT_VALUES.
 
 No re-normalization is ever applied mid-trajectory: norm drift is kept as a
@@ -92,34 +93,28 @@ class Trajectory:
         return float(np.max(np.abs(norms - 1.0)))
 
 
-# ΔP_k U for every point: a stacked matmul costs 0.3-1 µs a matrix, einsum
-# on a grid-last layout 3-5 ns per n^3 term, so on grids of 31 points and
-# more the grid-last layout wins up to n = 4 and loses from n = 5 (G = 201:
-# 17 against 58 µs at n = 3, 67 against 67 µs at n = 5). The layout follows
-# n alone, so that a point rounds alike in any grid
-GRID_LAST_MAX_N = 4
-# one gemm forms the ΔP_k of STEP_BLOCK steps, enough to spread the block's
-# few table calls thin, or of fewer if they would hold more than
-# STEP_BLOCK_VALUES complex values, so that the block grows with neither the
-# grid nor the step count
+# the ΔP_k of STEP_BLOCK steps are formed at once, enough to spread the
+# block's few table calls and two gemms thin, or of fewer (at least two) if
+# their G n^2 entries would pass STEP_BLOCK_VALUES, so that the block grows
+# with neither the grid nor the step count
 STEP_BLOCK, STEP_BLOCK_VALUES = 16, 2**15
 # powers of (s0, sh, s1) in the 12 monomials of ΔP_k
 POWERS = np.array(list(itertools.product((0, 1), (0, 1, 2), (0, 1))))
 
 
 def _step_terms(systems, h: float):
-    """(w, scale): one RK4 step of length h for grid point g is P = 1 +
-    sum_m s0^a sh^b s1^c scale[m, g] w[m] with (a, b, c) = POWERS[m] and
-    s0, sh, s1 the drive's sin(omega t) at the step's start, middle and end.
-    -i h H = A_x = hop + alpha_g s_x S, with S the drive signs, so a term
-    with a + b + c factors of alpha_g S is scaled by alpha_g^(a + b + c).
-    The stages K1 = A0, K2 = Am (1 + K1/2), K3 = Am (1 + K2/2) and
-    K4 = A1 (1 + K3) are polynomials with (2, 3, 2) matrix coefficients,
-    and P - 1 = (K1 + 2 K2 + 2 K3 + K4)/6."""
+    """(w, beta): one RK4 step of length h for grid point g is P = 1 +
+    sum_m s0^a sh^b s1^c (-i beta_g)^p w[m] with (a, b, c) = POWERS[m],
+    p = a + b + c, s0, sh, s1 the drive's sin(omega t) at the step's start,
+    middle and end, and beta[g, p] = beta_g^p for p = 0 ... 4.
+    -i h H = A_x = hop - i beta_g s_x S, with S the drive signs and
+    beta_g = h A_g/2, so a term with p factors of -i beta_g S is scaled by
+    (-i beta_g)^p. The stages K1 = A0, K2 = Am (1 + K1/2), K3 = Am (1 + K2/2)
+    and K4 = A1 (1 + K3) are polynomials with (2, 3, 2) matrix
+    coefficients, and P - 1 = (K1 + 2 K2 + 2 K3 + K4)/6."""
     n = systems[0].n
     hop = (-1j * h * systems[0].v) * (np.eye(n, k=1) + np.eye(n, k=-1))
     signs = np.array([1.0] + [-1.0] * (n - 1))[:, None]  # site 1 vs the rest
-    alpha = (-0.5j * h) * np.array([s.amplitude for s in systems])
     one = np.zeros((2, 3, 2, n, n), dtype=complex)
     one[0, 0, 0] = np.eye(n)
     w, stage = np.zeros_like(one), np.zeros_like(one)
@@ -129,8 +124,8 @@ def _step_terms(systems, h: float):
         # S s_x raises the power of s_x by one; arg's top power is zero
         np.moveaxis(stage, x, 0)[1:] += signs * np.moveaxis(arg, x, 0)[:-1]
         w += b * stage
-    return (w.reshape(len(POWERS), n, n) / 6.0,
-            alpha ** POWERS.sum(axis=1)[:, None])
+    beta = (0.5 * h) * np.array([s.amplitude for s in systems])
+    return w.reshape(len(POWERS), n, n) / 6.0, np.vander(beta, 5, increasing=True)
 
 
 def _rk4_steps(systems, n_steps: int, last: int | None = None):
@@ -140,9 +135,13 @@ def _rk4_steps(systems, n_steps: int, last: int | None = None):
     for k = 0 ... last, with us[g] = U(k h) of systems[g], a view that the
     next step overwrites.
 
-    Step k adds ΔP_k U(k h) to U(k h), with ΔP_k = P_k - 1 formed from the
-    `_step_terms` a block of steps per gemm: the increment, not P_k U(k h),
-    keeps RK4's round-off floor."""
+    Step k adds ΔP_k U(k h) to U(k h): the increment, not P_k U(k h), keeps
+    RK4's round-off floor. By `_step_terms`, ΔP_k of point g is
+    sum_p beta_g^p M_p(k), with M_p(k) the sum of the degree-p monomials of
+    the step's sines times (-i)^p w[m]; a block's two gemms form the M_p
+    from the real images of the (-i)^p w[m]^T, then each point's ΔP_k.
+    The loop holds V = U^T: its float view times the real image of ΔP_k^T,
+    2 x 2 blocks [[Re, Im], [-Im, Re]], is the float view of (ΔP_k U)^T."""
     # inf/NaN from a too coarse step, or from a period so long that the
     # tables overflow, is left to the callers' guards to report; a decorator
     # would cover only the call that creates the generator
@@ -152,41 +151,42 @@ def _rk4_steps(systems, n_steps: int, last: int | None = None):
         if any((s.n, s.v, s.omega) != (n, first.v, omega) for s in systems):
             raise ConfigError("a propagator grid must share n, v and omega")
         h, last = first.period / n_steps, n_steps // 2 if last is None else last
-        size = grid * n * n
-        block = max(2, min(STEP_BLOCK, STEP_BLOCK_VALUES // size))
-        # n_steps + 1 bounds these tables and the samplers' times
-        _hold(max(n_steps + 1, (len(POWERS) + block + 2) * size),
-              "the step loop's time tables, step matrices and state")
-        w, scale = _step_terms(systems, h)
-        eye = np.eye(n, dtype=complex)
-        if n <= GRID_LAST_MAX_N:  # terms[m, i, j, g], u[i, j, g]
-            terms = w[..., None] * scale[:, None, None]
-            u = np.repeat(eye[..., None], grid, axis=2)
-            us = u.transpose(2, 0, 1)
-
-            def step(p, y, out):
-                return np.einsum("ijg,jkg->ikg", p, y, out=out)
-        else:  # terms[m, g, i, j], u[g, i, j]
-            terms = w[:, None] * scale[..., None, None]
-            u = us = np.repeat(eye[None], grid, axis=0)
-            step = np.matmul
-        du, dp = np.empty_like(u), np.empty((block, *u.shape), dtype=complex)
-        flat_terms, flat_dp = (a.view(float).reshape(len(a), -1)
-                               for a in (terms, dp))
+        block = max(2, min(STEP_BLOCK, STEP_BLOCK_VALUES // (grid * n * n)))
+        # numpy hands a one-row product to gemv, which rounds unlike gemm, so
+        # a one-point grid's powers of beta get a second, unread row
+        rows = max(grid, 2)
+        # complex values, 2 n^2 a real image: a block of each row's ΔP_k and
+        # the 5 grouped sums, the 12 images, and state and product buffer
+        _hold(max(last + 1, 2 * n * n * ((rows + 5) * block + 12 + grid)),
+              "the step loop's sine tables, or its block of step matrices, "
+              "their 12 real images, state and product")
+        w, beta = _step_terms(systems, h)
+        beta = np.resize(beta, (rows, 5))
+        degree = POWERS.sum(axis=1)
+        groups = degree == np.arange(5)[:, None, None]  # monomials by degree
+        # rows 2j and 2j + 1 of a real image are the float views of row j of
+        # t and of i t, for t = ((-i)^p w[m])^T
+        t = (-1j) ** degree[:, None, None] * w.transpose(0, 2, 1).copy()
+        images = np.stack([t, 1j * t], axis=2).view(float).reshape(len(t), -1)
+        grouped = np.empty((5 * block, images.shape[1]))
+        dp = np.empty((rows, block, 2 * n, 2 * n))
+        v = np.repeat(np.eye(n, dtype=complex)[None], grid, axis=0)
+        vf, us, du = v.view(float), v.swapaxes(1, 2), np.empty((grid, n, 2 * n))
         # sin(omega t) at t and t + h/2 for every step taken
         ts = h * np.arange(last + 1)
         sin_full = np.sin(omega * ts)
         sin_half = np.sin(omega * (ts[:last] + 0.5 * h))
         yield 0, us
         for start in range(0, last, block):
-            # a full block even at the end: numpy hands a one-row product to
-            # gemv, which rounds unlike gemm
+            # a full block even at the end, into the block's buffers
             k = np.minimum(np.arange(start, start + block), last - 1)
             sines = np.stack([sin_full[k], sin_half[k], sin_full[k + 1]], axis=1)
-            np.matmul(np.prod(sines[:, None] ** POWERS, axis=-1), flat_terms,
-                      out=flat_dp)
+            monomials = np.prod(sines[:, None] ** POWERS, axis=-1)
+            np.matmul((groups * monomials).reshape(-1, len(POWERS)), images,
+                      out=grouped)
+            np.matmul(beta, grouped.reshape(5, -1), out=dp.reshape(rows, -1))
             for j in range(min(block, last - start)):
-                u += step(dp[j], u, out=du)
+                vf += np.matmul(vf, dp[:grid, j], out=du)
                 yield start + j + 1, us
 
 

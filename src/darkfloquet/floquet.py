@@ -243,10 +243,10 @@ def quasi_energy_branches(n: int, v: float, omega: float, ratios,
     return eps, vecs
 
 
-def _pair_table(x: np.ndarray) -> np.ndarray:
+def _pair_table(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """(n^2, m) real table of the pair products of the columns of the
-    (n, m) complex x: |x_i|^2, then Re and Im of x_i conj(x_j) for i < j."""
-    i, j = np.triu_indices(len(x), 1)
+    (n, m) complex x: |x_i|^2, then Re and Im of x_i conj(x_j) for the pairs
+    i < j of np.triu_indices(n, 1)."""
     prod = x[i] * x[j].conj()
     return np.concatenate([x.real ** 2 + x.imag ** 2, prod.real, prod.imag])
 
@@ -291,12 +291,12 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
     # span, and its table of r(s); least_p1: the least P_1 of the product of
     # a slice of lines of the first with the second
     if quadratic:
-        pairs = n * (n - 1) // 2
-        weights = np.repeat([1.0, 2.0, -2.0], [n, pairs, pairs])[:, None]
+        i, j = pairs = np.triu_indices(n, 1)
+        weights = np.repeat([1.0, 2.0, -2.0], [n, len(i), len(i)])[:, None]
 
         def tables(row, start):
-            return ((weights * _pair_table(start)).T,
-                    _pair_table(np.ascontiguousarray(row.T)))
+            return ((weights * _pair_table(start, *pairs)).T,
+                    _pair_table(np.ascontiguousarray(row.T), *pairs))
         least_p1 = np.min
     else:
         def tables(row, start):

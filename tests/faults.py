@@ -33,14 +33,15 @@ PKG = "src/darkfloquet"
 RK4_STEPPING = """\
         yield 0, us
         for start in range(0, last, block):
-            # a full block even at the end: numpy hands a one-row product to
-            # gemv, which rounds unlike gemm
+            # a full block even at the end, into the block's buffers
             k = np.minimum(np.arange(start, start + block), last - 1)
             sines = np.stack([sin_full[k], sin_half[k], sin_full[k + 1]], axis=1)
-            np.matmul(np.prod(sines[:, None] ** POWERS, axis=-1), flat_terms,
-                      out=flat_dp)
+            monomials = np.prod(sines[:, None] ** POWERS, axis=-1)
+            np.matmul((groups * monomials).reshape(-1, len(POWERS)), images,
+                      out=grouped)
+            np.matmul(beta, grouped.reshape(5, -1), out=dp.reshape(rows, -1))
             for j in range(min(block, last - start)):
-                u += step(dp[j], u, out=du)
+                vf += np.matmul(vf, dp[:grid, j], out=du)
                 yield start + j + 1, us
 """
 RK4_ERRSTATE = 'with np.errstate(over="ignore", invalid="ignore"):\n'
@@ -59,6 +60,11 @@ FAULTS = [
     ("step loop's errstate a no-op", f"{PKG}/evolve.py",
      "    " + RK4_ERRSTATE + "        first = systems[0]",
      "    with np.errstate():\n        first = systems[0]"),
+    ("real image's -Im block with its sign flipped", f"{PKG}/evolve.py",
+     "np.stack([t, 1j * t], axis=2)", "np.stack([t, 1j * t.conj()], axis=2)"),
+    ("step matrices without their (-i)^p phase", f"{PKG}/evolve.py",
+     "t = (-1j) ** degree[:, None, None] * w.transpose",
+     "t = w.transpose"),
     ("min P1 reads only the first block of each span", f"{PKG}/floquet.py",
      "for b0 in range(0, len(psi_table), MIN_P1_BLOCK):",
      "for b0 in range(0, 1):"),

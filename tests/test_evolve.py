@@ -169,22 +169,66 @@ def test_drive_tables_do_not_grow_with_the_grid():
 @pytest.mark.parametrize("v", [0.0, 0.37, 1.0])
 @pytest.mark.parametrize("n", [2, 3, 11])
 def test_step_terms_match_one_stagewise_rk4_step(n, v):
-    # the 12-term ΔP of each grid point against the four RK4 stages, at
-    # random sines and at s0 = s1, the quarter-period map's middle step,
-    # which is its own transpose
+    # the 12-term ΔP of each grid point, a term of degree p scaled by
+    # (-i beta_g)^p, against the four RK4 stages, at random sines and at
+    # s0 = s1, the quarter-period map's middle step, which is its own
+    # transpose
     rng = np.random.default_rng(n)
     systems = [DrivenSystem(n, v, a, 10.0) for a in (0.0, 7.0, 24.0, 50.0)]
     h = systems[0].period / 100
-    w, scale = evolve._step_terms(systems, h)
+    w, beta = evolve._step_terms(systems, h)
+    degree = evolve.POWERS.sum(axis=1)
     sines = [*rng.uniform(-1.0, 1.0, (4, 3))]
     sines += [np.array([s[0], s[1], s[0]]) for s in sines]
     for s in sines:
         monomials = np.prod(s ** evolve.POWERS, axis=1)
         for g, system in enumerate(systems):
-            dp = np.tensordot(monomials * scale[:, g], w, axes=1)
+            scale = (-1j) ** degree * beta[g, degree]
+            dp = np.tensordot(monomials * scale, w, axes=1)
             assert np.max(np.abs(dp - rk4_step(system, h, *s))) <= 1e-15
             if s[0] == s[2]:
                 assert np.max(np.abs(dp - dp.T)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 11])
+def test_real_image_steps_match_complex_increments(n):
+    # the loop's real-image update of a random U, written into its state,
+    # against U + ΔP_k U in complex arithmetic, one step at a time across a
+    # block edge, ΔP_k from the 12 matrices of `_step_terms` scaled by
+    # (-i h A/2)^p for a monomial of degree p
+    rng = np.random.default_rng(n)
+    systems = [DrivenSystem(n, 0.37, a, 10.0) for a in (0.0, 7.0, 24.0)]
+    h, omega = systems[0].period / 100, systems[0].omega
+    w, _ = evolve._step_terms(systems, h)
+    degree = evolve.POWERS.sum(axis=1)
+    scales = [(-0.5j * h * s.amplitude) ** degree for s in systems]
+    for k, us in evolve._rk4_steps(systems, 100):
+        if k:
+            s = np.sin(omega * h * np.array([k - 1, k - 0.5, k]))
+            monomials = np.prod(s ** evolve.POWERS, axis=1)
+            for g, scale in enumerate(scales):
+                dp = np.tensordot(monomials * scale, w, axes=1)
+                assert np.max(np.abs(us[g] - u[g] - dp @ u[g])) <= 1e-14
+        else:
+            us[...] = rng.normal(size=us.shape) + 1j * rng.normal(size=us.shape)
+        u = us.copy()
+        if k == 2 * evolve.STEP_BLOCK:
+            break
+    assert k == 2 * evolve.STEP_BLOCK
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_point_steps_alike_alone_and_in_a_grid(n):
+    # a point's U(kh) is bit-identical alone, a one-point grid whose step
+    # product would go to gemv unpadded, and inside a 31-point grid, at
+    # every step of a loop that ends on a part block; steps as coarse as
+    # h A/2 = 1.6 make gemv's rounding show at some points
+    grid = [DrivenSystem(n, 0.37, a, 10.0) for a in np.linspace(0.0, 500.0, 31)]
+    shared = np.array([us.copy() for _, us in evolve._rk4_steps(grid, 100)])
+    assert len(shared) == 51 and 50 % evolve.STEP_BLOCK
+    for g, system in enumerate(grid):
+        for k, alone in evolve._rk4_steps([system], 100):
+            assert np.array_equal(alone[0], shared[k, g]), (g, k)
 
 
 def test_blown_up_averages_raise_without_a_warning():
@@ -309,27 +353,34 @@ def test_monodromy_spectrum_is_closed_under_conjugation():
             assert np.max(gap.min(axis=0)) <= 1e-12
 
 
-@pytest.mark.parametrize("periods, values", [(1, 51 * 3**2), (2, 201 * 3)])
+@pytest.mark.parametrize("periods, values", [(1, 501 * 3**2), (2, 2001 * 3)])
 def test_propagate_is_charged_half_a_period_of_propagators(charged, periods,
                                                            values):
     # propagate keeps U(s) for s <= T/2 only, (N/2 + 1) n^2 values, and
-    # the trajectory, (periods N + 1) n; the step loop's N + 1 is less
+    # the trajectory, (periods N + 1) n; the step loop's charge is less
     system = DrivenSystem(3, 1.0, 5.0, 10.0)
+    assert 501 * 3**2 > 2 * 3**2 * (7 * evolve.STEP_BLOCK + 13)
     charged(lambda: propagate(system, basis_state(3), periods,
-                              PropagationSettings(steps_per_period=100)),
+                              PropagationSettings(steps_per_period=1000)),
             values)
 
 
 @pytest.mark.parametrize("run, points, steps, values", [
-    (evolve.period_maps, 1, 1000, 1001),  # the step loop's time tables, N + 1
-    # its 12 step matrices, a block of 16 ΔP_k and two state stacks, each
-    # G n^2 values
-    (evolve.period_maps, 2, 100, (12 + evolve.STEP_BLOCK + 2) * 2 * 3**2),
-    (evolve.propagator_site1, 2, 100, 2 * 101 * 3),  # row 0 of U(s), G (N + 1) n
-    (evolve.propagator_averages, 2, 100,
-     2 * (3**3 + evolve.QJ_BLOCK * 3**2)),  # Q_j and its block of U(s) rows
+    # the step loop's sine tables, N/4 + 1 values for the quarter period
+    (evolve.period_maps, 1, 10000, 2501),
+    # in complex values, the 2 n^2 of a real image times its block of
+    # STEP_BLOCK steps of 5 grouped matrices and of max(G, 2) ΔP_k, the 12
+    # grid-free images, and the state and product buffer, G each
+    (evolve.period_maps, 2, 100,
+     2 * 3**2 * ((5 + 2) * evolve.STEP_BLOCK + 12 + 2)),
+    (evolve.propagator_site1, 2, 1000, 2 * 1001 * 3),  # row 0 of U(s), G (N + 1) n
+    (evolve.propagator_averages, 16, 100,
+     16 * (3**3 + evolve.QJ_BLOCK * 3**2)),  # Q_j and its block of U(s) rows
 ], ids=["tables", "state", "site1", "averages"])
 def test_grid_propagators_are_charged(charged, run, points, steps, values):
+    # each outweighs the step loop's block of step matrices
+    rows = max(points, 2)
+    assert values >= 2 * 3**2 * ((5 + rows) * evolve.STEP_BLOCK + 12 + points)
     systems = [DrivenSystem(3, 1.0, 0.1 * g, 10.0) for g in range(points)]
     charged(lambda: run(systems, PropagationSettings(steps_per_period=steps)),
             values)

@@ -267,9 +267,9 @@ def test_min_p1_builds_a_row_table_once_per_point_and_span(periods, spans,
     built = []
     pair_table = floquet._pair_table
 
-    def spy(x):
+    def spy(x, *pairs):
         built.append(x.shape)
-        return pair_table(x)
+        return pair_table(x, *pairs)
 
     monkeypatch.setattr(floquet, "_pair_table", spy)
     min_p1_sweep(3, 1.0, 10.0, np.linspace(0.0, 1.0, 4), periods, COARSE)
@@ -478,38 +478,52 @@ def test_min_p1_chunk_budget_counts_the_span_starts(monkeypatch):
 
 def test_min_p1_sweep_is_charged_its_pair_table(charged):
     # at n = 6 a point's (N + 1) n^2 real pair table, (N + 1) n^2 / 2
-    # complex values, outweighs a block of 10 periods
+    # complex values, outweighs a block of 10 periods and the step loop's
+    # block of step matrices
     assert 36 // 2 > 10
-    charged(lambda: min_p1_sweep(6, 1.0, 10.0, [0.5], 10, COARSE), 101 * 18)
+    assert 1001 * 18 > 2 * 6**2 * (7 * evolve.STEP_BLOCK + 13)
+    charged(lambda: min_p1_sweep(6, 1.0, 10.0, [0.5], 10,
+                                 PropagationSettings(steps_per_period=1000)),
+            1001 * 18)
 
 
 @pytest.mark.parametrize("sweep, values", [
-    (quasi_energy_sweep, 3**3 + evolve.QJ_BLOCK * 3**2),  # Q_j and its block
-    # the step loop's 12 step matrices, block of 16 ΔP_k and state, n^2 each
-    (floquet.quasi_energy_branches, (12 + evolve.STEP_BLOCK + 2) * 3**2),
+    # Q_j and its block, 16 points of n^3 + 50 n^2 values
+    (quasi_energy_sweep, 16 * (3**3 + evolve.QJ_BLOCK * 3**2)),
+    # the step loop's block of 5 grouped matrices and of 16 ΔP_k, their 12
+    # grid-free real images, the state and the product buffer, in complex
+    # values
+    (floquet.quasi_energy_branches,
+     2 * 3**2 * ((5 + 16) * evolve.STEP_BLOCK + 12 + 16)),
 ])
 def test_spectra_are_charged_their_period_tables(charged, sweep, values):
-    # neither keeps U(s), so a long period fits at n = 3
-    charged(lambda: sweep(3, 1.0, 10.0, [0.5], COARSE), values)
+    # neither keeps U(s), so a long period fits at n = 3; on 16 points Q_j
+    # outweighs the step loop
+    assert 16 * (3**3 + evolve.QJ_BLOCK * 3**2) > 2 * 3**2 * (
+        (5 + 16) * evolve.STEP_BLOCK + 12 + 16)
+    ratios = np.linspace(0.0, 1.0, 16)
+    charged(lambda: sweep(3, 1.0, 10.0, ratios, COARSE), values)
 
 
 def test_grid_is_charged_its_spectra(charged, monkeypatch):
-    # one-point chunks charge (12 + 16 + 2) n^2 values in the step loop;
-    # the grid's eigenvectors and populations, (2 n^2 + n) values a point,
-    # outweigh them
+    # one-point chunks charge 2 n^2 (7 STEP_BLOCK + 13) complex values in
+    # the step loop; the grid's eigenvectors and populations, (2 n^2 + n)
+    # values a point, outweigh them
     monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES", 1)
-    assert 15 * (2 * 3**2 + 3) > (12 + evolve.STEP_BLOCK + 2) * 3**2
+    assert 120 * (2 * 3**2 + 3) > 2 * 3**2 * (7 * evolve.STEP_BLOCK + 13)
     charged(lambda: floquet.quasi_energy_branches(
-        3, 1.0, 10.0, np.linspace(0.0, 1.0, 15), COARSE), 15 * (2 * 3**2 + 3))
+        3, 1.0, 10.0, np.linspace(0.0, 1.0, 120), COARSE), 120 * (2 * 3**2 + 3))
 
 
 def test_min_p1_grid_is_charged_one_value_a_point(charged, monkeypatch):
     # min P1 keeps one float a point, so a grid whose spectra would
     # outweigh its block of samples is charged only that block
     monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES", 1)
-    ratios = np.linspace(0.0, 1.0, 60)
-    assert len(ratios) * (2 * 3**2 + 3) > 101 * 10
-    charged(lambda: min_p1_sweep(3, 1.0, 10.0, ratios, 10, COARSE), 101 * 10)
+    ratios = np.linspace(0.0, 1.0, 130)
+    assert len(ratios) * (2 * 3**2 + 3) > 101 * 25
+    # the block outweighs a one-point chunk's step loop
+    assert 101 * 25 > 2 * 3**2 * (7 * evolve.STEP_BLOCK + 13)
+    charged(lambda: min_p1_sweep(3, 1.0, 10.0, ratios, 25, COARSE), 101 * 25)
 
 
 @pytest.mark.parametrize("call", [

@@ -581,9 +581,11 @@ class TestCli:
         assert main(["dynamics", "--n", "250", "--periods", "1"]) == 2
         assert re.search(r"would hold 62562500 values .*U\(s\)",
                          capsys.readouterr().err)
+        # effective-compare's quarter period holds N/4 + 1 sines, past
+        # MAX_KEPT_VALUES = 5·10^7 at 2·10^8 steps
         for command in ("floquet-sweep", "effective-compare"):
             assert main([command, "--n", "11",
-                         "--steps-per-period", "100000000"]) == 2
+                         "--steps-per-period", "200000000"]) == 2
 
     def test_ratio_grid_count_is_charged(self, charged):
         charged(lambda: _parse_ratio_grid("0:1:7"), 7)
