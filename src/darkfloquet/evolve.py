@@ -1,10 +1,13 @@
-"""Fixed-step RK4 for the one-period propagator U(s), 0 <= s <= T, of the
-driven Schrödinger equation; the monodromy matrix U(T) and every longer
+"""Fixed-step RK4 for the propagator U(s), 0 <= s <= T/2, of the driven
+Schrödinger equation; the monodromy matrix U(T) and every longer
 trajectory are read off it. The loop stops at W = U(T/2): the chain is
 bipartite and the drive flips sign after half a period, so with
 Γ = diag(+1, -1, +1, ...), Γ H(t + T/2) Γ = -H(t)* and U(s + T/2) =
 Γ conj(U(s)) Γ W. RK4 keeps this relation exactly in exact arithmetic (its
 stage polynomials have real coefficients) when steps_per_period is even.
+A state's half periods chain through x_{j+1} = Γ conj(W x_j) from
+x_0 = psi(0): psi(j T/2 + s) is U(s) x_j for even j and Γ conj(U(s) x_j)
+for odd j, in `propagate` and in min P1 alike.
 
 U(T) alone needs a quarter period: H(t) = H(T/2 - t) is real symmetric, so
 the step ending at T/2 - k h is the transpose of the one starting at k h and
@@ -25,7 +28,10 @@ caller's input is first charged to `_hold`, which refuses a run past
 MAX_KEPT_VALUES.
 
 No re-normalization is ever applied mid-trajectory: norm drift is kept as a
-quality diagnostic, and propagation aborts if it exceeds its bound.
+quality diagnostic, and propagation aborts if it exceeds its bound. Each
+entry point that steps runs in one error-state scope that lets inf and NaN
+reach the guards; the step loop opens none, as a generator's would outlive
+a caller that leaves it between yields.
 """
 
 from __future__ import annotations
@@ -142,71 +148,71 @@ def _rk4_steps(systems, n_steps: int, last: int | None = None):
     from the real images of the (-i)^p w[m]^T, then each point's ΔP_k.
     The loop holds V = U^T: its float view times the real image of ΔP_k^T,
     2 x 2 blocks [[Re, Im], [-Im, Re]], is the float view of (ΔP_k U)^T."""
-    # inf/NaN from a too coarse step, or from a period so long that the
-    # tables overflow, is left to the callers' guards to report; a decorator
-    # would cover only the call that creates the generator
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = systems[0]
-        n, omega, grid = first.n, first.omega, len(systems)
-        if any((s.n, s.v, s.omega) != (n, first.v, omega) for s in systems):
-            raise ConfigError("a propagator grid must share n, v and omega")
-        h, last = first.period / n_steps, n_steps // 2 if last is None else last
-        block = max(2, min(STEP_BLOCK, STEP_BLOCK_VALUES // (grid * n * n)))
-        # numpy hands a one-row product to gemv, which rounds unlike gemm, so
-        # a one-point grid's powers of beta get a second, unread row
-        rows = max(grid, 2)
-        # complex values, 2 n^2 a real image: a block of each row's ΔP_k and
-        # the 5 grouped sums, the 12 images, and state and product buffer
-        _hold(max(last + 1, 2 * n * n * ((rows + 5) * block + 12 + grid)),
-              "the step loop's sine tables, or its block of step matrices, "
-              "their 12 real images, state and product")
-        w, beta = _step_terms(systems, h)
-        beta = np.resize(beta, (rows, 5))
-        degree = POWERS.sum(axis=1)
-        groups = degree == np.arange(5)[:, None, None]  # monomials by degree
-        # rows 2j and 2j + 1 of a real image are the float views of row j of
-        # t and of i t, for t = ((-i)^p w[m])^T
-        t = (-1j) ** degree[:, None, None] * w.transpose(0, 2, 1).copy()
-        images = np.stack([t, 1j * t], axis=2).view(float).reshape(len(t), -1)
-        grouped = np.empty((5 * block, images.shape[1]))
-        dp = np.empty((rows, block, 2 * n, 2 * n))
-        v = np.repeat(np.eye(n, dtype=complex)[None], grid, axis=0)
-        vf, us, du = v.view(float), v.swapaxes(1, 2), np.empty((grid, n, 2 * n))
-        # sin(omega t) at t and t + h/2 for every step taken
-        ts = h * np.arange(last + 1)
-        sin_full = np.sin(omega * ts)
-        sin_half = np.sin(omega * (ts[:last] + 0.5 * h))
-        yield 0, us
-        for start in range(0, last, block):
-            # a full block even at the end, into the block's buffers
-            k = np.minimum(np.arange(start, start + block), last - 1)
-            sines = np.stack([sin_full[k], sin_half[k], sin_full[k + 1]], axis=1)
-            monomials = np.prod(sines[:, None] ** POWERS, axis=-1)
-            np.matmul((groups * monomials).reshape(-1, len(POWERS)), images,
-                      out=grouped)
-            np.matmul(beta, grouped.reshape(5, -1), out=dp.reshape(rows, -1))
-            for j in range(min(block, last - start)):
-                vf += np.matmul(vf, dp[:grid, j], out=du)
-                yield start + j + 1, us
+    first = systems[0]
+    n, omega, grid = first.n, first.omega, len(systems)
+    if any((s.n, s.v, s.omega) != (n, first.v, omega) for s in systems):
+        raise ConfigError("a propagator grid must share n, v and omega")
+    h, last = first.period / n_steps, n_steps // 2 if last is None else last
+    block = max(2, min(STEP_BLOCK, STEP_BLOCK_VALUES // (grid * n * n)))
+    # numpy hands a one-row product to gemv, which rounds unlike gemm, so
+    # a one-point grid's powers of beta get a second, unread row
+    rows = max(grid, 2)
+    # complex values, 2 n^2 a real image: a block of each row's ΔP_k and
+    # the 5 grouped sums, the 12 images, and state and product buffer
+    _hold(max(last + 1, 2 * n * n * ((rows + 5) * block + 12 + grid)),
+          "the step loop's sine tables, or its block of step matrices, "
+          "their 12 real images, state and product")
+    w, beta = _step_terms(systems, h)
+    beta = np.resize(beta, (rows, 5))
+    degree = POWERS.sum(axis=1)
+    groups = degree == np.arange(5)[:, None, None]  # monomials by degree
+    # rows 2j and 2j + 1 of a real image are the float views of row j of
+    # t and of i t, for t = ((-i)^p w[m])^T
+    t = (-1j) ** degree[:, None, None] * w.transpose(0, 2, 1).copy()
+    images = np.stack([t, 1j * t], axis=2).view(float).reshape(len(t), -1)
+    grouped = np.empty((5 * block, images.shape[1]))
+    dp = np.empty((rows, block, 2 * n, 2 * n))
+    v = np.repeat(np.eye(n, dtype=complex)[None], grid, axis=0)
+    vf, us, du = v.view(float), v.swapaxes(1, 2), np.empty((grid, n, 2 * n))
+    # sin(omega t) at t and t + h/2 for every step taken
+    ts = h * np.arange(last + 1)
+    sin_full = np.sin(omega * ts)
+    sin_half = np.sin(omega * (ts[:last] + 0.5 * h))
+    yield 0, us
+    for start in range(0, last, block):
+        # a full block even at the end, into the block's buffers
+        k = np.minimum(np.arange(start, start + block), last - 1)
+        sines = np.stack([sin_full[k], sin_half[k], sin_full[k + 1]], axis=1)
+        monomials = np.prod(sines[:, None] ** POWERS, axis=-1)
+        np.matmul((groups * monomials).reshape(-1, len(POWERS)), images,
+                  out=grouped)
+        np.matmul(beta, grouped.reshape(5, -1), out=dp.reshape(rows, -1))
+        for j in range(min(block, last - start)):
+            vf += np.matmul(vf, dp[:grid, j], out=du)
+            yield start + j + 1, us
 
 
-def _glide(a, w, rows=False):
-    """Γ conj(a) Γ W: U(s + T/2) for a = U(s) and W = U(T/2), or its row 0
-    for rows=True and a = row 0 of U(s), which Γ leaves as it is."""
+def _glide(a, w):
+    """Γ conj(a) Γ W: U(s + T/2) for a = U(s) and W = U(T/2)."""
     gamma = (-1.0) ** np.arange(w.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN: guards trip
-        out = (a.conj() * gamma) @ w
-        return out if rows else gamma[:, None] * out
+    return gamma[:, None] * ((a.conj() * gamma) @ w)
+
+
+def _starts(w, x):
+    """Yields the half-period starts x_0 = x, x_{j+1} = Γ conj(W x_j)."""
+    gamma = (-1.0) ** np.arange(w.shape[-1])
+    while True:
+        yield x
+        x = gamma * (w @ x[..., None])[..., 0].conj()
 
 
 def _maps_from_half(systems, settings: PropagationSettings, w: np.ndarray):
     """U(T) = Γ conj(W) Γ W of every grid point; aborts unless each is
     unitary to UNITARITY_TOL, which the Floquet eigensolve relies on."""
     uts = _glide(w, w)
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
-        defects = np.max(np.abs(uts.conj().swapaxes(-1, -2) @ uts
-                                - np.eye(uts.shape[-1])), axis=(-2, -1))
-        bad = np.flatnonzero(~(defects <= UNITARITY_TOL))
+    defects = np.max(np.abs(uts.conj().swapaxes(-1, -2) @ uts
+                            - np.eye(uts.shape[-1])), axis=(-2, -1))
+    bad = np.flatnonzero(~(defects <= UNITARITY_TOL))
     if len(bad):
         raise UnitarityError(
             f"monodromy unitarity defect {defects[bad[0]]:.3e} at A/omega="
@@ -215,13 +221,14 @@ def _maps_from_half(systems, settings: PropagationSettings, w: np.ndarray):
     return uts
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NaN: the guards trip
 def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
               settings: PropagationSettings = PropagationSettings()) -> Trajectory:
     """Propagate a state over a whole number of drive periods.
 
-    H is periodic, so the state at t = mT + s is U(s) U(T)^m psi(0), with
-    U(s) from the half-period loop, and each period starts from the last
-    state of the one before. Aborts if the norm drifts by more than 1e-4.
+    The state at t = j T/2 + s, s <= T/2, is U(s) x_j for even j and
+    Γ conj(U(s) x_j) for odd j, with x_j from `_starts` and U(s) from the
+    half-period loop. Aborts if the norm drifts by more than 1e-4.
     """
     if not isinstance(periods, (int, np.integer)) or periods < 1:
         raise ConfigError(f"periods must be a positive integer, got {periods!r}")
@@ -240,14 +247,12 @@ def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
     gamma = (-1.0) ** np.arange(system.n)
     states = np.empty((periods * n_steps + 1, system.n), dtype=complex)
     states[0] = initial
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
-        for mid in range(half, periods * n_steps, n_steps):
-            states[mid - half + 1:mid + 1] = us[1:] @ states[mid - half]
-            # U(s + T/2) psi = Γ conj(U(s) Γ conj(W psi)), W psi = states[mid]
-            states[mid + 1:mid + half + 1] = gamma * (
-                us[1:] @ (gamma * states[mid].conj())).conj()
-        traj = Trajectory(times=(system.period / n_steps) * np.arange(len(states)),
-                          states=states)
+    for j, x in zip(range(2 * periods), _starts(us[half], initial)):
+        amps = us[1:] @ x
+        states[j * half + 1:(j + 1) * half + 1] = (gamma * amps.conj() if j % 2
+                                                   else amps)
+    traj = Trajectory(times=(system.period / n_steps) * np.arange(len(states)),
+                      states=states)
     drift = traj.norm_drift
     if not drift <= NORM_DRIFT_ABORT:  # also trips on NaN
         raise StepSizeError(
@@ -256,6 +261,7 @@ def propagate(system: DrivenSystem, initial: np.ndarray, periods: int,
     return traj
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NaN: the guard trips
 def period_maps(systems, settings: PropagationSettings = PropagationSettings()):
     """(G, n, n) stack of U(T) for a grid of systems that share n, v and
     omega, from the first ceil(N/4) of the N steps of a period."""
@@ -263,8 +269,7 @@ def period_maps(systems, settings: PropagationSettings = PropagationSettings()):
     for k, high in _rk4_steps(systems, n_steps, -(-n_steps // 4)):
         if k == n_steps // 4:
             low = high.copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
-        return _maps_from_half(systems, settings, low.swapaxes(-1, -2) @ high)
+    return _maps_from_half(systems, settings, low.swapaxes(-1, -2) @ high)
 
 
 def monodromy(system: DrivenSystem,
@@ -273,20 +278,22 @@ def monodromy(system: DrivenSystem,
     return period_maps([system], settings)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NaN: the guard trips
 def propagator_site1(systems,
                      settings: PropagationSettings = PropagationSettings()):
-    """(times, rows, uts) over one period for a grid of systems that share
-    n, v and omega: rows[g, k] = <1|U(times[k]), uts[g] = U(T)."""
+    """(times, rows, ws) for a grid of systems that share n, v and omega:
+    rows[g, k] = <1|U(times[k]), times[k] = k h for k = 0 ... N/2, ws[g] =
+    W = U(T/2). Aborts unless U(T) is unitary, as `period_maps` does."""
     n_steps, half = settings.steps_per_period, settings.steps_per_period // 2
-    _hold(len(systems) * (n_steps + 1) * systems[0].n, "row 0 of U(s)")
-    rows = np.empty((len(systems), n_steps + 1, systems[0].n), dtype=complex)
+    _hold(len(systems) * (half + 1) * systems[0].n, "row 0 of U(s) up to T/2")
+    rows = np.empty((len(systems), half + 1, systems[0].n), dtype=complex)
     for k, w in _rk4_steps(systems, n_steps):  # the last w is W = U(T/2)
         rows[:, k] = w[:, 0]
-    rows[:, half + 1:] = _glide(rows[:, 1:half + 1], w, rows=True)
-    uts = _maps_from_half(systems, settings, w)
-    return (systems[0].period / n_steps) * np.arange(n_steps + 1), rows, uts
+    _maps_from_half(systems, settings, w)
+    return (systems[0].period / n_steps) * np.arange(half + 1), rows, w
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NaN: the guard trips
 def propagator_averages(systems,
                         settings: PropagationSettings = PropagationSettings()):
     """(times, q, uts) for a grid of systems that share n, v and omega:
@@ -306,7 +313,6 @@ def propagator_averages(systems,
         if k % QJ_BLOCK == QJ_BLOCK - 1 or k == half:  # q[g, j] += x^dag x
             x = block[:, :k % QJ_BLOCK + 1].transpose(0, 2, 1, 3)
             np.add(q, x.conj().swapaxes(-1, -2) @ x, out=q)
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN: guard trips
-        q += w.conj().swapaxes(-1, -2)[:, None] @ _glide(q, w[:, None])
+    q += w.conj().swapaxes(-1, -2)[:, None] @ _glide(q, w[:, None])
     uts = _maps_from_half(systems, settings, w)
     return (systems[0].period / n_steps) * np.arange(n_steps + 1), q / n_steps, uts

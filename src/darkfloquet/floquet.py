@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalQualityError
-from .evolve import (QJ_BLOCK, PropagationSettings, _hold, period_maps,
-                     propagator_averages, propagator_site1)
+from .evolve import (QJ_BLOCK, PropagationSettings, _hold, _starts,
+                     period_maps, propagator_averages, propagator_site1)
 from .model import DrivenSystem
 
 __all__ = [
@@ -29,13 +29,13 @@ __all__ = [
 
 # complex values (8 MB) one sweep chunk may keep: per grid point, n^3 for Q_j
 # plus QJ_BLOCK n^2 for the U(s) rows summed into it, n^2 for U(T) alone, or
-# (steps + 1 + span) n for row 0 of every U(s) and a span's period starts;
-# also the real entries of a property-suite stack, n^2 each. min P1's
-# (steps + 1) n^2 real pair table of row 0 is built for one point at a time,
-# once per span of periods, never for a chunk
+# (N/2 + 1 + 2 span) n for row 0 of U(s) up to T/2 and a span's half-period
+# starts; also the real entries of a property-suite stack, n^2 each. min
+# P1's (N/2 + 1) n^2 real pair table of row 0 is built for one point at a
+# time, once per span of periods, never for a chunk
 MAX_CHUNK_VALUES = 5 * 10**5
-MIN_P1_SPAN = 1000  # periods of psi_k chained at once; pair tables last a span
-MIN_P1_BLOCK = 100  # periods per block of the min-P1 evaluation
+MIN_P1_SPAN = 1000  # periods, 2 starts each, chained at once; tables last one
+MIN_P1_BLOCK = 100  # half periods per block of the min-P1 evaluation
 # min P1 as a real quadratic form costs a point's pair table once a span and
 # a real gemm of n^2 terms a sample, the complex product 4n real products
 # and a hypot a sample. min_p1_sweep over 400 periods on 31 points, one BLAS
@@ -257,19 +257,16 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
     """Sampled minimum of P_1(t) over the given number of driving periods,
     from (1, 0, ..., 0), at each drive ratio A/omega of the grid.
 
-    H is periodic, so the site-1 amplitude at t = kT + s is r(s) psi_k,
-    with r(s) row 0 of U(s) and psi_k = U(T)^k (1, 0, ..., 0): each period
-    start is U(T) times the one before, where `propagate` starts a period
-    from the last state of the one before, reached through the half-period
-    U(s) and the glide. The samples are at the times of direct long
-    propagation. Up to n = QUADRATIC_MAX_N, P_1 =
-    |r psi|^2 = sum_{i<=j} w_ij Re[(r_i conj(r_j)) (psi_i conj(psi_j))], w = 1
-    on the diagonal and 2 off it. A point's pair tables of r and of psi are
-    built once per span of MIN_P1_SPAN periods, and one real gemm of slices
-    of them gives P_1 on each block of MIN_P1_BLOCK periods. It rounds in
+    With r(s) row 0 of U(s), s <= T/2, and x_j the half-period starts that
+    `propagate` chains too (`_starts`), P_1(j T/2 + s) = |r(s) x_j|^2 at
+    the times of direct long propagation. Up to n = QUADRATIC_MAX_N, P_1 =
+    sum_{i<=j} w_ij Re[(r_i conj(r_j)) (x_i conj(x_j))], w = 1 on the
+    diagonal and 2 off it. A point's pair tables of r and of x are built
+    once per span of MIN_P1_SPAN periods, and one real gemm of slices of
+    them gives P_1 on each block of MIN_P1_BLOCK half periods. It rounds in
     absolute terms, about 1e-16, so a minimum below about 1e-15 is noise,
     and one that rounds below 0 is returned as 0. Above QUADRATIC_MAX_N,
-    P_1 is |r psi|^2 of the complex product, on the same spans and blocks.
+    P_1 is |r x|^2 of the complex product, on the same spans and blocks.
     A minimum that is not finite is refused (NumericalQualityError)."""
     _, systems = _grid_systems(n, v, omega, ratios, 1)
     if not isinstance(periods, (int, np.integer)) or periods < 1:
@@ -279,17 +276,15 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
         raise ConfigError(f"run would sample {samples} values per grid point, "
                           f"more than {MAX_SAMPLES_PER_POINT}")
     quadratic = n <= QUADRATIC_MAX_N
-    span = min(periods, MIN_P1_SPAN)
-    chunks = _chunks(systems, (settings.steps_per_period + 1 + span) * n)
+    half, span = settings.steps_per_period // 2, 2 * min(periods, MIN_P1_SPAN)
+    chunks = _chunks(systems, (half + 1 + span) * n)
     column = n * n // 2 if quadratic else 0  # complex values a table column
-    _hold(max((settings.steps_per_period + 1)
-              * max(min(periods, MIN_P1_BLOCK), column),
+    _hold(max((half + 1) * max(min(2 * periods, MIN_P1_BLOCK), column),
               max(len(chunks[0]) * n, column) * span),
-          "the sampled block of periods, a point's pair tables or the span's "
-          "starts")
-    # tables(row, start): a point's table of psi_k, a line a period of the
-    # span, and its table of r(s); least_p1: the least P_1 of the product of
-    # a slice of lines of the first with the second
+          "a block of samples, a point's pair tables or the span's starts")
+    # tables(row, start): a point's table of x_j, a line a half period of
+    # the span, and its table of r(s); least_p1: the least P_1 of the
+    # product of a slice of lines of the first with the second
     if quadratic:
         i, j = pairs = np.triu_indices(n, 1)
         weights = np.repeat([1.0, 2.0, -2.0], [n, len(i), len(i)])[:, None]
@@ -306,21 +301,20 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
             return np.square(np.abs(amps).min())
     out = []
     for chunk in chunks:
-        _, rows, uts = propagator_site1(chunk, settings)
-        psi = np.tile(np.eye(n, 1, dtype=complex), (len(chunk), 1, 1))
+        _, rows, ws = propagator_site1(chunk, settings)
+        chain = _starts(ws, np.eye(1, n, dtype=complex).repeat(len(chunk), 0))
         least = np.full(len(chunk), np.inf)
-        for k0 in range(0, periods, span):
-            starts = np.empty((len(chunk), n, min(span, periods - k0)),
+        for j0 in range(0, 2 * periods, span):
+            starts = np.empty((len(chunk), n, min(span, 2 * periods - j0)),
                               dtype=complex)
             for k in range(starts.shape[2]):
-                starts[:, :, k:k + 1] = psi
-                psi = uts @ psi
+                starts[:, :, k] = next(chain)
             for g, (row, start) in enumerate(zip(rows, starts)):
-                psi_table, row_table = tables(row, start)
-                for b0 in range(0, len(psi_table), MIN_P1_BLOCK):
+                x_table, row_table = tables(row, start)
+                for b0 in range(0, len(x_table), MIN_P1_BLOCK):
                     # np.minimum keeps a NaN, which min(inf, nan) would drop
                     least[g] = np.minimum(least[g], least_p1(
-                        psi_table[b0:b0 + MIN_P1_BLOCK] @ row_table))
+                        x_table[b0:b0 + MIN_P1_BLOCK] @ row_table))
         out.append(least)
     p1 = np.maximum(np.concatenate(out), 0.0)
     bad = np.flatnonzero(~np.isfinite(p1))

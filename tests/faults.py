@@ -23,28 +23,13 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = "src/darkfloquet"
 
-# the step loop's stepping, from its first yield on, as evolve.py writes it
-RK4_STEPPING = """\
-        yield 0, us
-        for start in range(0, last, block):
-            # a full block even at the end, into the block's buffers
-            k = np.minimum(np.arange(start, start + block), last - 1)
-            sines = np.stack([sin_full[k], sin_half[k], sin_full[k + 1]], axis=1)
-            monomials = np.prod(sines[:, None] ** POWERS, axis=-1)
-            np.matmul((groups * monomials).reshape(-1, len(POWERS)), images,
-                      out=grouped)
-            np.matmul(beta, grouped.reshape(5, -1), out=dp.reshape(rows, -1))
-            for j in range(min(block, last - start)):
-                vf += np.matmul(vf, dp[:grid, j], out=du)
-                yield start + j + 1, us
-"""
-RK4_ERRSTATE = 'with np.errstate(over="ignore", invalid="ignore"):\n'
+ERRSTATE = '@np.errstate(over="ignore", invalid="ignore")  # NaN: the guard trips\n'
+STARTS = "x = gamma * (w @ x[..., None])[..., 0].conj()"
 
 # (name, file, text, faulty text); a fault of several edits gives both
 # texts as tuples
@@ -53,20 +38,21 @@ FAULTS = [
      "w if k % half else np.sqrt(0.5) * w", "w"),
     ("Q_j flushed block one row short", f"{PKG}/evolve.py",
      "block[:, :k % QJ_BLOCK + 1]", "block[:, :k % QJ_BLOCK]"),
-    ("step loop's set-up outside its errstate block", f"{PKG}/evolve.py",
-     ("    " + RK4_ERRSTATE + "        first = systems[0]", RK4_STEPPING),
-     ("    if True:\n        first = systems[0]",
-      "        " + RK4_ERRSTATE + textwrap.indent(RK4_STEPPING, "    "))),
-    ("step loop's errstate a no-op", f"{PKG}/evolve.py",
-     "    " + RK4_ERRSTATE + "        first = systems[0]",
-     "    with np.errstate():\n        first = systems[0]"),
+    ("period_maps without its error-state scope", f"{PKG}/evolve.py",
+     ERRSTATE + "def period_maps(", "def period_maps("),
+    ("propagator_site1 without its error-state scope", f"{PKG}/evolve.py",
+     ERRSTATE + "def propagator_site1(", "def propagator_site1("),
+    ("half-period starts without their Γ", f"{PKG}/evolve.py",
+     STARTS, "x = (w @ x[..., None])[..., 0].conj()"),
+    ("half-period starts without their conj", f"{PKG}/evolve.py",
+     STARTS, "x = gamma * (w @ x[..., None])[..., 0]"),
     ("real image's -Im block with its sign flipped", f"{PKG}/evolve.py",
      "np.stack([t, 1j * t], axis=2)", "np.stack([t, 1j * t.conj()], axis=2)"),
     ("step matrices without their (-i)^p phase", f"{PKG}/evolve.py",
      "t = (-1j) ** degree[:, None, None] * w.transpose",
      "t = w.transpose"),
     ("min P1 reads only the first block of each span", f"{PKG}/floquet.py",
-     "for b0 in range(0, len(psi_table), MIN_P1_BLOCK):",
+     "for b0 in range(0, len(x_table), MIN_P1_BLOCK):",
      "for b0 in range(0, 1):"),
     ("min P1 complex form's least |amplitude| unsquared", f"{PKG}/floquet.py",
      "return np.square(np.abs(amps).min())", "return np.abs(amps).min()"),

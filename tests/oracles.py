@@ -11,8 +11,10 @@ closed form of the 3x3 chain rather than the odd-n floor, the CSV text
 is formatted one value at a time, the property suite checks one matrix at
 a time and its report goes through json.dumps, and the Floquet spectrum
 comes from one static extended-space eigenproblem with no time stepping.
-The Floquet floor is the exception: it reads the package's one-period rows
-and modes, so it checks min P1's sampler and horizon, not the step loop.
+The Floquet floor is the exception: it reads the package's half-period rows
+and W = U(T/2), glides them to the whole period itself and takes the modes
+of U(T) from `floquet._modes`, so it checks min P1's sampler and horizon,
+not the step loop.
 """
 
 import json
@@ -319,12 +321,15 @@ def floquet_floor(n: int, v: float, omega: float, ratios,
     At t = kT + s the site-1 amplitude is a = sum_m b_m(s) e^{-i eps_m kT},
     b_m(s) = <1|U(s)|w_m><w_m|1> with w_m the Floquet modes, so for every k
     |a| >= 2 max_m |b_m(s)| - sum_m |b_m(s)|. The floor is the least
-    max(0, that)^2 over the s of `propagator_site1`'s rows, and the modes
-    are `floquet._modes` of their U(T)."""
+    max(0, that)^2 over s = k h, k = 0 ... N. `propagator_site1` gives the
+    rows up to T/2 and W = U(T/2); the glide U(s + T/2) = Γ conj(U(s)) Γ W
+    gives the second half's rows, conj(r(s)) Γ W, and U(T) = Γ conj(W) Γ W,
+    whose modes are `floquet._modes`."""
     systems = [DrivenSystem(n, v, float(r) * omega, omega) for r in ratios]
-    _, rows, uts = propagator_site1(systems,
-                                    PropagationSettings(steps_per_period))
-    vecs = _modes(systems, uts)[1]  # vecs[g, :, m] = w_m
-    b = np.abs((rows @ vecs) * vecs[:, None, 0].conj())
+    _, half, ws = propagator_site1(systems, PropagationSettings(steps_per_period))
+    gamma = (-1.0) ** np.arange(n)
+    rows = np.concatenate([half, (half[:, 1:].conj() * gamma) @ ws], axis=1)
+    vecs = _modes(systems, (gamma[:, None] * ws.conj() * gamma) @ ws)[1]
+    b = np.abs((rows @ vecs) * vecs[:, None, 0].conj())  # vecs[g, :, m] = w_m
     bound = np.maximum(2.0 * b.max(axis=-1) - b.sum(axis=-1), 0.0)
     return np.min(bound ** 2, axis=1)

@@ -253,31 +253,51 @@ def test_loop_integrates_half_a_period():
 
 @pytest.mark.parametrize("steps", [2000, 2002])
 def test_sampler_times_span_the_period(steps):
-    # the loop builds no times; each sampler's are h k for k = 0..N, bit
-    # for bit
+    # the loop builds no times; each sampler's are h k, bit for bit, for
+    # k = 0..N/2 of the site-1 rows and k = 0..N of the period averages
     systems = [DrivenSystem(3, 1.0, a, 10.0) for a in (20.0, 7.0)]
     settings = PropagationSettings(steps_per_period=steps)
-    expected = (systems[0].period / steps) * np.arange(steps + 1)
-    for run in (evolve.propagator_site1, evolve.propagator_averages):
-        assert np.array_equal(run(systems, settings)[0], expected)
+    h = systems[0].period / steps
+    for run, last in ((evolve.propagator_site1, steps // 2),
+                      (evolve.propagator_averages, steps)):
+        assert np.array_equal(run(systems, settings)[0],
+                              h * np.arange(last + 1))
 
 
 def test_leaving_the_step_loop_restores_the_error_state():
-    # consumers run under the loop's errstate while it yields, and get the
-    # caller's back when it ends, when they break out or when they raise
+    # two loops advanced in lockstep and closed out of order: a loop that
+    # set the error state while it yields would leave the caller's lost;
+    # the loop sets none, and its callers set theirs around it
     before = np.geterr()
     system = DrivenSystem(3, 1.0, 20.0, 10.0)
-    for _ in evolve._rk4_steps([system], 100):
-        assert np.geterr() == dict(before, over="ignore", invalid="ignore")
+    short, long = evolve._rk4_steps([system], 100), evolve._rk4_steps([system], 150)
+    for _ in zip(short, long):
+        pass
     assert np.geterr() == before
-    for k, _ in evolve._rk4_steps([system], 100):
-        if k == 3:
-            break
+    long.close()
+    short.close()
     assert np.geterr() == before
-    with pytest.raises(ValueError, match="left at k = 3"):
-        for k, _ in evolve._rk4_steps([system], 100):
-            if k == 3:
-                raise ValueError("left at k = 3")
+
+
+ENTRY_POINTS = {
+    "propagate": lambda s, settings: propagate(s[0], basis_state(3), 1, settings),
+    "period_maps": evolve.period_maps,
+    "propagator_site1": evolve.propagator_site1,
+    "propagator_averages": evolve.propagator_averages,
+}
+
+
+@pytest.mark.parametrize("run", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_entry_points_restore_the_error_state(run):
+    # each ignores overflow and invalid results while it runs, so that its
+    # guards report them, and gives the caller's state back when it returns
+    # and when it raises: A/omega = 20000 at 100 steps overflows
+    before = np.geterr()
+    settings = PropagationSettings(steps_per_period=100)
+    run([DrivenSystem(3, 1.0, 5.0, 10.0)], settings)
+    assert np.geterr() == before
+    with pytest.raises((StepSizeError, UnitarityError)):
+        run([DrivenSystem(3, 1.0, 20000.0, 1.0)], settings)
     assert np.geterr() == before
 
 
@@ -373,7 +393,8 @@ def test_propagate_is_charged_half_a_period_of_propagators(charged, periods,
     # grid-free images, and the state and product buffer, G each
     (evolve.period_maps, 2, 100,
      2 * 3**2 * ((5 + 2) * evolve.STEP_BLOCK + 12 + 2)),
-    (evolve.propagator_site1, 2, 1000, 2 * 1001 * 3),  # row 0 of U(s), G (N + 1) n
+    # row 0 of U(s) up to T/2, G (N/2 + 1) n
+    (evolve.propagator_site1, 2, 1000, 2 * 501 * 3),
     (evolve.propagator_averages, 16, 100,
      16 * (3**3 + evolve.QJ_BLOCK * 3**2)),  # Q_j and its block of U(s) rows
 ], ids=["tables", "state", "site1", "averages"])

@@ -212,12 +212,12 @@ def test_min_p1_sweep_refuses_a_bad_horizon(periods):
 
 
 def _min_p1_against_direct_stepping(n, steps, periods, monkeypatch):
-    # a budget of two grid points per chunk, row 0 of U(s) and the period
-    # starts of one span each: chunks of 2, 2 and 1
+    # a budget of two grid points per chunk, row 0 of U(s) up to T/2 and
+    # the 2 span half-period starts of one span each: chunks of 2, 2 and 1
     ratios = np.linspace(0.0, 5.0, 5)
     span = min(periods, floquet.MIN_P1_SPAN)
     monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES",
-                        2 * (steps + 1 + span) * n)
+                        2 * (steps // 2 + 1 + 2 * span) * n)
     sizes = []
     site1 = floquet.propagator_site1
 
@@ -249,11 +249,12 @@ def test_batched_min_p1_matches_direct_stepping(n, steps, monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 6, 7, 8, 9])
 def test_min_p1_across_span_and_block_edges(n, monkeypatch):
-    # neither the span of 7 periods nor the block of 3 divides the 20
-    # periods, nor does the block divide the span: spans of 7, 7 and 6
-    # periods, in blocks of 3, 3 and 1 and of 3 and 3
+    # neither the span of 7 periods, 14 half periods, nor the block of 5
+    # half periods divides the 40 half periods of 20 periods, nor does the
+    # block divide a span: spans of 14, 14 and 12 half periods, in blocks of
+    # 5, 5 and 4 and of 5, 5 and 2
     monkeypatch.setattr(floquet, "MIN_P1_SPAN", 7)
-    monkeypatch.setattr(floquet, "MIN_P1_BLOCK", 3)
+    monkeypatch.setattr(floquet, "MIN_P1_BLOCK", 5)
     _min_p1_against_direct_stepping(n, 500, 20, monkeypatch)
 
 
@@ -261,8 +262,9 @@ def test_min_p1_across_span_and_block_edges(n, monkeypatch):
                                             (2500, 3)])
 def test_min_p1_builds_a_row_table_once_per_point_and_span(periods, spans,
                                                            monkeypatch):
-    # r's pair table is built once a point and span, ψ's once a point and
-    # span too: 2 G ⌈periods / MIN_P1_SPAN⌉ tables, not one a block
+    # the table of r(s), s <= T/2, is built once a point and span, that of
+    # the span's starts x_j once a point and span too:
+    # 2 G ⌈periods / MIN_P1_SPAN⌉ tables, not one a block
     assert floquet.MIN_P1_SPAN == 1000
     built = []
     pair_table = floquet._pair_table
@@ -273,7 +275,7 @@ def test_min_p1_builds_a_row_table_once_per_point_and_span(periods, spans,
 
     monkeypatch.setattr(floquet, "_pair_table", spy)
     min_p1_sweep(3, 1.0, 10.0, np.linspace(0.0, 1.0, 4), periods, COARSE)
-    rows = [shape for shape in built if shape == (3, 101)]
+    rows = [shape for shape in built if shape == (3, 51)]
     assert len(rows) == 4 * spans
     assert len(built) == 2 * 4 * spans
 
@@ -324,19 +326,17 @@ def test_overflowed_monodromy_trips_the_guard_without_a_warning(call):
 
 def test_min_p1_peak_memory_is_the_propagators():
     # the pair table is built one point at a time: for the whole grid it
-    # would hold (steps + 1) n^2 reals a point, 12 MB here
+    # would hold (N/2 + 1) n^2 reals a point, 6.2 MB here, more than the
+    # sweep's whole peak of row 0 of U(s), the span's starts and one point's
+    # tables and block
     ratios = np.linspace(0.0, 5.0, 31)
-    systems = [DrivenSystem(5, 1.0, float(r) * 10.0, 10.0) for r in ratios]
-    peaks = []
-    for call in (lambda: floquet.propagator_site1(systems, PropagationSettings()),
-                 lambda: min_p1_sweep(5, 1.0, 10.0, ratios, 200)):
-        tracemalloc.start()
-        try:
-            call()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.05 * peaks[0]
+    tracemalloc.start()
+    try:
+        min_p1_sweep(5, 1.0, 10.0, ratios, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(ratios) * 1001 * 5**2 * 8
 
 
 @pytest.mark.parametrize(
@@ -436,11 +436,14 @@ COARSE = PropagationSettings(steps_per_period=100)
 
 
 def test_min_p1_sweep_is_charged_one_block_of_periods(charged, monkeypatch):
-    # min_p1_sweep samples at most MIN_P1_BLOCK periods of a point at once,
-    # (N + 1) MIN_P1_BLOCK values, so a long horizon costs no more than a
-    # short one
-    charged(lambda: min_p1_sweep(3, 1.0, 10.0, [0.5], 30000, COARSE),
-            101 * floquet.MIN_P1_BLOCK)
+    # min_p1_sweep samples at most MIN_P1_BLOCK half periods of a point at
+    # once, (N/2 + 1) MIN_P1_BLOCK values, so a long horizon costs no more
+    # than a short one; at 1000 steps the block outweighs a span's 2000
+    # starts, 4 complex values each in the pair table
+    assert 501 * floquet.MIN_P1_BLOCK > 4 * 2 * floquet.MIN_P1_SPAN
+    charged(lambda: min_p1_sweep(3, 1.0, 10.0, [0.5], 3000,
+                                 PropagationSettings(steps_per_period=1000)),
+            501 * floquet.MIN_P1_BLOCK)
     # its work still grows with the horizon, and is bounded per point
     with pytest.raises(ConfigError, match="would sample 2001000000 values"):
         min_p1_sweep(3, 1.0, 10.0, [0.5], 10**6)
@@ -450,20 +453,21 @@ def test_min_p1_sweep_is_charged_one_block_of_periods(charged, monkeypatch):
 
 
 def test_min_p1_sweep_is_charged_the_span_starts(charged):
-    # a chunk chains psi_k for a span of MIN_P1_SPAN periods at once, n
-    # values a point and period, here more than a block of samples; a
-    # longer horizon costs no more than one span
+    # a chunk chains the starts x_j for a span of MIN_P1_SPAN periods, two
+    # half periods each, at once, n values a point and start, here more
+    # than a block of samples; a longer horizon costs no more than one span
     ratios = np.linspace(0.0, 1.0, 5)
-    assert 5 * 3 * floquet.MIN_P1_SPAN > 101 * floquet.MIN_P1_BLOCK
+    assert 5 * 3 * 2 * floquet.MIN_P1_SPAN > 51 * floquet.MIN_P1_BLOCK
     for periods in (floquet.MIN_P1_SPAN, 2500):
         charged(lambda: min_p1_sweep(3, 1.0, 10.0, ratios, periods, COARSE),
-                5 * 3 * floquet.MIN_P1_SPAN)
+                5 * 3 * 2 * floquet.MIN_P1_SPAN)
 
 
 def test_min_p1_chunk_budget_counts_the_span_starts(monkeypatch):
-    # at 100 steps a span of 1000 period starts, n values each, outweighs
-    # row 0 of U(s): a budget of two points holds both for two points
-    monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES", 2 * (101 + 1000) * 3)
+    # at 100 steps a span of 2000 half-period starts, n values each,
+    # outweighs row 0 of U(s) up to T/2: a budget of two points holds both
+    # for two points
+    monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES", 2 * (51 + 2000) * 3)
     sizes = []
     site1 = floquet.propagator_site1
 
@@ -477,14 +481,12 @@ def test_min_p1_chunk_budget_counts_the_span_starts(monkeypatch):
 
 
 def test_min_p1_sweep_is_charged_its_pair_table(charged):
-    # at n = 6 a point's (N + 1) n^2 real pair table, (N + 1) n^2 / 2
-    # complex values, outweighs a block of 10 periods and the step loop's
-    # block of step matrices
-    assert 36 // 2 > 10
+    # at n = 6 a point's (N/2 + 1) n^2 real pair table, (N/2 + 1) n^2 / 2
+    # complex values, outweighs a block of the 16 half periods of 8 periods
+    # and the step loop's block of step matrices
+    assert 36 // 2 > 16
     assert 1001 * 18 > 2 * 6**2 * (7 * evolve.STEP_BLOCK + 13)
-    charged(lambda: min_p1_sweep(6, 1.0, 10.0, [0.5], 10,
-                                 PropagationSettings(steps_per_period=1000)),
-            1001 * 18)
+    charged(lambda: min_p1_sweep(6, 1.0, 10.0, [0.5], 8), 1001 * 18)
 
 
 @pytest.mark.parametrize("sweep, values", [
@@ -517,13 +519,14 @@ def test_grid_is_charged_its_spectra(charged, monkeypatch):
 
 def test_min_p1_grid_is_charged_one_value_a_point(charged, monkeypatch):
     # min P1 keeps one float a point, so a grid whose spectra would
-    # outweigh its block of samples is charged only that block
+    # outweigh its block of samples, the 50 half periods of 25 periods, is
+    # charged only that block
     monkeypatch.setattr(floquet, "MAX_CHUNK_VALUES", 1)
     ratios = np.linspace(0.0, 1.0, 130)
-    assert len(ratios) * (2 * 3**2 + 3) > 101 * 25
+    assert len(ratios) * (2 * 3**2 + 3) > 51 * 50
     # the block outweighs a one-point chunk's step loop
-    assert 101 * 25 > 2 * 3**2 * (7 * evolve.STEP_BLOCK + 13)
-    charged(lambda: min_p1_sweep(3, 1.0, 10.0, ratios, 25, COARSE), 101 * 25)
+    assert 51 * 50 > 2 * 3**2 * (7 * evolve.STEP_BLOCK + 13)
+    charged(lambda: min_p1_sweep(3, 1.0, 10.0, ratios, 25, COARSE), 51 * 50)
 
 
 @pytest.mark.parametrize("call", [

@@ -329,6 +329,27 @@ class TestDeterminism:
             paths.append(tmp_path / name)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep-min-pop", "--n", "5", "--ratio-grid", "0:5:31"],
+        ["floquet-sweep", "--n", "11", "--ratio-grid", "0:5:41"],
+    ], ids=["sweep-min-pop", "floquet-sweep"])
+    def test_byte_identical_across_blas_threads(self, tmp_path, argv):
+        # no product sums across grid points, and one or two BLAS threads
+        # round every point's products alike
+        src = str(Path(darkfloquet.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            run = subprocess.run(
+                [sys.executable, "-m", "darkfloquet.cli", *argv,
+                 "--no-timestamp", "--out", str(out)],
+                capture_output=True, text=True, cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": src,
+                     "OPENBLAS_NUM_THREADS": threads})
+            assert run.returncode == 0, run.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 # finite doubles over every exponent, drawn as bit patterns
 _BITS_DOUBLES = st.integers(0, 2**64 - 1).map(
