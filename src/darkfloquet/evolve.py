@@ -22,10 +22,10 @@ power of a point's amplitude. A block of steps takes one gemm to the five
 sums and one to every point's increments, in real images of complex
 matrices, and each step applies its increments with one stacked real
 product; no inner sum of these products spans points, so a point rounds as
-in a one-point grid. Callers keep what they read: U(s), its row 0, or the
-site averages Q_j, summed QJ_BLOCK steps at a time. Each array sized from a
-caller's input is first charged to `_hold`, which refuses a run past
-MAX_KEPT_VALUES.
+in a one-point grid. The loop holds its block alone, sines included;
+callers keep what they read: U(s), its row 0, or Q_j, summed QJ_BLOCK steps
+at a time. `_hold` refuses an array sized from a caller's input past
+MAX_KEPT_VALUES values before it is made; PropagationSettings bounds N.
 
 No re-normalization is ever applied mid-trajectory: norm drift is kept as a
 quality diagnostic, and propagation aborts if it exceeds its bound. Each
@@ -74,9 +74,10 @@ class PropagationSettings:
     steps_per_period: int = 2000
 
     def __post_init__(self):
-        if self.steps_per_period < 100 or self.steps_per_period % 2:
-            raise ConfigError("steps_per_period must be even and >= 100, got "
-                              f"{self.steps_per_period}")
+        n_steps = self.steps_per_period  # N/2 + 1 <= MAX_KEPT_VALUES
+        if not 100 <= n_steps < 2 * MAX_KEPT_VALUES or n_steps % 2:
+            raise ConfigError("steps_per_period must be even, >= 100 and < "
+                              f"{2 * MAX_KEPT_VALUES}, got {n_steps}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class Trajectory:
 
 
 # the ΔP_k of STEP_BLOCK steps are formed at once, enough to spread the
-# block's few table calls and two gemms thin, or of fewer (at least two) if
+# block's few sine calls and two gemms thin, or of fewer (at least two) if
 # their G n^2 entries would pass STEP_BLOCK_VALUES, so that the block grows
 # with neither the grid nor the step count
 STEP_BLOCK, STEP_BLOCK_VALUES = 16, 2**15
@@ -145,7 +146,8 @@ def _rk4_steps(systems, n_steps: int, last: int | None = None):
     RK4's round-off floor. By `_step_terms`, ΔP_k of point g is
     sum_p beta_g^p M_p(k), with M_p(k) the sum of the degree-p monomials of
     the step's sines times (-i)^p w[m]; a block's two gemms form the M_p
-    from the real images of the (-i)^p w[m]^T, then each point's ΔP_k.
+    from the real images of the (-i)^p w[m]^T, then each point's ΔP_k. The
+    block takes its sines from its own times: no array is sized by n_steps.
     The loop holds V = U^T: its float view times the real image of ΔP_k^T,
     2 x 2 blocks [[Re, Im], [-Im, Re]], is the float view of (ΔP_k U)^T."""
     first = systems[0]
@@ -159,9 +161,8 @@ def _rk4_steps(systems, n_steps: int, last: int | None = None):
     rows = max(grid, 2)
     # complex values, 2 n^2 a real image: a block of each row's ΔP_k and
     # the 5 grouped sums, the 12 images, and state and product buffer
-    _hold(max(last + 1, 2 * n * n * ((rows + 5) * block + 12 + grid)),
-          "the step loop's sine tables, or its block of step matrices, "
-          "their 12 real images, state and product")
+    _hold(2 * n * n * ((rows + 5) * block + 12 + grid), "the step loop's "
+          "block of step matrices, their 12 real images, state and product")
     w, beta = _step_terms(systems, h)
     beta = np.resize(beta, (rows, 5))
     degree = POWERS.sum(axis=1)
@@ -174,15 +175,14 @@ def _rk4_steps(systems, n_steps: int, last: int | None = None):
     dp = np.empty((rows, block, 2 * n, 2 * n))
     v = np.repeat(np.eye(n, dtype=complex)[None], grid, axis=0)
     vf, us, du = v.view(float), v.swapaxes(1, 2), np.empty((grid, n, 2 * n))
-    # sin(omega t) at t and t + h/2 for every step taken
-    ts = h * np.arange(last + 1)
-    sin_full = np.sin(omega * ts)
-    sin_half = np.sin(omega * (ts[:last] + 0.5 * h))
     yield 0, us
     for start in range(0, last, block):
-        # a full block even at the end, into the block's buffers
-        k = np.minimum(np.arange(start, start + block), last - 1)
-        sines = np.stack([sin_full[k], sin_half[k], sin_full[k + 1]], axis=1)
+        # a full block even past the end, into the block's buffers, with
+        # sin(omega t) at each step's start, middle and end
+        times = h * np.arange(start, start + block + 1)
+        ends = np.sin(omega * times)
+        sines = np.stack([ends[:-1], np.sin(omega * (times[:-1] + 0.5 * h)),
+                          ends[1:]], axis=1)
         monomials = np.prod(sines[:, None] ** POWERS, axis=-1)
         np.matmul((groups * monomials).reshape(-1, len(POWERS)), images,
                   out=grouped)

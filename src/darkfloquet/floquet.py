@@ -28,11 +28,11 @@ __all__ = [
 ]
 
 # complex values (8 MB) one sweep chunk may keep: per grid point, n^3 for Q_j
-# plus QJ_BLOCK n^2 for the U(s) rows summed into it, n^2 for U(T) alone, or
-# (N/2 + 1 + 2 span) n for row 0 of U(s) up to T/2 and a span's half-period
-# starts; also the real entries of a property-suite stack, n^2 each. min
-# P1's (N/2 + 1) n^2 real pair table of row 0 is built for one point at a
-# time, once per span of periods, never for a chunk
+# plus QJ_BLOCK n^2 for the U(s) rows summed into it, 8 n^2 for U(T) and the
+# step loop's and eigensolve's buffers, or (N/2 + 1 + 2 span) n for row 0 of
+# U(s) up to T/2 and a span's starts; also the real entries of a property
+# suite stack, n^2 each. min P1's (N/2 + 1) n^2 real pair table of row 0 is
+# built for one point at a time, once per span of periods, never for a chunk
 MAX_CHUNK_VALUES = 5 * 10**5
 MIN_P1_SPAN = 1000  # periods, 2 starts each, chained at once; tables last one
 MIN_P1_BLOCK = 100  # half periods per block of the min-P1 evaluation
@@ -93,7 +93,8 @@ def _modes(systems, uts: np.ndarray):
     included, is one of U. theta is the middle of the point's widest
     eigenphase gap, at least 2 pi/n wide, which keeps z - U well
     conditioned. A mode's eigenvalue is v^dag U v; one off the unit circle
-    is refused (NumericalQualityError)."""
+    is refused (NumericalQualityError); no NaN reaches it, as eigvals raises
+    LinAlgError on NaN or inf and a finite z - U, z mid-gap, is invertible."""
     phases = np.sort(np.angle(np.linalg.eigvals(uts)))
     gaps = np.diff(phases, append=phases[:, :1] + 2 * np.pi)
     theta = np.take_along_axis(phases + 0.5 * gaps,
@@ -134,8 +135,7 @@ def _spectra(systems, settings: PropagationSettings):
     of systems that share n, v and omega, each point's modes by quasi-energy;
     a mode's averaged population on site j is vec^dag Q_j vec."""
     _check_resolution(systems[0].v, systems[0].omega)
-    spectra = []
-    n = systems[0].n
+    spectra, n = [], systems[0].n
     for chunk in _chunks(systems, n ** 3 + QJ_BLOCK * n ** 2):
         _, q, uts = propagator_averages(chunk, settings)
         eps, vecs = _modes(chunk, uts)
@@ -238,7 +238,7 @@ def quasi_energy_branches(n: int, v: float, omega: float, ratios,
     _check_resolution(v, omega)
     eps, vecs = map(np.concatenate, zip(*[
         _modes(chunk, period_maps(chunk, settings))
-        for chunk in _chunks(systems, n * n)]))
+        for chunk in _chunks(systems, 8 * n * n)]))
     _track(eps, vecs)
     return eps, vecs
 

@@ -60,6 +60,12 @@ FAULTS = [
      "(np.abs(y - m) < 0.4999)", "(np.abs(y - m) <= 0.5)"),
     ("_modes unit-circle guard 1e-7 -> 1", f"{PKG}/floquet.py",
      "<= 1e-7))", "<= 1))"),
+    ("PropagationSettings without its upper bound", f"{PKG}/evolve.py",
+     "if not 100 <= n_steps < 2 * MAX_KEPT_VALUES or n_steps % 2:",
+     "if not 100 <= n_steps or n_steps % 2:"),
+    ("quasi_energy_branches' chunk charge back at n^2", f"{PKG}/floquet.py",
+     "for chunk in _chunks(systems, 8 * n * n)]))",
+     "for chunk in _chunks(systems, n * n)]))"),
     ("_match_branches without the quasi-energy tie-break", f"{PKG}/floquet.py",
      "order = np.lexsort((np.abs(e_prev[:, None] - e_next).ravel(),\n"
      "                        -overlap.ravel()))",

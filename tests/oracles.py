@@ -1,7 +1,9 @@
 """Independent reference computations used to pin expected values.
 
 These deliberately avoid the code paths they check: the Bessel oracle is a
-fixed-length series in exact rational arithmetic, the matrix exponential
+fixed-length series in exact rational arithmetic for any order J_m, the
+dark mode's even-site population is the first-order kick-operator formula
+of those J_m and of the averaged chain's dark state, the matrix exponential
 is scaling-and-squaring on the raw series, the time evolution is a plain
 RK4 over every step on a stack of state vectors, with H(t) built from the
 systems' fields rather than from darkfloquet, and one RK4 step of the
@@ -23,19 +25,49 @@ from math import factorial
 
 import numpy as np
 
-from darkfloquet import DrivenSystem, PropagationSettings
+from darkfloquet import (DrivenSystem, PropagationSettings,
+                         dark_state_closed_form)
 from darkfloquet.evolve import propagator_site1
 from darkfloquet.floquet import _modes
 
 
+def bessel_series_oracle(x: float, orders, terms: int = 60) -> list[float]:
+    """Bessel functions J_m(x) for each m >= 0 of orders, by a 60-term power
+    series in exact rational arithmetic (error < 1e-15 for |x| <= 12)."""
+    # sum_k (-1)^k q^k / (k! (k + m)!), q = (x/2)^2 = a/b, over the common
+    # denominator b^terms terms! (terms + m)!: one fraction is reduced per m
+    a, b = (Fraction(x) ** 2 / 4).as_integer_ratio()
+    scaled = [(-1) ** k * a**k * b ** (terms - k)
+              * (factorial(terms) // factorial(k)) for k in range(terms)]
+    values = []
+    for m in orders:
+        top = factorial(terms + m)
+        total = sum(s * (top // factorial(k + m)) for k, s in enumerate(scaled))
+        values.append(float((Fraction(x) / 2) ** m * Fraction(
+            total, b**terms * factorial(terms) * top)))
+    return values
+
+
 def j0_series_oracle(x: float, terms: int = 60) -> float:
-    """Zeroth-order Bessel function by a 60-term power series in exact
-    rational arithmetic (error < 1e-15 for |x| <= 12)."""
-    q = Fraction(x) ** 2 / 4
-    total = Fraction(0)
-    for k in range(terms):
-        total += (-1) ** k * q**k / Fraction(factorial(k)) ** 2
-    return float(total)
+    """Zeroth-order Bessel function by `bessel_series_oracle`."""
+    return bessel_series_oracle(x, [0], terms)[0]
+
+
+def intermediate_population_oracle(n: int, v: float, omega: float,
+                                   ratio: float) -> float:
+    """First-order period average of the dark Floquet mode's population on
+    the even sites, (v/omega)^2 |w_1|^2 2 sum_{m>=1} J_m(A/omega)^2 / m^2,
+    with w the averaged chain's dark state (`dark_state_closed_form`, first
+    bond v J0(A/omega)). In the frame that the drive's phase rotates, only
+    bond (1, 2) depends on time, with Fourier components of modulus
+    v |J_m(A/omega)|; the kick operator sum_{m != 0} H_m e^{i m omega t} /
+    (i m omega) moves a share |H_m / (m omega)|^2 of |w_1|^2 to site 2."""
+    # 30 terms reach 1e-40 for ratio <= 5, and J_m^2 / m^2 is below 1e-20
+    # there from m = 20 on
+    bessel = bessel_series_oracle(ratio, range(21), 30)
+    w1sq = dark_state_closed_form(n, v, v * bessel[0]).localization
+    kick = 2 * sum(j * j / (m * m) for m, j in enumerate(bessel) if m)
+    return (v / omega) ** 2 * w1sq * kick
 
 
 def j0_first_zero_oracle() -> float:

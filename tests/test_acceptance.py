@@ -15,7 +15,8 @@ from darkfloquet import (DrivenSystem, PropagationSettings, bessel_j0,
 from darkfloquet.effective import _effective_matrices
 
 from conftest import FULL_GRID
-from oracles import floquet_floor, j0_series_oracle, tridiag_det_sequence
+from oracles import (floquet_floor, intermediate_population_oracle,
+                     j0_series_oracle, tridiag_det_sequence)
 
 HORIZON_PERIODS = 400
 
@@ -261,3 +262,33 @@ def test_criterion_12_floquet_floor_bounds_min_p1_for_all_time():
              "even n floor <= 0.05; |floor - F_n| falls per doubling of "
              "omega (" + "; ".join(ratios) + ")", not failures,
              "; ".join(failures))
+
+
+def test_criterion_13_intermediate_population_follows_the_kick_operator():
+    # the zero-quasi-energy mode's period-averaged population on the even
+    # sites against the first-order kick operator's (v/omega)^2 |w_1|^2
+    # 2 sum_{m>=1} J_m(A/omega)^2 / m^2; the next order is O(omega^-4), so
+    # the relative error falls about 4x per doubling of omega
+    ratios = np.linspace(0.05, 5.0, 60)
+    errors, failures = {}, []
+    for n in (3, 5):
+        # at v = 1 the prediction is 1/omega^2 times its value at omega = 1
+        unit = np.array([intermediate_population_oracle(n, 1.0, 1.0, r)
+                         for r in ratios])
+        for omega in (10.0, 20.0, 40.0):
+            sweep = quasi_energy_sweep(n, 1.0, omega, ratios)
+            k = np.argmin(np.abs(sweep.quasi_energies), axis=1)
+            even = sweep.avg_populations[np.arange(len(ratios)), k, 1::2]
+            errors[n, omega] = np.max(np.abs(
+                even.sum(axis=1) * omega**2 / unit - 1.0))
+        series = [errors[n, omega] for omega in (10.0, 20.0, 40.0)]
+        falls = [a / b for a, b in zip(series, series[1:])]
+        if series[0] > 0.06 or min(falls) < 3.5:
+            failures.append(f"n={n}: " + ", ".join(f"{e:.2%}" for e in series)
+                            + " at omega 10, 20, 40 (needs <= 6 % at 10 and "
+                            ">= 3.5x a doubling)")
+    _verdict(13, "dark mode's even-site population vs first-order kick "
+             "operator, largest relative error at omega 10, 20, 40: "
+             + "; ".join(f"n={n} " + ", ".join(
+                 f"{errors[n, w]:.2%}" for w in (10.0, 20.0, 40.0))
+                 for n in (3, 5)), not failures, "; ".join(failures))

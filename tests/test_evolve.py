@@ -44,9 +44,11 @@ def test_settings_validation(monkeypatch):
         raise AssertionError("the step loop was entered")
 
     monkeypatch.setattr(evolve, "_rk4_steps", never)
-    for steps in (50, 99, 101, 2001):
-        with pytest.raises(ConfigError, match="even"):
+    for steps in (50, 99, 101, 2001, 10**8, 10**8 + 2, 10**12):
+        with pytest.raises(ConfigError, match="even, >= 100 and < 100000000"):
             PropagationSettings(steps_per_period=steps)
+    # a half period's N/2 + 1 times fit in MAX_KEPT_VALUES up to 10^8 - 2
+    assert PropagationSettings(10**8 - 2).steps_per_period == 10**8 - 2
     for periods in (0, -1, 2.5, 1.0):
         with pytest.raises(ConfigError):
             propagate(DrivenSystem(3, 1, 0, 10), basis_state(3), periods)
@@ -60,6 +62,11 @@ def test_settings_validation(monkeypatch):
             state[j] = bad
             with pytest.raises(ConfigError, match="norm is"):
                 propagate(DrivenSystem(3, 1.0, 24.0, 10.0), state, 2)
+    # the bound reads MAX_KEPT_VALUES when the settings are made
+    monkeypatch.setattr(evolve, "MAX_KEPT_VALUES", 501)
+    PropagationSettings(1000)
+    with pytest.raises(ConfigError, match="< 1002, got 1002"):
+        PropagationSettings(1002)
 
 
 @pytest.mark.parametrize("other", [DrivenSystem(4, 1.0, 5.0, 10.0),
@@ -147,10 +154,10 @@ class TestMonodromy:
 
 
 def test_drive_tables_do_not_grow_with_the_grid():
-    # 201 grid points at 20000 steps: only the 1-D sine tables are sized by
-    # the step count, not a (steps + 1, points) table, and a block of ΔP_k
-    # holds at most STEP_BLOCK_VALUES values, where STEP_BLOCK steps of the
-    # grid would take 6 MiB at n = 11
+    # 201 grid points at 20000 steps: a block takes its sines from its own
+    # times, so no table is sized by the step count or by the grid, and a
+    # block of ΔP_k holds at most STEP_BLOCK_VALUES values, where STEP_BLOCK
+    # steps of the grid would take 6 MiB at n = 11
     for n in (3, 11):
         systems = [DrivenSystem(n, 1.0, float(r) * 10.0, 10.0)
                    for r in np.linspace(0.0, 5.0, 201)]
@@ -164,6 +171,25 @@ def test_drive_tables_do_not_grow_with_the_grid():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+def test_step_loop_does_not_grow_with_the_step_count():
+    # after 2 STEP_BLOCK steps the loop holds its block, its 12 images, its
+    # state and its product buffer, whatever N is: a table of one value a
+    # step would add 30 MiB at N = 2·10^6
+    systems = [DrivenSystem(3, 1.0, float(r) * 10.0, 10.0)
+               for r in np.linspace(0.0, 5.0, 31)]
+    peaks = []
+    for steps in (2000, 2 * 10**6):
+        tracemalloc.start()
+        try:
+            for k, _ in evolve._rk4_steps(systems, steps):
+                if k == 2 * evolve.STEP_BLOCK:
+                    break
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 2**20 and abs(peaks[1] - peaks[0]) < 2**10, peaks
 
 
 @pytest.mark.parametrize("v", [0.0, 0.37, 1.0])
@@ -346,8 +372,8 @@ def test_blown_up_period_maps_raise_without_a_warning():
 
 def test_overflowing_period_raises_without_a_warning():
     # at the smallest normal omega the period overflows, and with it the
-    # step loop's drive and time tables: the guards report the NaN, and no
-    # RuntimeWarning escapes the tables or the trajectory's times
+    # step loop's times and sines: the guards report the NaN, and no
+    # RuntimeWarning escapes the sines or the trajectory's times
     system = DrivenSystem(2, 1.0, 0.0, 2.2250738585072014e-308)
     settings = PropagationSettings(steps_per_period=100)
     with warnings.catch_warnings():
@@ -386,8 +412,6 @@ def test_propagate_is_charged_half_a_period_of_propagators(charged, periods,
 
 
 @pytest.mark.parametrize("run, points, steps, values", [
-    # the step loop's sine tables, N/4 + 1 values for the quarter period
-    (evolve.period_maps, 1, 10000, 2501),
     # in complex values, the 2 n^2 of a real image times its block of
     # STEP_BLOCK steps of 5 grouped matrices and of max(G, 2) ΔP_k, the 12
     # grid-free images, and the state and product buffer, G each
@@ -397,7 +421,7 @@ def test_propagate_is_charged_half_a_period_of_propagators(charged, periods,
     (evolve.propagator_site1, 2, 1000, 2 * 501 * 3),
     (evolve.propagator_averages, 16, 100,
      16 * (3**3 + evolve.QJ_BLOCK * 3**2)),  # Q_j and its block of U(s) rows
-], ids=["tables", "state", "site1", "averages"])
+], ids=["state", "site1", "averages"])
 def test_grid_propagators_are_charged(charged, run, points, steps, values):
     # each outweighs the step loop's block of step matrices
     rows = max(points, 2)

@@ -529,17 +529,54 @@ def test_min_p1_grid_is_charged_one_value_a_point(charged, monkeypatch):
     charged(lambda: min_p1_sweep(3, 1.0, 10.0, ratios, 25, COARSE), 51 * 50)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: propagate(DrivenSystem(3, 1.0, 0.0, 10.0), np.eye(3)[0], 10**8),
-    lambda: quasi_energy_sweep(3, 1.0, 10.0, [0.5],
-                               PropagationSettings(10**12)),
-    lambda: floquet.quasi_energy_branches(3, 1.0, 10.0, [0.5],
-                                          PropagationSettings(10**12)),
+@pytest.mark.parametrize("call, message", [
+    (lambda: propagate(DrivenSystem(3, 1.0, 0.0, 10.0), np.eye(3)[0], 10**8),
+     "run would hold"),
+    # the settings refuse the step count before any sweep sees it
+    (lambda: quasi_energy_sweep(3, 1.0, 10.0, [0.5],
+                                PropagationSettings(10**12)),
+     "steps_per_period must be even, >= 100 and < 100000000"),
+    (lambda: floquet.quasi_energy_branches(3, 1.0, 10.0, [0.5],
+                                           PropagationSettings(10**12)),
+     "steps_per_period must be even, >= 100 and < 100000000"),
 ], ids=["propagate", "quasi_energy_sweep", "quasi_energy_branches"])
-def test_oversized_calls_are_refused_before_allocating(call):
+def test_oversized_calls_are_refused_before_allocating(call, message):
     # each asked numpy for terabytes and raised MemoryError
-    with pytest.raises(ConfigError, match="run would hold"):
+    with pytest.raises(ConfigError, match=message):
         call()
+
+
+def test_quarter_period_chunks_are_charged_the_loop_and_eigensolve():
+    # a chunk of U(T) points is charged 8 n^2 a point, for the step loop's
+    # state, product buffer and block of ΔP_k and the eigensolve's
+    # temporaries besides U(T); a charge of n^2 lets the chunk outgrow
+    # MAX_CHUNK_VALUES, to a peak of 19.8 MiB here
+    ratios = np.linspace(0.0, 1.0, 1500)
+    tracemalloc.start()
+    try:
+        eps, vecs = floquet.quasi_energy_branches(11, 1.0, 10.0, ratios,
+                                                  COARSE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    results = eps.nbytes + vecs.nbytes
+    assert peak <= 2 * results + 16 * floquet.MAX_CHUNK_VALUES, peak / 2**20
+
+
+def test_default_quarter_period_grids_are_one_chunk(monkeypatch):
+    # effective-compare's 21 points at n = 11 and the 201-point default
+    # grid each take one step loop
+    sizes = []
+
+    def identities(systems, settings):
+        sizes.append(len(systems))
+        return np.repeat(np.eye(11, dtype=complex)[None], len(systems), 0)
+
+    monkeypatch.setattr(floquet, "period_maps", identities)
+    for points in (21, 201):
+        floquet.quasi_energy_branches(11, 1.0, 10.0,
+                                      np.linspace(0.0, 5.0, points))
+    assert sizes == [21, 201]
 
 
 def _sambe_errors(n: int, steps: int):

@@ -602,8 +602,8 @@ class TestCli:
         assert main(["dynamics", "--n", "250", "--periods", "1"]) == 2
         assert re.search(r"would hold 62562500 values .*U\(s\)",
                          capsys.readouterr().err)
-        # effective-compare's quarter period holds N/4 + 1 sines, past
-        # MAX_KEPT_VALUES = 5·10^7 at 2·10^8 steps
+        # the settings refuse 2·10^8 steps: a half period's N/2 + 1 times
+        # would pass MAX_KEPT_VALUES = 5·10^7
         for command in ("floquet-sweep", "effective-compare"):
             assert main([command, "--n", "11",
                          "--steps-per-period", "200000000"]) == 2
