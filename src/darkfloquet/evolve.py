@@ -135,12 +135,12 @@ def _step_terms(systems, h: float):
     return w.reshape(len(POWERS), n, n) / 6.0, np.vander(beta, 5, increasing=True)
 
 
-def _rk4_steps(systems, n_steps: int, last: int | None = None):
-    """RK4 on i dU/dt = H(t) U from U(0) = 1 to U(last h), last = n_steps/2
-    unless given, for a grid of systems that share n, v and omega; H(t) is
-    the bare chain plus sign_j (A/2) sin(omega t) on site j. Yields (k, us)
-    for k = 0 ... last, with us[g] = U(k h) of systems[g], a view that the
-    next step overwrites.
+def _rk4_steps(systems, n_steps: int):
+    """RK4 on i dU/dt = H(t) U from U(0) = 1 to W = U(T/2), h = T/n_steps,
+    for a grid of systems that share n, v and omega; H(t) is the bare chain
+    plus sign_j (A/2) sin(omega t) on site j. Yields (k, us) for k = 0 ...
+    n_steps/2, with us[g] = U(k h) of systems[g], a view that the next step
+    overwrites; a consumer may stop early.
 
     Step k adds ΔP_k U(k h) to U(k h): the increment, not P_k U(k h), keeps
     RK4's round-off floor. By `_step_terms`, ΔP_k of point g is
@@ -154,7 +154,7 @@ def _rk4_steps(systems, n_steps: int, last: int | None = None):
     n, omega, grid = first.n, first.omega, len(systems)
     if any((s.n, s.v, s.omega) != (n, first.v, omega) for s in systems):
         raise ConfigError("a propagator grid must share n, v and omega")
-    h, last = first.period / n_steps, n_steps // 2 if last is None else last
+    h, last = first.period / n_steps, n_steps // 2
     block = max(2, min(STEP_BLOCK, STEP_BLOCK_VALUES // (grid * n * n)))
     # numpy hands a one-row product to gemv, which rounds unlike gemm, so
     # a one-point grid's powers of beta get a second, unread row
@@ -266,7 +266,8 @@ def period_maps(systems, settings: PropagationSettings = PropagationSettings()):
     """(G, n, n) stack of U(T) for a grid of systems that share n, v and
     omega, from the first ceil(N/4) of the N steps of a period."""
     n_steps = settings.steps_per_period
-    for k, high in _rk4_steps(systems, n_steps, -(-n_steps // 4)):
+    for k, high in itertools.islice(_rk4_steps(systems, n_steps),
+                                    -(-n_steps // 4) + 1):
         if k == n_steps // 4:
             low = high.copy()
     return _maps_from_half(systems, settings, low.swapaxes(-1, -2) @ high)
@@ -281,38 +282,37 @@ def monodromy(system: DrivenSystem,
 @np.errstate(over="ignore", invalid="ignore")  # NaN: the guard trips
 def propagator_site1(systems,
                      settings: PropagationSettings = PropagationSettings()):
-    """(times, rows, ws) for a grid of systems that share n, v and omega:
-    rows[g, k] = <1|U(times[k]), times[k] = k h for k = 0 ... N/2, ws[g] =
-    W = U(T/2). Aborts unless U(T) is unitary, as `period_maps` does."""
-    n_steps, half = settings.steps_per_period, settings.steps_per_period // 2
+    """(rows, ws) for a grid of systems that share n, v and omega:
+    rows[g, k] = <1|U(k h) for k = 0 ... N/2, ws[g] = W = U(T/2). Aborts
+    unless U(T) is unitary, as `period_maps` does."""
+    half = settings.steps_per_period // 2
     _hold(len(systems) * (half + 1) * systems[0].n, "row 0 of U(s) up to T/2")
     rows = np.empty((len(systems), half + 1, systems[0].n), dtype=complex)
-    for k, w in _rk4_steps(systems, n_steps):  # the last w is W = U(T/2)
+    for k, w in _rk4_steps(systems, settings.steps_per_period):  # last w: W
         rows[:, k] = w[:, 0]
     _maps_from_half(systems, settings, w)
-    return (systems[0].period / n_steps) * np.arange(half + 1), rows, w
+    return rows, w
 
 
 @np.errstate(over="ignore", invalid="ignore")  # NaN: the guard trips
 def propagator_averages(systems,
                         settings: PropagationSettings = PropagationSettings()):
-    """(times, q, uts) for a grid of systems that share n, v and omega:
+    """(q, uts) for a grid of systems that share n, v and omega:
     q[g, j] = (1/T) int_0^T U^dag |j><j| U dt by the trapezoid rule, so that
     a state c(0) spends c^dag q[g, j] c of the period on site j; uts[g] =
     U(T). The loop sums the first half, S; the second is W^dag Γ S* Γ W."""
-    n, n_steps = systems[0].n, settings.steps_per_period
-    half = n_steps // 2
+    n, half = systems[0].n, settings.steps_per_period // 2
     _hold(len(systems) * (n ** 3 + QJ_BLOCK * n ** 2), "Q_j and its block of U(s)")
     q = np.zeros((len(systems), n, n, n), dtype=complex)
     # the loop's U(k h) are summed into q QJ_BLOCK at a time: block[g, b] is
     # U(k h) of point g for the b-th step k of a block, the trapezoid's ends
     # k = 0 and N/2 scaled by √½; x[g, j] holds row j of each
     block = np.empty((len(systems), QJ_BLOCK, n, n), dtype=complex)
-    for k, w in _rk4_steps(systems, n_steps):  # the last w is W = U(T/2)
+    for k, w in _rk4_steps(systems, settings.steps_per_period):  # last w: W
         block[:, k % QJ_BLOCK] = w if k % half else np.sqrt(0.5) * w
         if k % QJ_BLOCK == QJ_BLOCK - 1 or k == half:  # q[g, j] += x^dag x
             x = block[:, :k % QJ_BLOCK + 1].transpose(0, 2, 1, 3)
             np.add(q, x.conj().swapaxes(-1, -2) @ x, out=q)
     q += w.conj().swapaxes(-1, -2)[:, None] @ _glide(q, w[:, None])
     uts = _maps_from_half(systems, settings, w)
-    return (systems[0].period / n_steps) * np.arange(n_steps + 1), q / n_steps, uts
+    return q / settings.steps_per_period, uts

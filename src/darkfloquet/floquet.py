@@ -39,11 +39,11 @@ MIN_P1_BLOCK = 100  # half periods per block of the min-P1 evaluation
 # min P1 as a real quadratic form costs a point's pair table once a span and
 # a real gemm of n^2 terms a sample, the complex product 4n real products
 # and a hypot a sample. min_p1_sweep over 400 periods on 31 points, one BLAS
-# thread, medians of 11 interleaved runs, quadratic against complex: 134
-# against 162 ms at n = 7, 157 against 183 at n = 8, 201 against 203 at
-# n = 9, 297 against 250 at n = 11. The form follows n alone, so a point
-# rounds alike in any grid
-QUADRATIC_MAX_N = 8
+# thread, 9 interleaved pairs, quadratic against complex, and the pairs the
+# quadratic form won: n = 8 87 against 117 ms, 9 of 9; n = 9 115 against
+# 132, 9 of 9; n = 10 143 against 144, 5 of 9; n = 11 166 against 146, 0 of
+# 9. The form follows n alone, so a point rounds alike in any grid
+QUADRATIC_MAX_N = 9
 # bound on the site-1 samples of one min_p1_sweep point: a few seconds' work
 MAX_SAMPLES_PER_POINT = 10**9
 DARK_EPS_TOL, DARK_POP_TOL = 1e-4, 0.02  # dark mode: |eps|/omega, even-site <P>
@@ -137,7 +137,7 @@ def _spectra(systems, settings: PropagationSettings):
     _check_resolution(systems[0].v, systems[0].omega)
     spectra, n = [], systems[0].n
     for chunk in _chunks(systems, n ** 3 + QJ_BLOCK * n ** 2):
-        _, q, uts = propagator_averages(chunk, settings)
+        q, uts = propagator_averages(chunk, settings)
         eps, vecs = _modes(chunk, uts)
         pops = np.einsum("gak,gjab,gbk->gkj", vecs.conj(), q, vecs).real
         spectra.append((eps, vecs, pops))
@@ -301,7 +301,7 @@ def min_p1_sweep(n: int, v: float, omega: float, ratios, periods: int,
             return np.square(np.abs(amps).min())
     out = []
     for chunk in chunks:
-        _, rows, ws = propagator_site1(chunk, settings)
+        rows, ws = propagator_site1(chunk, settings)
         chain = _starts(ws, np.eye(1, n, dtype=complex).repeat(len(chunk), 0))
         least = np.full(len(chunk), np.inf)
         for j0 in range(0, 2 * periods, span):

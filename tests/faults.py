@@ -4,9 +4,11 @@ Copies the checkout to a temporary directory, applies one hand-made fault
 at a time to the copy and runs the test suite there with -x. For each fault
 it prints the first failing test, or SURVIVED if the suite still passes.
 The unfaulted copy runs first, so that a fault is only credited against a
-suite that passes without it.
+suite that passes without it. Substring arguments run, after the unfaulted
+copy, only the faults whose names contain one of them:
 
     python tests/faults.py
+    python tests/faults.py "never fires" Q_j
 
 Each fault is an exact text edit of one source file, or a tuple of such
 edits applied in order; it raises if a text is not found exactly once, so
@@ -30,6 +32,17 @@ PKG = "src/darkfloquet"
 
 ERRSTATE = '@np.errstate(over="ignore", invalid="ignore")  # NaN: the guard trips\n'
 STARTS = "x = gamma * (w @ x[..., None])[..., 0].conj()"
+
+
+def never(name: str, path: str, guard: str, before: str = ""):
+    """The fault in which a guard never fires: guard is its `if` line, then
+    whatever text makes it unique in path, as does the text before it."""
+    head, sep, tail = guard.partition("\n")
+    if not (head.startswith("if ") and head.endswith(":")):
+        raise ValueError(f"fault {name!r}: {head!r} is not an if line")
+    return (f"{name} never fires", path, before + guard,
+            before + "if False:" + sep + tail)
+
 
 # (name, file, text, faulty text); a fault of several edits gives both
 # texts as tuples
@@ -90,6 +103,72 @@ FAULTS = [
      "return hi + inc_hi + (lo < inc_lo), lo", "return hi + inc_hi, lo"),
     ("SeedSequence mix constant with its lowest bit cleared",
      f"{PKG}/effective.py", "0xCA01F9DD", "0xCA01F9DC"),
+    # NaN-safe guards, `not x <= b`, in their NaN-blind twin `x > b`, and
+    # guards turned off; a guard whose twin is caught needs no never-fires
+    # fault, as a test that a NaN trips also fails when nothing trips
+    ("_maps_from_half's unitarity guard NaN-blind", f"{PKG}/evolve.py",
+     "bad = np.flatnonzero(~(defects <= UNITARITY_TOL))",
+     "bad = np.flatnonzero(defects > UNITARITY_TOL)"),
+    ("propagate's initial-norm guard NaN-blind", f"{PKG}/evolve.py",
+     "if not abs(nrm - 1.0) <= 1e-9:", "if abs(nrm - 1.0) > 1e-9:"),
+    ("propagate's drift guard NaN-blind", f"{PKG}/evolve.py",
+     "if not drift <= NORM_DRIFT_ABORT:", "if drift > NORM_DRIFT_ABORT:"),
+    ("bessel_j0's range guard NaN-blind", f"{PKG}/effective.py",
+     "if not x <= 1e4:", "if x > 1e4:"),
+    never("DrivenSystem's finiteness check", f"{PKG}/model.py",
+          "if not np.all(np.isfinite([self.v, self.amplitude, self.omega])):"),
+    never("min P1's finite guard", f"{PKG}/floquet.py",
+          "if len(bad):\n        raise NumericalQualityError(\n"
+          "            f\"min P1 is"),
+    # every other guard of a `raise`, turned off
+    never("--ratio-grid's form check", f"{PKG}/cli.py",
+          "if count < 0 or not np.isfinite(hi - lo):"),
+    never("dark_state_closed_form's odd-n check", f"{PKG}/effective.py",
+          "if n % 2 == 0:\n        raise ConfigError(f\"no unique zero mode"),
+    never("dark_state_closed_form's finite v check", f"{PKG}/effective.py",
+          "if not np.all(np.isfinite([v, v_eff])):",
+          before="for even n (got n={n})\")\n    "),
+    never("localization's odd-n check", f"{PKG}/effective.py",
+          "if n % 2 == 0:\n        raise ConfigError(f\"localization is"),
+    never("localization's finite v check", f"{PKG}/effective.py",
+          "if not np.all(np.isfinite([v, v_eff])):",
+          before="for odd n (got n={n})\")\n    "),
+    never("verify_properties' trials check", f"{PKG}/effective.py",
+          "if trials < 1:"),
+    never("verify_properties' seed check", f"{PKG}/effective.py",
+          "if rng_seed < 0:"),
+    never("verify_properties' draw bound", f"{PKG}/effective.py",
+          "if (trials + 1) * len(n_range) > MAX_DRAWS:"),
+    never("verify_properties' matrix size check", f"{PKG}/effective.py",
+          "if n < 2:"),
+    never("_hold", f"{PKG}/evolve.py", "if values > MAX_KEPT_VALUES:"),
+    never("the step loop's shared-grid check", f"{PKG}/evolve.py",
+          "if any((s.n, s.v, s.omega) != (n, first.v, omega) "
+          "for s in systems):"),
+    never("propagate's periods check", f"{PKG}/evolve.py",
+          "if not isinstance(periods, (int, np.integer)) or periods < 1:"),
+    never("propagate's initial shape check", f"{PKG}/evolve.py",
+          "if initial.shape != (system.n,):"),
+    never("_grid_systems' 1-D check", f"{PKG}/floquet.py",
+          "if ratios.ndim != 1 or len(ratios) == 0:"),
+    never("_grid_systems' ratio check", f"{PKG}/floquet.py",
+          "if np.any(~np.isfinite(ratios)) or np.any(ratios < 0):"),
+    never("min_p1_sweep's periods check", f"{PKG}/floquet.py",
+          "if not isinstance(periods, (int, np.integer)) or periods < 1:"),
+    never("min_p1_sweep's sample bound", f"{PKG}/floquet.py",
+          "if samples > MAX_SAMPLES_PER_POINT:"),
+    never("ExperimentConfig's experiment check", f"{PKG}/harness.py",
+          "if self.experiment not in EXPERIMENTS:"),
+    never("ExperimentConfig's sweep-min-pop periods check",
+          f"{PKG}/harness.py",
+          "if self.experiment == \"sweep-min-pop\" and self.periods < 10:"),
+    never("ExperimentConfig's sorted-grid check", f"{PKG}/harness.py",
+          "if np.any(flat[1:] < flat[:-1]):"),
+    never("DrivenSystem's n check", f"{PKG}/model.py", "if self.n < 2:"),
+    never("DrivenSystem's omega check", f"{PKG}/model.py",
+          "if self.omega <= 0:"),
+    never("DrivenSystem's amplitude check", f"{PKG}/model.py",
+          "if self.amplitude < 0:"),
 ]
 
 
@@ -120,7 +199,9 @@ def first_failure(copy: Path) -> str | None:
     return found[0] if found else f"exit {run.returncode}, no failing test named"
 
 
-def main() -> int:
+def main(patterns: list[str]) -> int:
+    chosen = [fault for fault in FAULTS
+              if not patterns or any(p in fault[0] for p in patterns)]
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -133,7 +214,7 @@ def main() -> int:
         if baseline:
             return 1
         survivors = 0
-        for name, path, old, new in FAULTS:
+        for name, path, old, new in chosen:
             source = (copy / path).read_text()
             (copy / path).write_text(apply(source, old, new, name))
             try:
@@ -146,4 +227,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -358,7 +358,7 @@ def floquet_floor(n: int, v: float, omega: float, ratios,
     gives the second half's rows, conj(r(s)) Γ W, and U(T) = Γ conj(W) Γ W,
     whose modes are `floquet._modes`."""
     systems = [DrivenSystem(n, v, float(r) * omega, omega) for r in ratios]
-    _, half, ws = propagator_site1(systems, PropagationSettings(steps_per_period))
+    half, ws = propagator_site1(systems, PropagationSettings(steps_per_period))
     gamma = (-1.0) ** np.arange(n)
     rows = np.concatenate([half, (half[:, 1:].conj() * gamma) @ ws], axis=1)
     vecs = _modes(systems, (gamma[:, None] * ws.conj() * gamma) @ ws)[1]

@@ -264,13 +264,16 @@ class TestVerifyProperties:
         charged(lambda: verify_properties([3, 40], trials=1), 40**2)
 
     def test_draws_are_bounded_before_the_first(self, monkeypatch):
-        # each draw keeps about 3.5 checks; 10^9 of them would not fit
-        with pytest.raises(ConfigError, match="would draw 1000000001 "):
-            verify_properties([2], trials=10**9)
+        # each draw keeps about 3.5 checks; 10^9 of them would not fit. The
+        # small bound comes first, so that a missing bound fails on 6 draws
+        # rather than allocating for 10^9
         monkeypatch.setattr(effective, "MAX_DRAWS", 4)
         assert len(verify_properties([2, 3], trials=1).checks) > 0
         with pytest.raises(ConfigError, match="would draw 6 effective"):
             verify_properties([2, 3], trials=2)
+        monkeypatch.undo()
+        with pytest.raises(ConfigError, match="would draw 1000000001 "):
+            verify_properties([2], trials=10**9)
 
     def test_reproducible(self):
         r1 = verify_properties([3, 4], trials=5, rng_seed=9)

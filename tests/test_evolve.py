@@ -277,17 +277,19 @@ def test_loop_integrates_half_a_period():
     assert seen == list(range(1001)) and us.shape == (1, 3, 3)
 
 
-@pytest.mark.parametrize("steps", [2000, 2002])
-def test_sampler_times_span_the_period(steps):
-    # the loop builds no times; each sampler's are h k, bit for bit, for
-    # k = 0..N/2 of the site-1 rows and k = 0..N of the period averages
-    systems = [DrivenSystem(3, 1.0, a, 10.0) for a in (20.0, 7.0)]
-    settings = PropagationSettings(steps_per_period=steps)
-    h = systems[0].period / steps
-    for run, last in ((evolve.propagator_site1, steps // 2),
-                      (evolve.propagator_averages, steps)):
-        assert np.array_equal(run(systems, settings)[0],
-                              h * np.arange(last + 1))
+def test_averages_hold_nothing_sized_by_the_step_count():
+    # the Q_j sampler keeps Q_j and its block of U(s), whatever N is: an
+    # array of two values a step would add 0.3 MiB at N = 20000
+    system = DrivenSystem(2, 1.0, 5.0, 10.0)
+    peaks = []
+    for steps in (2000, 20000):
+        tracemalloc.start()
+        try:
+            evolve.propagator_averages([system], PropagationSettings(steps))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 16 * 2**10, peaks
 
 
 def test_leaving_the_step_loop_restores_the_error_state():
@@ -343,7 +345,8 @@ def test_quarter_period_maps_match_direct_stepping(n, steps):
 
 
 def test_period_maps_integrate_a_quarter_period(monkeypatch):
-    # the step loop yields U(k h) for k = 0..ceil(N/4) only
+    # period_maps leaves the half-period loop after U(ceil(N/4) h): it takes
+    # k = 0..ceil(N/4) only
     seen = []
     steps_of = evolve._rk4_steps
 

@@ -653,9 +653,9 @@ class TestCli:
         site1 = floquet.propagator_site1
 
         def poisoned(systems, settings):
-            ts, rows, uts = site1(systems, settings)
+            rows, ws = site1(systems, settings)
             rows[1, 17, 0] = np.nan
-            return ts, rows, uts
+            return rows, ws
 
         monkeypatch.setattr(floquet, "propagator_site1", poisoned)
         out = tmp_path / "min_pop.csv"
