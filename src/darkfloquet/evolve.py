@@ -25,7 +25,7 @@ product; no inner sum of these products spans points, so a point rounds as
 in a one-point grid. The loop holds its block alone, sines included;
 callers keep what they read: U(s), its row 0, or Q_j, summed QJ_BLOCK steps
 at a time. `_hold` refuses an array sized from a caller's input past
-MAX_KEPT_VALUES values before it is made; PropagationSettings bounds N.
+MAX_KEPT_VALUES values before it is made; N has a ceiling of its own.
 
 No re-normalization is ever applied mid-trajectory: norm drift is kept as a
 quality diagnostic, and propagation aborts if it exceeds its bound. Each
@@ -71,13 +71,15 @@ def _hold(values: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class PropagationSettings:
+    """steps_per_period N: even, >= 100 and < 10^8, the only bound on the work
+    of period_maps and propagator_averages, which hold no array sized by N."""
     steps_per_period: int = 2000
 
     def __post_init__(self):
-        n_steps = self.steps_per_period  # N/2 + 1 <= MAX_KEPT_VALUES
-        if not 100 <= n_steps < 2 * MAX_KEPT_VALUES or n_steps % 2:
+        n_steps = self.steps_per_period
+        if not 100 <= n_steps < 10**8 or n_steps % 2:
             raise ConfigError("steps_per_period must be even, >= 100 and < "
-                              f"{2 * MAX_KEPT_VALUES}, got {n_steps}")
+                              f"{10**8}, got {n_steps}")
 
 
 @dataclass(frozen=True)

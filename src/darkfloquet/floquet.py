@@ -31,8 +31,10 @@ __all__ = [
 # plus QJ_BLOCK n^2 for the U(s) rows summed into it, 8 n^2 for U(T) and the
 # step loop's and eigensolve's buffers, or (N/2 + 1 + 2 span) n for row 0 of
 # U(s) up to T/2 and a span's starts; also the real entries of a property
-# suite stack, n^2 each. min P1's (N/2 + 1) n^2 real pair table of row 0 is
-# built for one point at a time, once per span of periods, never for a chunk
+# suite stack, n^2 each. min P1's pair tables are built one point at a time,
+# never for a chunk. A Q_j flush briefly holds a second QJ_BLOCK n^2, the
+# conj of its block, uncharged: charged, it split default floquet-sweep
+# --n 5 and --n 11 into 2 and 6 chunks, not 1 and 4, 15 % and 11 % slower
 MAX_CHUNK_VALUES = 5 * 10**5
 MIN_P1_SPAN = 1000  # periods, 2 starts each, chained at once; tables last one
 MIN_P1_BLOCK = 100  # half periods per block of the min-P1 evaluation

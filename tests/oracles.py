@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: the Bessel oracle is a
 fixed-length series in exact rational arithmetic for any order J_m, the
 dark mode's even-site population is the first-order kick-operator formula
-of those J_m and of the averaged chain's dark state, the matrix exponential
+of those J_m and of the averaged chain's dark state, the quasi-energies to
+second order in 1/omega are the eigenvalues of a van Vleck effective
+Hamiltonian built from those J_m alone, the matrix exponential
 is scaling-and-squaring on the raw series, the time evolution is a plain
 RK4 over every step on a stack of state vectors, with H(t) built from the
 systems' fields rather than from darkfloquet, and one RK4 step of the
@@ -68,6 +70,45 @@ def intermediate_population_oracle(n: int, v: float, omega: float,
     w1sq = dark_state_closed_form(n, v, v * bessel[0]).localization
     kick = 2 * sum(j * j / (m * m) for m, j in enumerate(bessel) if m)
     return (v / omega) ** 2 * w1sq * kick
+
+
+def second_order_oracle(n: int, v: float, omega: float, ratio: float,
+                        m_max: int = 20) -> np.ndarray:
+    """Eigenvalues, ascending, of H_0 + H^(2), the van Vleck high-frequency
+    expansion of the driven chain to second order in 1/omega.
+
+    In the frame that the drive's phase rotates, only bond (1, 2) depends on
+    time: H(t) = sum_m H_m e^{i m omega t}, with v e^{iA/omega} (-i)^m
+    J_m(A/omega) at (1, 2) of H_m, its Hermitian partner at (2, 1), and v on
+    every other bond of H_0 alone, so H_0 is the gauged averaged chain. The
+    first order, sum_{m != 0} [H_m, H_-m]/(m omega), vanishes, as
+    |J_m| = |J_-m|, and H^(2) = sum_{m != 0} [[H_-m, H_0], H_m]/(2 m^2 omega^2)
+    + sum_{m != 0} sum_{m' != 0, m} [[H_-m', H_m'-m], H_m]/(3 m m' omega^2),
+    |m|, |m'| <= m_max, with J_m from `bessel_series_oracle`."""
+    bessel = bessel_series_oracle(ratio, range(2 * m_max + 1))
+
+    def bond(m):  # (1, 2) of H_m; J_-m = (-1)^m J_m
+        j = bessel[abs(m)] * (-1.0) ** min(m, 0)
+        return v * np.exp(1j * ratio) * (-1j) ** m * j
+
+    h = {}
+    for m in range(-2 * m_max, 2 * m_max + 1):
+        h[m] = np.zeros((n, n), dtype=complex)
+        h[m][0, 1], h[m][1, 0] = bond(m), np.conj(bond(-m))
+    h[0][1:, 1:] = v * (np.eye(n - 1, k=1) + np.eye(n - 1, k=-1))
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    second = np.zeros((n, n), dtype=complex)
+    orders = [m for m in range(-m_max, m_max + 1) if m]
+    for m in orders:
+        second += comm(comm(h[-m], h[0]), h[m]) / (2 * m * m * omega**2)
+        for k in orders:
+            if k != m:
+                second += (comm(comm(h[-k], h[k - m]), h[m])
+                           / (3 * m * k * omega**2))
+    return np.linalg.eigvalsh(h[0] + second)
 
 
 def j0_first_zero_oracle() -> float:

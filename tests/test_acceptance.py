@@ -13,10 +13,12 @@ from darkfloquet import (DrivenSystem, PropagationSettings, bessel_j0,
                          min_p1_sweep, monodromy, propagate, quasi_energy_sweep,
                          verify_properties)
 from darkfloquet.effective import _effective_matrices
+from darkfloquet.floquet import quasi_energy_branches
 
 from conftest import FULL_GRID
 from oracles import (floquet_floor, intermediate_population_oracle,
-                     j0_series_oracle, tridiag_det_sequence)
+                     j0_series_oracle, second_order_oracle,
+                     tridiag_det_sequence)
 
 HORIZON_PERIODS = 400
 
@@ -220,6 +222,40 @@ def test_criterion_10_dark_mode_tends_to_stirap_dark_state():
              at10 < 1e-3 and least >= 12.0,
              "; ".join(f"n={n} A/w={r}: " + ", ".join(f"{x:.2e}" for x in s)
                        for (n, r), s in series.items()))
+
+
+def test_criterion_11_quasi_energies_follow_the_second_order_model():
+    # H_0 misses the quasi-energies by O(omega^-2), which criterion 6 sees
+    # falling 4x per doubling; H_0 + H^(2) leaves O(omega^-4), 16x, as the
+    # third order vanishes. The self-check: at n = 3, A/omega = 1 an
+    # FFT-built H^(2) left 2.9e-4, 1.7e-5 and 1.1e-6 at omega 10, 20, 40
+    omegas, ratios = (10.0, 20.0, 40.0), (1.0, 2.0, 3.5)
+    residuals, failures = {}, []
+    for n in (3, 4, 5):
+        for omega in omegas:
+            eps, _ = quasi_energy_branches(n, 1.0, omega, ratios)
+            for e, r in zip(eps, ratios):
+                lam = second_order_oracle(n, 1.0, omega, r)
+                residuals.setdefault((n, r), []).append(
+                    np.max(np.abs(np.sort(e) - lam)))
+    falls = {key: [a / b for a, b in zip(series, series[1:])]
+             for key, series in residuals.items()}
+    for (n, r), series in residuals.items():
+        if min(falls[n, r]) < 12.0:
+            failures.append(f"n={n} A/w={r}: " + ", ".join(
+                f"{x:.2e}" for x in series) + " at omega 10, 20, 40 "
+                "(needs >= 12x a doubling)")
+    if not np.allclose(residuals[3, 1.0], [2.9e-4, 1.7e-5, 1.1e-6],
+                       rtol=0.05, atol=0):
+        failures.append("n=3 A/w=1: " + ", ".join(
+            f"{x:.2e}" for x in residuals[3, 1.0]) + " against the "
+            "self-check's 2.9e-4, 1.7e-5, 1.1e-6")
+    _verdict(11, "max |eps - lambda| against H_0 + H^(2), n=3 A/w=1: "
+             + ", ".join(f"{x:.2e}" for x in residuals[3, 1.0])
+             + " at omega 10, 20, 40; falls per doubling: " + "; ".join(
+                 f"n={n} A/w={r} " + ", ".join(f"{f:.1f}x" for f in fall)
+                 for (n, r), fall in falls.items()),
+             not failures, "; ".join(failures))
 
 
 def test_criterion_12_floquet_floor_bounds_min_p1_for_all_time():

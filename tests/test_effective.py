@@ -233,6 +233,33 @@ class TestVerifyProperties:
         assert not report.ok
         assert {c.property_id for c in report.violations} == {"P1", "P3", "P4"}
 
+    @pytest.mark.parametrize("poison, failing", [
+        ("_zero_modes", {"P1"}), ("_localizations", {"P4-threshold"}),
+        ("eigh", {"P1", "P3", "P4"})], ids=["_zero_modes", "_localizations",
+                                             "eigh"])
+    def test_nan_residuals_fail_their_checks(self, monkeypatch, poison,
+                                             failing):
+        # NaN from a poisoned step, which no drawn matrix reaches, fails the
+        # checks it feeds: a NaN residual fails its bound, and a NaN
+        # spectrum has no zero mode (P1)
+        if poison == "_zero_modes":
+            monkeypatch.setattr(effective, "_zero_modes", lambda n, v, v_eff:
+                                np.full((len(v), n), np.nan))
+        elif poison == "_localizations":
+            localizations = effective._localizations
+            monkeypatch.setattr(
+                effective, "_localizations", lambda n, v, v_eff: (
+                    np.full(len(v), np.nan), localizations(n, v, v_eff)[1]))
+        else:
+            eigh = np.linalg.eigh
+            monkeypatch.setattr(np.linalg, "eigh", lambda a: tuple(
+                np.full_like(x, np.nan) for x in eigh(a)))
+        report = verify_properties([3, 5], trials=3, rng_seed=0)
+        failed = {c.property_id for c in report.checks if not c.passed}
+        assert failed == failing
+        assert all(not c.passed for c in report.checks
+                   if c.property_id in failing)
+
     def test_pinned_draws_and_outcomes(self):
         # (property, n, trial, v, v_eff, pass) of every check at seed 0
         report = verify_properties(range(2, 12), trials=100, rng_seed=0)

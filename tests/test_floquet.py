@@ -100,6 +100,17 @@ class TestDarkMode:
         result = dark_mode(twin)
         assert result.index is None and result.ambiguous
 
+    def test_nan_spectrum_has_no_dark_mode(self):
+        # a NaN quasi-energy or even-site population fails its test
+        spec = floquet_spectrum(DrivenSystem(3, 1.0, 20.0, 10.0))
+        k = dark_mode(spec).index
+        eps, pops = spec.quasi_energies.copy(), spec.avg_populations.copy()
+        eps[k] = pops[k, 1] = np.nan
+        for poisoned in (dataclasses.replace(spec, quasi_energies=eps),
+                         dataclasses.replace(spec, avg_populations=pops)):
+            result = dark_mode(poisoned)
+            assert result.index is None and not result.ambiguous
+
     def test_population_rule_picks_one_of_three_zero_modes(self):
         # just above omega = 1 the undriven chain's eigenvalues +-1 fold to
         # -+5e-5: three modes pass the quasi-energy rule, and only the dark

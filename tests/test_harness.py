@@ -602,8 +602,7 @@ class TestCli:
         assert main(["dynamics", "--n", "250", "--periods", "1"]) == 2
         assert re.search(r"would hold 62562500 values .*U\(s\)",
                          capsys.readouterr().err)
-        # the settings refuse 2·10^8 steps: a half period's N/2 + 1 times
-        # would pass MAX_KEPT_VALUES = 5·10^7
+        # the settings refuse 2·10^8 steps, past their ceiling of 10^8
         for command in ("floquet-sweep", "effective-compare"):
             assert main([command, "--n", "11",
                          "--steps-per-period", "200000000"]) == 2
